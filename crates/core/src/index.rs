@@ -139,6 +139,37 @@ struct Entry {
     state: Membership,
 }
 
+/// Which of a serving instance's ordering keys an operation touches. A
+/// report update re-keys only the keys that moved, removing them all before
+/// inserting any: on a small fleet that is measurably cheaper than
+/// removing and re-inserting one ordering at a time.
+#[derive(Debug, Clone, Copy)]
+struct Keys {
+    freeness: bool,
+    physical: bool,
+    memory: bool,
+    running: bool,
+}
+
+impl Keys {
+    const ALL: Keys = Keys {
+        freeness: true,
+        physical: true,
+        memory: true,
+        running: true,
+    };
+
+    /// The keys that differ between two reports of one instance.
+    fn moved(old: &LoadReport, new: &LoadReport) -> Keys {
+        Keys {
+            freeness: order_key(old.freeness) != order_key(new.freeness),
+            physical: order_key(old.freeness_physical) != order_key(new.freeness_physical),
+            memory: order_key(old.memory_load) != order_key(new.memory_load),
+            running: old.num_running as u32 != new.num_running as u32,
+        }
+    }
+}
+
 /// Outcome of [`DispatchIndex::update`], used by the caller to schedule the
 /// starting→serving re-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,15 +254,26 @@ impl DispatchIndex {
         }
         let new_state = membership(report);
         let old = self.entries[idx];
-        if let Some(old) = old {
-            if old.report == *report {
+        match old {
+            Some(old) if old.report == *report => {
                 return UpdateOutcome {
                     became_starting: false,
                 };
             }
-            self.detach(&old);
+            // Same membership: only a serving instance sits in keyed sets.
+            Some(old) if old.state == new_state => {
+                if new_state == Membership::Serving {
+                    let moved = Keys::moved(&old.report, report);
+                    self.remove_keys(&old.report, moved);
+                    self.insert_keys(report, moved);
+                }
+            }
+            Some(old) => {
+                self.detach(&old);
+                self.attach(report, new_state);
+            }
+            None => self.attach(report, new_state),
         }
-        self.attach(report, new_state);
         self.entries[idx] = Some(Entry {
             report: *report,
             state: new_state,
@@ -265,23 +307,7 @@ impl DispatchIndex {
         match old.state {
             Membership::Serving => {
                 self.serving_count -= 1;
-                let r = &old.report;
-                if self.policy.track_freeness {
-                    self.by_freeness.remove(&(order_key(r.freeness), id));
-                }
-                if self.policy.track_pairing {
-                    self.by_freeness_desc.remove(&(!order_key(r.freeness), id));
-                }
-                if self.policy.track_physical {
-                    self.by_physical
-                        .remove(&(order_key(r.freeness_physical), id));
-                }
-                if self.policy.track_memory {
-                    self.by_memory.remove(&(order_key(r.memory_load), id));
-                }
-                if self.policy.track_running {
-                    self.by_running.remove(&(r.num_running as u32, id));
-                }
+                self.remove_keys(&old.report, Keys::ALL);
             }
             Membership::Terminating => {
                 if let Ok(pos) = self.terminating.binary_search(&id) {
@@ -297,23 +323,7 @@ impl DispatchIndex {
         match state {
             Membership::Serving => {
                 self.serving_count += 1;
-                if self.policy.track_freeness {
-                    self.by_freeness.insert((order_key(report.freeness), id));
-                }
-                if self.policy.track_pairing {
-                    self.by_freeness_desc
-                        .insert((!order_key(report.freeness), id));
-                }
-                if self.policy.track_physical {
-                    self.by_physical
-                        .insert((order_key(report.freeness_physical), id));
-                }
-                if self.policy.track_memory {
-                    self.by_memory.insert((order_key(report.memory_load), id));
-                }
-                if self.policy.track_running {
-                    self.by_running.insert((report.num_running as u32, id));
-                }
+                self.insert_keys(report, Keys::ALL);
             }
             Membership::Terminating => {
                 if let Err(pos) = self.terminating.binary_search(&id) {
@@ -321,6 +331,50 @@ impl DispatchIndex {
                 }
             }
             Membership::Starting => {}
+        }
+    }
+
+    /// Removes a serving instance's `keys` from the tracked orderings.
+    fn remove_keys(&mut self, r: &LoadReport, keys: Keys) {
+        let id = r.id.0;
+        let track = self.policy;
+        if keys.freeness && track.track_freeness {
+            self.by_freeness.remove(&(order_key(r.freeness), id));
+        }
+        if keys.freeness && track.track_pairing {
+            self.by_freeness_desc.remove(&(!order_key(r.freeness), id));
+        }
+        if keys.physical && track.track_physical {
+            self.by_physical
+                .remove(&(order_key(r.freeness_physical), id));
+        }
+        if keys.memory && track.track_memory {
+            self.by_memory.remove(&(order_key(r.memory_load), id));
+        }
+        if keys.running && track.track_running {
+            self.by_running.remove(&(r.num_running as u32, id));
+        }
+    }
+
+    /// Inserts a serving instance's `keys` into the tracked orderings.
+    fn insert_keys(&mut self, r: &LoadReport, keys: Keys) {
+        let id = r.id.0;
+        let track = self.policy;
+        if keys.freeness && track.track_freeness {
+            self.by_freeness.insert((order_key(r.freeness), id));
+        }
+        if keys.freeness && track.track_pairing {
+            self.by_freeness_desc.insert((!order_key(r.freeness), id));
+        }
+        if keys.physical && track.track_physical {
+            self.by_physical
+                .insert((order_key(r.freeness_physical), id));
+        }
+        if keys.memory && track.track_memory {
+            self.by_memory.insert((order_key(r.memory_load), id));
+        }
+        if keys.running && track.track_running {
+            self.by_running.insert((r.num_running as u32, id));
         }
     }
 

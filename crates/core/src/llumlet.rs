@@ -111,16 +111,15 @@ impl Llumlet {
 
     /// Builds the load report from scratch, bypassing the cache (the cache's
     /// reference semantics; property tests compare [`Llumlet::report`]
-    /// against this).
+    /// against this). Both freeness signals come from one allocation-free
+    /// pass, [`engine_freeness`].
     pub fn report_fresh(&self, now: SimTime, headroom: &HeadroomConfig) -> LoadReport {
-        let physical = HeadroomConfig {
-            high_priority_target_tokens: None,
-            ..*headroom
-        };
+        let (freeness, freeness_physical) =
+            engine_freeness(&self.engine, self.terminating, now, headroom);
         LoadReport {
             id: self.engine.id,
-            freeness: engine_freeness(&self.engine, self.terminating, now, headroom),
-            freeness_physical: engine_freeness(&self.engine, self.terminating, now, &physical),
+            freeness,
+            freeness_physical,
             memory_load: infaas_memory_load(&self.engine),
             num_running: self.engine.batch_size(),
             num_waiting: self.engine.waiting_len(),

@@ -1894,7 +1894,6 @@ impl ServingSim {
         if self.scaler.is_none() || self.global_down {
             return;
         }
-        let headroom = self.headroom;
         let scaler = self.scaler.as_mut().expect("checked above");
         let serving: Vec<&Llumlet> = self
             .store
@@ -1912,10 +1911,12 @@ impl ServingSim {
         let avg: f64 = serving
             .iter()
             .map(|l| {
+                // Serving instances are not terminating, so the cached load
+                // report's freeness is the one the scaler needs.
                 let f = if use_infaas {
                     crate::virtual_usage::infaas_equivalent_freeness(&l.engine)
                 } else {
-                    crate::virtual_usage::engine_freeness(&l.engine, false, self.now, &headroom)
+                    l.report(self.now, &self.headroom).freeness
                 };
                 f.min(cap)
             })

@@ -156,7 +156,9 @@ pub struct InstanceView {
 }
 
 impl InstanceView {
-    /// Builds the view from a live engine.
+    /// Builds the view from a live engine. This is Algorithm 1's reference
+    /// input: load reports use the one-pass [`engine_freeness`], which
+    /// tests compare against [`freeness`] over this view.
     pub fn from_engine(engine: &InstanceEngine, terminating: bool, now: SimTime) -> Self {
         let geometry = engine.spec().geometry;
         let mut requests = Vec::new();
@@ -279,14 +281,85 @@ pub fn freeness(instance: &InstanceView, cfg: &HeadroomConfig) -> f64 {
     (instance.capacity_tokens as f64 - total_virtual) / b
 }
 
-/// Freeness straight from an engine.
+/// Freeness straight from an engine, with and without execution-priority
+/// headroom: `(freeness, freeness_physical)`, the pair a load report carries.
+///
+/// This is the production path. It makes no allocation and reads only the
+/// resident requests, the head of the queue and the block ledger, where
+/// [`freeness`] over [`InstanceView::from_engine`] walks the whole queue and
+/// recounts residents for every request. The two are bit-identical, under
+/// `cfg` and under `cfg` with the headroom target removed, because this
+/// pass adds the same terms in the same order: the residents in batch
+/// order, then the head-of-line demand, then the blocks no resident
+/// accounts for. It skips only terms that are exactly `+0.0`: the queued
+/// requests behind the head, and an absent untracked term. Adding `+0.0`
+/// to a non-negative sum leaves it unchanged.
 pub fn engine_freeness(
     engine: &InstanceEngine,
     terminating: bool,
     now: SimTime,
     cfg: &HeadroomConfig,
-) -> f64 {
-    freeness(&InstanceView::from_engine(engine, terminating, now), cfg)
+) -> (f64, f64) {
+    if terminating {
+        return (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    }
+    let geometry = engine.spec().geometry;
+    let capacity = geometry.capacity_tokens();
+    let residents = || {
+        engine
+            .running_ids()
+            .iter()
+            .chain(engine.prefill_pending_ids())
+            .map(|&id| engine.state(id).expect("resident request has state"))
+    };
+    // Without headroom a resident's virtual usage is `physical + 0.0 / n`,
+    // which is exactly its physical usage.
+    let mut used_physical = 0.0;
+    let mut accounted = 0u32;
+    let mut high = 0usize;
+    for s in residents() {
+        used_physical += (s.blocks_held * geometry.block_tokens) as f64;
+        accounted += s.blocks_held;
+        high += usize::from(s.meta.priority.execution == Priority::High);
+    }
+    // Algorithm 1's `GetHeadroom`: the high-priority residents share the
+    // headroom. The untracked term below counts as a normal resident, so
+    // `high` is the reference's divisor too.
+    let headroom = cfg.headroom_for(Priority::High, capacity);
+    let mut used_virtual = used_physical;
+    if headroom != 0.0 && high > 0 {
+        let share = headroom / high as f64;
+        used_virtual = 0.0;
+        for s in residents() {
+            let tokens = (s.blocks_held * geometry.block_tokens) as f64;
+            used_virtual += if s.meta.priority.execution == Priority::High {
+                tokens + share
+            } else {
+                tokens
+            };
+        }
+    }
+    if let Some((head, blocks)) = engine.head_of_line_demand() {
+        let s = engine.state(head).expect("queued request has state");
+        let queued_secs = now.since(s.enqueued_at).as_secs_f64();
+        let demand =
+            (blocks * geometry.block_tokens) as f64 * cfg.queuing_rule.fraction(queued_secs);
+        used_physical += demand;
+        used_virtual += demand;
+    }
+    // Blocks held by draining requests and incoming migration reservations.
+    let used = engine.total_blocks() - engine.free_blocks();
+    let untracked = used.saturating_sub(accounted);
+    if untracked > 0 {
+        let tokens = (untracked * geometry.block_tokens) as f64;
+        used_physical += tokens;
+        used_virtual += tokens;
+    }
+    let b = engine.batch_size().max(1) as f64;
+    (
+        (capacity as f64 - used_virtual) / b,
+        (capacity as f64 - used_physical) / b,
+    )
 }
 
 /// The INFaaS++ baseline's load signal: used blocks plus queued demand, as a
@@ -532,11 +605,19 @@ mod tests {
             InstanceSpec::tiny_for_tests(160),
             EngineConfig::default(),
         );
+        let free = |e: &InstanceEngine, terminating: bool| {
+            let now = SimTime::from_secs(2);
+            let (f, f_physical) = engine_freeness(e, terminating, now, &HeadroomConfig::DISABLED);
+            let view = InstanceView::from_engine(e, terminating, now);
+            assert_eq!(
+                f.to_bits(),
+                freeness(&view, &HeadroomConfig::DISABLED).to_bits()
+            );
+            assert_eq!(f.to_bits(), f_physical.to_bits(), "no headroom configured");
+            f
+        };
         // Empty engine: freeness = capacity, infaas load = 0.
-        assert_eq!(
-            engine_freeness(&e, false, SimTime::from_secs(2), &HeadroomConfig::DISABLED),
-            160.0
-        );
+        assert_eq!(free(&e, false), 160.0);
         assert_eq!(infaas_memory_load(&e), 0.0);
         e.add_request(
             RequestMeta {
@@ -551,7 +632,7 @@ mod tests {
         let p = e.poll_step(SimTime::ZERO).expect("prefill");
         e.complete_step(p.finish_at());
         // 100 tokens → 7 blocks → 112 tokens physical.
-        let f = engine_freeness(&e, false, SimTime::from_secs(2), &HeadroomConfig::DISABLED);
+        let f = free(&e, false);
         assert!((f - 48.0).abs() < 1e-9, "freeness {f}");
         assert!((infaas_memory_load(&e) - 0.7).abs() < 1e-9);
         // A queued second request shows up in demand-aware loads.
@@ -565,14 +646,11 @@ mod tests {
             },
             SimTime::from_secs(1),
         );
-        let f2 = engine_freeness(&e, false, SimTime::from_secs(2), &HeadroomConfig::DISABLED);
+        let f2 = free(&e, false);
         assert!(f2 < 0.0, "queued HOL demand should overload: {f2}");
         assert!(infaas_memory_load(&e) > 1.0);
         assert!(infaas_equivalent_freeness(&e) < 0.0);
         // Terminating flag dominates.
-        assert_eq!(
-            engine_freeness(&e, true, SimTime::from_secs(2), &HeadroomConfig::DISABLED),
-            f64::NEG_INFINITY
-        );
+        assert_eq!(free(&e, true), f64::NEG_INFINITY);
     }
 }

@@ -3,7 +3,9 @@
 //! The llumlet memoizes its load report behind the engine's version counter;
 //! these tests drive a llumlet through arbitrary event sequences and check
 //! the cached [`Llumlet::report`] never drifts from the from-scratch
-//! [`Llumlet::report_fresh`]. On top of that cache sits the incremental
+//! [`Llumlet::report_fresh`], whose one-pass freeness must in turn match
+//! Algorithm 1's reference (`freeness` over an `InstanceView`) bit for bit.
+//! On top of that cache sits the incremental
 //! dispatch index; the fleet-level test below drives a whole store + index
 //! through arbitrary event sequences and checks every selection path
 //! (dispatch for both priority classes, round-robin, INFaaS++, migration
@@ -12,11 +14,11 @@
 
 use llumnix_core::policy::{pair_migrations, LoadReport};
 use llumnix_core::{
-    DispatchIndex, Dispatcher, HeadroomConfig, IndexPolicy, InstanceStore, Llumlet,
-    MigrationThresholds, QueuingRule, SchedulerKind,
+    freeness, DispatchIndex, Dispatcher, HeadroomConfig, IndexPolicy, InstanceStore, InstanceView,
+    Llumlet, MigrationThresholds, QueuingRule, SchedulerKind,
 };
 use llumnix_engine::{
-    EngineConfig, InstanceEngine, InstanceId, PriorityPair, RequestId, RequestMeta,
+    EngineConfig, InstanceEngine, InstanceId, Priority, PriorityPair, RequestId, RequestMeta,
 };
 use llumnix_model::InstanceSpec;
 use llumnix_sim::{SimDuration, SimTime};
@@ -25,8 +27,9 @@ use proptest::prelude::*;
 /// A random llumlet-visible event.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Admit a request (input tokens, output tokens, high priority).
-    Add(u32, u32, bool),
+    /// Admit a request (input tokens, output tokens, priority pair index
+    /// into [`PRIORITIES`]).
+    Add(u32, u32, usize),
     /// Run one engine step to completion, if one is runnable.
     Step,
     /// Abort a request by id.
@@ -37,23 +40,57 @@ enum Op {
     SetTerminating(bool),
     /// Advance time without touching the engine.
     AdvanceMillis(u64),
+    /// Reserve blocks for an incoming migration: memory no resident
+    /// request accounts for.
+    Reserve(u32),
+    /// Grow the `i`-th live reservation (modulo the count).
+    GrowReservation(usize, u32),
+    /// Release the `i`-th live reservation (modulo the count).
+    ReleaseReservation(usize),
 }
 
+/// Every (scheduling, execution) priority combination.
+const PRIORITIES: [PriorityPair; 4] = [
+    PriorityPair::NORMAL,
+    PriorityPair::HIGH,
+    PriorityPair {
+        scheduling: Priority::High,
+        execution: Priority::Normal,
+    },
+    PriorityPair {
+        scheduling: Priority::Normal,
+        execution: Priority::High,
+    },
+];
+
 fn op() -> impl Strategy<Value = Op> {
+    // Arms are picked uniformly; the repeated admit and step arms fill the
+    // batch often enough for several high-priority residents to share the
+    // headroom.
+    fn add() -> impl Strategy<Value = Op> {
+        (1u32..300, 1u32..40, 0usize..PRIORITIES.len()).prop_map(|(i, o, p)| Op::Add(i, o, p))
+    }
     prop_oneof![
-        (1u32..300, 1u32..40, any::<bool>()).prop_map(|(i, o, h)| Op::Add(i, o, h)),
+        add(),
+        add(),
+        Just(Op::Step),
         Just(Op::Step),
         (0u64..30).prop_map(Op::Abort),
         (0u64..30).prop_map(Op::Drain),
         any::<bool>().prop_map(Op::SetTerminating),
         (1u64..5_000).prop_map(Op::AdvanceMillis),
+        (1u32..64).prop_map(Op::Reserve),
+        (any::<usize>(), 1u32..16).prop_map(|(i, n)| Op::GrowReservation(i, n)),
+        any::<usize>().prop_map(Op::ReleaseReservation),
     ]
 }
 
 proptest! {
     /// After every event, the memoized report equals a from-scratch one for
-    /// both the paper-default headroom and a time-sensitive gradual rule —
-    /// queried twice so both the miss and the hit path are checked.
+    /// no headroom, two headroom targets and a time-sensitive gradual rule
+    /// — queried twice so both the miss and the hit path are checked —
+    /// and the from-scratch report's one-pass freeness pair equals
+    /// Algorithm 1's reference, with and without headroom, to the bit.
     #[test]
     fn cached_report_never_diverges_from_fresh(ops in prop::collection::vec(op(), 1..80)) {
         let mut llumlet = Llumlet::new(
@@ -70,17 +107,24 @@ proptest! {
             HeadroomConfig::paper_default(),
             HeadroomConfig::paper_default()
                 .with_queuing_rule(QueuingRule::Gradual { ramp_secs: 10.0 }),
+            // An odd headroom (3 097 tokens): shares of it round, so a sum
+            // taken in another order shows in the bits.
+            HeadroomConfig {
+                high_priority_target_tokens: Some(999),
+                queuing_rule: QueuingRule::FullDemand,
+            },
         ];
         let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
+        let mut reservations = Vec::new();
         for op in ops {
             match op {
-                Op::Add(input, output, high) => {
+                Op::Add(input, output, priority) => {
                     let meta = RequestMeta {
                         id: RequestId(next_id),
                         input_len: input,
                         output_len: output,
-                        priority: if high { PriorityPair::HIGH } else { PriorityPair::NORMAL },
+                        priority: PRIORITIES[priority],
                         arrival: now,
                     };
                     next_id += 1;
@@ -100,9 +144,41 @@ proptest! {
                 }
                 Op::SetTerminating(t) => llumlet.terminating = t,
                 Op::AdvanceMillis(ms) => now += llumnix_sim::SimDuration::from_millis(ms),
+                Op::Reserve(blocks) => {
+                    if let Ok(r) = llumlet.engine.reserve_blocks(blocks) {
+                        reservations.push(r);
+                    }
+                }
+                Op::GrowReservation(i, blocks) => {
+                    if !reservations.is_empty() {
+                        let r = reservations[i % reservations.len()];
+                        let _ = llumlet.engine.grow_reservation(r, blocks);
+                    }
+                }
+                Op::ReleaseReservation(i) => {
+                    if !reservations.is_empty() {
+                        let r = reservations.swap_remove(i % reservations.len());
+                        prop_assert!(llumlet.engine.release_reservation(r).is_ok());
+                    }
+                }
             }
+            let view = InstanceView::from_engine(&llumlet.engine, llumlet.terminating, now);
             for headroom in &configs {
                 let fresh = llumlet.report_fresh(now, headroom);
+                let physical = HeadroomConfig {
+                    high_priority_target_tokens: None,
+                    ..*headroom
+                };
+                prop_assert_eq!(
+                    fresh.freeness.to_bits(),
+                    freeness(&view, headroom).to_bits(),
+                    "freeness vs Algorithm 1, {:?}, op {:?}", headroom, op
+                );
+                prop_assert_eq!(
+                    fresh.freeness_physical.to_bits(),
+                    freeness(&view, &physical).to_bits(),
+                    "physical freeness vs Algorithm 1, {:?}, op {:?}", headroom, op
+                );
                 prop_assert_eq!(llumlet.report(now, headroom), fresh, "miss path, op {:?}", op);
                 prop_assert_eq!(llumlet.report(now, headroom), fresh, "hit path, op {:?}", op);
             }

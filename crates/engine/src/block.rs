@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use crate::id_hash::IdHashing;
 use crate::request::RequestId;
 
 /// Identifier for a migration reservation on a destination instance.
@@ -67,8 +68,12 @@ impl std::error::Error for BlockError {}
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     total: u32,
-    allocations: HashMap<RequestId, u32>,
-    reservations: HashMap<ReservationId, u32>,
+    /// Blocks held by allocations plus reservations: a running ledger kept
+    /// in step with the two maps, so [`BlockManager::free_blocks`] is O(1).
+    /// [`BlockManager::check_invariants`] re-sums the maps against it.
+    used: u32,
+    allocations: HashMap<RequestId, u32, IdHashing>,
+    reservations: HashMap<ReservationId, u32, IdHashing>,
     next_reservation: u64,
 }
 
@@ -77,8 +82,9 @@ impl BlockManager {
     pub fn new(total: u32) -> Self {
         BlockManager {
             total,
-            allocations: HashMap::new(),
-            reservations: HashMap::new(),
+            used: 0,
+            allocations: HashMap::default(),
+            reservations: HashMap::default(),
             next_reservation: 0,
         }
     }
@@ -88,19 +94,20 @@ impl BlockManager {
         self.total
     }
 
-    /// Blocks currently allocated to requests.
+    /// Blocks currently allocated to requests (a full re-sum; the hot paths
+    /// read the running ledger through [`BlockManager::free_blocks`]).
     pub fn allocated_blocks(&self) -> u32 {
         self.allocations.values().sum()
     }
 
-    /// Blocks held by migration reservations.
+    /// Blocks held by migration reservations (a full re-sum).
     pub fn reserved_blocks(&self) -> u32 {
         self.reservations.values().sum()
     }
 
     /// Free (unallocated, unreserved) blocks.
     pub fn free_blocks(&self) -> u32 {
-        self.total - self.allocated_blocks() - self.reserved_blocks()
+        self.total - self.used
     }
 
     /// Fraction of blocks in use (allocations + reservations).
@@ -116,12 +123,8 @@ impl BlockManager {
         self.allocations.get(&id).copied().unwrap_or(0)
     }
 
-    /// Allocates exactly `blocks` to `id` (all-or-nothing). The request must
-    /// not already hold an allocation.
-    pub fn allocate(&mut self, id: RequestId, blocks: u32) -> Result<(), BlockError> {
-        if self.allocations.contains_key(&id) {
-            return Err(BlockError::AlreadyAllocated(id));
-        }
+    /// Checks that `blocks` fit in the free pool, without side effects.
+    fn fits(&self, blocks: u32) -> Result<(), BlockError> {
         let free = self.free_blocks();
         if blocks > free {
             return Err(BlockError::OutOfBlocks {
@@ -129,7 +132,18 @@ impl BlockManager {
                 free,
             });
         }
+        Ok(())
+    }
+
+    /// Allocates exactly `blocks` to `id` (all-or-nothing). The request must
+    /// not already hold an allocation.
+    pub fn allocate(&mut self, id: RequestId, blocks: u32) -> Result<(), BlockError> {
+        if self.allocations.contains_key(&id) {
+            return Err(BlockError::AlreadyAllocated(id));
+        }
+        self.fits(blocks)?;
         self.allocations.insert(id, blocks);
+        self.used += blocks;
         Ok(())
     }
 
@@ -138,38 +152,31 @@ impl BlockManager {
         if !self.allocations.contains_key(&id) {
             return Err(BlockError::UnknownRequest(id));
         }
-        let free = self.free_blocks();
-        if extra > free {
-            return Err(BlockError::OutOfBlocks {
-                requested: extra,
-                free,
-            });
-        }
+        self.fits(extra)?;
         *self.allocations.get_mut(&id).expect("checked above") += extra;
+        self.used += extra;
         Ok(())
     }
 
     /// Releases `id`'s allocation, returning the freed block count.
     pub fn release(&mut self, id: RequestId) -> Result<u32, BlockError> {
-        self.allocations
+        let blocks = self
+            .allocations
             .remove(&id)
-            .ok_or(BlockError::UnknownRequest(id))
+            .ok_or(BlockError::UnknownRequest(id))?;
+        self.used -= blocks;
+        Ok(blocks)
     }
 
     /// Reserves `blocks` for an incoming migration stage (destination side of
     /// the pre-allocate handshake). Fails without side effects when space is
     /// insufficient, which makes the source abort the migration.
     pub fn reserve(&mut self, blocks: u32) -> Result<ReservationId, BlockError> {
-        let free = self.free_blocks();
-        if blocks > free {
-            return Err(BlockError::OutOfBlocks {
-                requested: blocks,
-                free,
-            });
-        }
+        self.fits(blocks)?;
         let id = ReservationId(self.next_reservation);
         self.next_reservation += 1;
         self.reservations.insert(id, blocks);
+        self.used += blocks;
         Ok(id)
     }
 
@@ -178,26 +185,24 @@ impl BlockManager {
         if !self.reservations.contains_key(&id) {
             return Err(BlockError::UnknownReservation(id));
         }
-        let free = self.free_blocks();
-        if extra > free {
-            return Err(BlockError::OutOfBlocks {
-                requested: extra,
-                free,
-            });
-        }
+        self.fits(extra)?;
         *self.reservations.get_mut(&id).expect("checked above") += extra;
+        self.used += extra;
         Ok(())
     }
 
     /// Aborts a reservation, returning its blocks to the free pool.
     pub fn release_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
-        self.reservations
+        let blocks = self
+            .reservations
             .remove(&id)
-            .ok_or(BlockError::UnknownReservation(id))
+            .ok_or(BlockError::UnknownReservation(id))?;
+        self.used -= blocks;
+        Ok(blocks)
     }
 
     /// Commits a reservation: its blocks become `req`'s allocation (migration
-    /// commit on the destination).
+    /// commit on the destination). The blocks stay in use throughout.
     pub fn commit_reservation(
         &mut self,
         id: ReservationId,
@@ -214,9 +219,10 @@ impl BlockManager {
         Ok(blocks)
     }
 
-    /// Internal consistency check: allocation + reservation + free == total.
+    /// Internal consistency check: the running `used` ledger equals the
+    /// re-summed allocations plus reservations, and never exceeds `total`.
     pub fn check_invariants(&self) -> bool {
-        self.allocated_blocks() + self.reserved_blocks() + self.free_blocks() == self.total
+        self.used == self.allocated_blocks() + self.reserved_blocks() && self.used <= self.total
     }
 }
 
@@ -327,6 +333,53 @@ mod tests {
         assert!(bm.reserve(2).is_err());
         assert_eq!(bm.free_blocks(), 1);
         assert!(bm.check_invariants());
+    }
+
+    #[test]
+    fn used_ledger_tracks_every_operation() {
+        let mut bm = BlockManager::new(20);
+        let ledger = |bm: &BlockManager| {
+            assert!(bm.check_invariants());
+            bm.total_blocks() - bm.free_blocks()
+        };
+        bm.allocate(rid(1), 4).unwrap();
+        assert_eq!(ledger(&bm), 4);
+        bm.grow(rid(1), 3).unwrap();
+        assert_eq!(ledger(&bm), 7);
+        let r = bm.reserve(5).unwrap();
+        assert_eq!(ledger(&bm), 12);
+        bm.grow_reservation(r, 2).unwrap();
+        assert_eq!(ledger(&bm), 14);
+        // Failed calls move nothing.
+        assert!(bm.grow(rid(1), 7).is_err());
+        assert!(bm.grow_reservation(r, 7).is_err());
+        assert!(bm.allocate(rid(2), 7).is_err());
+        assert!(bm.reserve(7).is_err());
+        assert_eq!(ledger(&bm), 14);
+        // Commit moves blocks from reservation to allocation: still in use.
+        assert_eq!(bm.commit_reservation(r, rid(2)).unwrap(), 7);
+        assert_eq!(ledger(&bm), 14);
+        let r2 = bm.reserve(6).unwrap();
+        assert_eq!(ledger(&bm), 20);
+        assert_eq!(bm.release_reservation(r2).unwrap(), 6);
+        assert_eq!(ledger(&bm), 14);
+        assert_eq!(bm.release(rid(1)).unwrap(), 7);
+        assert_eq!(bm.release(rid(2)).unwrap(), 7);
+        assert_eq!(ledger(&bm), 0);
+    }
+
+    #[test]
+    fn check_invariants_catches_a_drifted_ledger() {
+        let mut bm = BlockManager::new(10);
+        bm.allocate(rid(1), 4).unwrap();
+        assert!(bm.check_invariants());
+        bm.used -= 1;
+        assert!(!bm.check_invariants(), "ledger below the maps");
+        bm.used += 2;
+        assert!(!bm.check_invariants(), "ledger above the maps");
+        bm.used = 11;
+        bm.allocations.insert(rid(1), 11);
+        assert!(!bm.check_invariants(), "ledger over capacity");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use llumnix_model::{CostModel, DecodeBatch, DecodeCostMemo, InstanceSpec, Prefil
 use llumnix_sim::{SimDuration, SimTime};
 
 use crate::block::{BlockError, BlockManager, ReservationId};
+use crate::id_hash::IdHashing;
 use crate::queue::{QueueOrder, WaitQueue};
 use crate::request::{Phase, RequestId, RequestMeta, SeqState};
 
@@ -159,11 +160,16 @@ pub struct InstanceEngine {
     config: EngineConfig,
     blocks: BlockManager,
     waiting: WaitQueue,
+    /// Blocks demanded by every queued request: a running ledger kept in
+    /// step with `waiting`, so [`InstanceEngine::queued_demand_blocks`] is
+    /// O(1). [`InstanceEngine::check_invariants`] re-walks the queue.
+    queued_demand: u32,
     prefill_pending: Vec<RequestId>,
+    /// The running batch. Exactly the requests in [`Phase::Running`].
     running: Vec<RequestId>,
     /// Per-request state. Hot lookups keep it a hash map; every iteration
     /// over it must either be order-insensitive or sort before use.
-    states: HashMap<RequestId, SeqState>,
+    states: HashMap<RequestId, SeqState, IdHashing>,
     in_flight: Option<StepPlan>,
     /// Drains deferred to the step boundary. A `BTreeSet` so the boundary
     /// flush emits `Drained` events in id order, not hasher order.
@@ -187,9 +193,10 @@ impl InstanceEngine {
             config,
             blocks,
             waiting,
+            queued_demand: 0,
             prefill_pending: Vec::new(),
             running: Vec::new(),
-            states: HashMap::new(),
+            states: HashMap::default(),
             in_flight: None,
             drain_requested: BTreeSet::new(),
             active_migrations: 0,
@@ -229,6 +236,7 @@ impl InstanceEngine {
         self.touch();
         debug_assert!(!self.states.contains_key(&meta.id), "duplicate {}", meta.id);
         let state = SeqState::new(meta, now);
+        self.queued_demand += self.demand_blocks(&state);
         self.waiting.insert_with_demand(
             meta.id,
             meta.priority.scheduling,
@@ -242,7 +250,10 @@ impl InstanceEngine {
     /// Returns its state if it was known.
     pub fn abort_request(&mut self, id: RequestId) -> Option<SeqState> {
         self.touch();
-        self.waiting.remove(id);
+        if self.waiting.remove(id) {
+            let state = self.states.get(&id).expect("queued request has state");
+            self.queued_demand -= self.demand_blocks(state);
+        }
         self.prefill_pending.retain(|&r| r != id);
         self.running.retain(|&r| r != id);
         self.drain_requested.remove(&id);
@@ -305,14 +316,12 @@ impl InstanceEngine {
                 break;
             }
             let state = self.states.get(&head).expect("queued request has state");
-            let needed = self
-                .spec
-                .geometry
-                .blocks_for_tokens(state.required_tokens());
+            let needed = self.demand_blocks(state);
             let watermark = self.config.admission_watermark_blocks;
             if needed.saturating_add(watermark) > self.blocks.total_blocks() {
                 // Can never fit on this instance: abort rather than deadlock.
                 self.waiting.pop_head();
+                self.queued_demand -= needed;
                 let mut state = self.states.remove(&head).expect("present");
                 state.finished_at = Some(now);
                 state.aborted = true;
@@ -326,6 +335,7 @@ impl InstanceEngine {
             match self.blocks.allocate(head, needed) {
                 Ok(()) => {
                     self.waiting.pop_head();
+                    self.queued_demand -= needed;
                     let state = self.states.get_mut(&head).expect("present");
                     state.phase = Phase::Prefilling;
                     state.blocks_held = needed;
@@ -397,22 +407,24 @@ impl InstanceEngine {
         // Grow each sequence's allocation for the token this step appends.
         // Victims are chosen lowest-execution-priority first, then latest
         // arrival (vLLM preempts the most recent request).
+        let geometry = self.spec.geometry;
+        let growth = |s: &SeqState| {
+            geometry
+                .blocks_for_tokens(s.cached_tokens + 1)
+                .saturating_sub(s.blocks_held)
+        };
         loop {
-            let mut needed_per_req: Vec<(RequestId, u32)> = Vec::new();
-            let mut total_needed = 0u32;
-            for &id in &self.running {
-                let s = &self.states[&id];
-                let target = self.spec.geometry.blocks_for_tokens(s.cached_tokens + 1);
-                let extra = target.saturating_sub(s.blocks_held);
-                if extra > 0 {
-                    needed_per_req.push((id, extra));
-                    total_needed += extra;
-                }
-            }
+            let total_needed: u32 = self.running.iter().map(|id| growth(&self.states[id])).sum();
             if total_needed <= self.blocks.free_blocks() {
-                for (id, extra) in needed_per_req {
-                    self.blocks.grow(id, extra).expect("checked total");
-                    self.states.get_mut(&id).expect("running").blocks_held += extra;
+                if total_needed > 0 {
+                    for &id in &self.running {
+                        let s = self.states.get_mut(&id).expect("running");
+                        let extra = growth(s);
+                        if extra > 0 {
+                            self.blocks.grow(id, extra).expect("checked total");
+                            s.blocks_held += extra;
+                        }
+                    }
                 }
                 break;
             }
@@ -497,6 +509,7 @@ impl InstanceEngine {
         let demand = s.required_tokens();
         let (sched, arrival) = (s.meta.priority.scheduling, s.meta.arrival);
         self.waiting.insert_with_demand(id, sched, arrival, demand);
+        self.queued_demand += self.spec.geometry.blocks_for_tokens(demand);
         // An in-progress drain of a preempted request is void: the migration
         // coordinator observes the Preempted event and aborts.
         self.drain_requested.remove(&id);
@@ -562,11 +575,15 @@ impl InstanceEngine {
             }
             StepKind::Decode(ids) => {
                 for id in ids {
-                    // Skip requests that left the batch mid-step (aborted).
-                    if !self.running.contains(&id) {
+                    // Skip requests that left the batch mid-step (aborted);
+                    // the Running phase is exactly membership of `running`.
+                    let Some(s) = self
+                        .states
+                        .get_mut(&id)
+                        .filter(|s| s.phase == Phase::Running)
+                    else {
                         continue;
-                    }
-                    let s = self.states.get_mut(&id).expect("running request");
+                    };
                     s.generated += 1;
                     s.cached_tokens += 1;
                     s.note_token(now);
@@ -861,22 +878,41 @@ impl InstanceEngine {
     }
 
     /// Sum of blocks demanded by *all* queued requests (INFaaS++'s queue
-    /// pressure signal).
+    /// pressure signal), read off the running ledger.
     pub fn queued_demand_blocks(&self) -> u32 {
-        self.waiting
-            .iter()
-            .map(|id| {
-                self.spec
-                    .geometry
-                    .blocks_for_tokens(self.states[&id].required_tokens())
-            })
-            .sum()
+        self.queued_demand
     }
 
-    /// Verifies internal invariants (tests and debug assertions).
+    /// Blocks a request needs resident to run (its admission demand).
+    fn demand_blocks(&self, s: &SeqState) -> u32 {
+        self.spec.geometry.blocks_for_tokens(s.required_tokens())
+    }
+
+    /// Verifies internal invariants (tests and debug assertions): per-request
+    /// block counts match the block ledger, the queued-demand ledger matches
+    /// a walk of the queue, and the running batch is exactly the requests in
+    /// [`Phase::Running`].
     pub fn check_invariants(&self) -> bool {
         let block_sum: u32 = self.states.values().map(|s| s.blocks_held).sum();
-        block_sum == self.blocks.allocated_blocks() && self.blocks.check_invariants()
+        let queued: u32 = self
+            .waiting
+            .iter()
+            .map(|id| self.demand_blocks(&self.states[&id]))
+            .sum();
+        let running = self
+            .states
+            .values()
+            .filter(|s| s.phase == Phase::Running)
+            .count();
+        block_sum == self.blocks.allocated_blocks()
+            && self.blocks.check_invariants()
+            && queued == self.queued_demand
+            && running == self.running.len()
+            && self.running.iter().all(|id| {
+                self.states
+                    .get(id)
+                    .is_some_and(|s| s.phase == Phase::Running)
+            })
     }
 }
 

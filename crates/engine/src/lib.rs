@@ -11,6 +11,7 @@
 #![deny(rust_2018_idioms)]
 
 mod block;
+mod id_hash;
 mod instance;
 mod queue;
 mod request;

@@ -2,7 +2,7 @@
 
 use llumnix_engine::{
     BlockManager, EngineConfig, InstanceEngine, InstanceId, Priority, PriorityPair, RequestId,
-    RequestMeta, WaitQueue,
+    RequestMeta, ReservationId, WaitQueue,
 };
 use llumnix_model::InstanceSpec;
 use llumnix_sim::SimTime;
@@ -61,7 +61,11 @@ proptest! {
                 }
             }
             prop_assert!(bm.check_invariants(), "block conservation violated");
-            prop_assert!(bm.free_blocks() <= bm.total_blocks());
+            prop_assert_eq!(
+                bm.free_blocks(),
+                bm.total_blocks() - bm.allocated_blocks() - bm.reserved_blocks(),
+                "running ledger drifted from the maps"
+            );
         }
     }
 
@@ -131,4 +135,120 @@ proptest! {
         prop_assert_eq!(engine.free_blocks(), engine.total_blocks());
         prop_assert!(!engine.has_work());
     }
+
+    /// Under any mix of intake, steps, aborts, drains and migration
+    /// reservations, the engine's two running ledgers match a recount after
+    /// every operation: queued demand equals a walk of the queue, and free
+    /// blocks equal the total minus every allocation and reservation.
+    #[test]
+    fn engine_ledgers_match_a_recount(ops in prop::collection::vec(engine_op(), 1..120)) {
+        let spec = InstanceSpec::tiny_for_tests(1024);
+        let geometry = spec.geometry;
+        let mut engine = InstanceEngine::new(InstanceId(0), spec, EngineConfig::default());
+        let mut reservations: Vec<(ReservationId, u32)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        for op in ops {
+            match op {
+                EngineOp::Add(input, output, high) => {
+                    let meta = RequestMeta {
+                        id: RequestId(next_id),
+                        input_len: input,
+                        output_len: output,
+                        priority: if high { PriorityPair::HIGH } else { PriorityPair::NORMAL },
+                        arrival: now,
+                    };
+                    next_id += 1;
+                    engine.add_request(meta, now);
+                }
+                EngineOp::Step => {
+                    if let Some(plan) = engine.poll_step(now) {
+                        now = plan.finish_at();
+                        engine.complete_step(now);
+                    }
+                    let _ = engine.take_finished();
+                }
+                EngineOp::Abort(id) => {
+                    let _ = engine.abort_request(RequestId(id));
+                }
+                EngineOp::Drain(id) => {
+                    let _ = engine.request_drain(RequestId(id));
+                }
+                EngineOp::Reserve(blocks) => {
+                    if let Ok(r) = engine.reserve_blocks(blocks) {
+                        reservations.push((r, blocks));
+                    }
+                }
+                EngineOp::GrowReservation(i, extra) => {
+                    if !reservations.is_empty() {
+                        let k = i % reservations.len();
+                        if engine.grow_reservation(reservations[k].0, extra).is_ok() {
+                            reservations[k].1 += extra;
+                        }
+                    }
+                }
+                EngineOp::ReleaseReservation(i) => {
+                    if !reservations.is_empty() {
+                        let (r, blocks) = reservations.swap_remove(i % reservations.len());
+                        prop_assert_eq!(engine.release_reservation(r), Ok(blocks));
+                    }
+                }
+            }
+            let queued: u32 = engine
+                .waiting_ids()
+                .iter()
+                .map(|&id| {
+                    let s = engine.state(id).expect("queued request has state");
+                    geometry.blocks_for_tokens(s.required_tokens())
+                })
+                .sum();
+            prop_assert_eq!(engine.queued_demand_blocks(), queued, "op {:?}", op);
+            let allocated: u32 = engine
+                .tracked_ids()
+                .iter()
+                .map(|&id| engine.physical_blocks_of(id))
+                .sum();
+            let reserved: u32 = reservations.iter().map(|&(_, blocks)| blocks).sum();
+            prop_assert_eq!(
+                engine.free_blocks(),
+                engine.total_blocks() - allocated - reserved,
+                "op {:?}", op
+            );
+            prop_assert!(engine.check_invariants(), "op {:?}", op);
+        }
+    }
+}
+
+/// A random engine-visible operation.
+#[derive(Debug, Clone, Copy)]
+enum EngineOp {
+    /// Enqueue a request (input tokens, output tokens, high priority).
+    Add(u32, u32, bool),
+    /// Run one step to completion, if one is runnable.
+    Step,
+    /// Abort a request by id.
+    Abort(u64),
+    /// Ask a running request to drain out.
+    Drain(u64),
+    /// Reserve blocks for an incoming migration.
+    Reserve(u32),
+    /// Grow the `i`-th live reservation (modulo the count).
+    GrowReservation(usize, u32),
+    /// Release the `i`-th live reservation (modulo the count).
+    ReleaseReservation(usize),
+}
+
+fn engine_op() -> impl Strategy<Value = EngineOp> {
+    prop_oneof![
+        (1u32..400, 1u32..60, any::<bool>()).prop_map(|(i, o, h)| EngineOp::Add(i, o, h)),
+        (1u32..400, 1u32..60, any::<bool>()).prop_map(|(i, o, h)| EngineOp::Add(i, o, h)),
+        Just(EngineOp::Step),
+        Just(EngineOp::Step),
+        Just(EngineOp::Step),
+        (0u64..40).prop_map(EngineOp::Abort),
+        (0u64..40).prop_map(EngineOp::Drain),
+        (1u32..24).prop_map(EngineOp::Reserve),
+        (any::<usize>(), 1u32..8).prop_map(|(i, n)| EngineOp::GrowReservation(i, n)),
+        any::<usize>().prop_map(EngineOp::ReleaseReservation),
+    ]
 }
