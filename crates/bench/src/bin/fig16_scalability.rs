@@ -18,10 +18,8 @@
 //! same-microsecond step completions, so wall-clock cost per simulated
 //! event stays flat while the schedule below 512 is bit-for-bit unchanged.
 //!
-//! `--shards N` runs every arm on the conservative time-windowed sharded
-//! core (DESIGN.md §10); the output is byte-identical at any `N`. `--huge`
-//! appends 4096- and 10 240-instance arms, which are only affordable with
-//! sharding on.
+//! `--huge` appends 4096- and 10 240-instance arms, kept out of the default
+//! sweep for their wall-clock cost.
 
 use llumnix_bench::{run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, ForkArm, ForkGroup};
 use llumnix_core::{FaultPlan, SchedulerKind, ServingConfig};
@@ -32,9 +30,8 @@ use llumnix_workload::{Arrivals, FixedLength, LengthDist, TraceSpec};
 fn main() {
     let opts = BenchOpts::from_args();
     // `--huge` extends the sweep past the doubling ladder to 4096 and 10 240
-    // instances. Those fleets only fit the wall-clock budget on the sharded
-    // windowed core, so they live behind the flag (pass `--shards` too) and
-    // scale the per-fleet request count sub-linearly.
+    // instances. Those fleets live behind the flag and scale the per-fleet
+    // request count sub-linearly to fit the nightly budget.
     let huge = std::env::args().any(|a| a == "--huge");
     // `--forked` reruns the sweep through the snapshot/fork harness: each
     // arm runs a quarter of its nominal duration, snapshots, and finishes
@@ -78,7 +75,7 @@ fn main() {
                     LengthDist::Fixed(FixedLength(64)),
                 );
                 arms.push(ArmSpec {
-                    config: opts.sharded(ServingConfig::new(kind, instances as u32)),
+                    config: ServingConfig::new(kind, instances as u32),
                     trace: spec.generate(&SimRng::new(opts.seed)),
                     rate,
                     cv: 1.0,

@@ -82,9 +82,8 @@ struct ChurnRow {
 
 fn main() {
     let opts = BenchOpts::from_args();
-    // `--huge` appends 4096- and 10 240-instance Llumnix arms (affordable
-    // only on the sharded windowed core — pass `--shards` too); `--shards N`
-    // runs every arm windowed, byte-identical at any `N`.
+    // `--huge` appends 4096- and 10 240-instance Llumnix arms, kept out of
+    // the default sweep for their wall-clock cost.
     let huge = std::env::args().any(|a| a == "--huge");
     // `--forked` shares each (fleet, scheduler) pair's fault-free warmup
     // across its three fault profiles via snapshot/fork instead of running
@@ -144,8 +143,7 @@ fn main() {
         for &kind in kinds {
             let mut scale_cfg = AutoScaleConfig::paper_default(fleet as u32);
             scale_cfg.min_instances = (fleet / 8).max(1) as u32;
-            let config = opts
-                .sharded(ServingConfig::new(kind, (fleet / 4) as u32).with_autoscale(scale_cfg));
+            let config = ServingConfig::new(kind, (fleet / 4) as u32).with_autoscale(scale_cfg);
             let trace = build_trace("L-L", n, Arrivals::gamma(rate, 4.0), 0.0, opts.seed);
             if forked {
                 groups.push(ForkGroup {

@@ -15,8 +15,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use llumnix_core::{
-    run_serving, FaultPlan, SchedulerKind, ServingConfig, ServingOutput, ServingSim, ShardConfig,
-    SimSnapshot,
+    run_serving, FaultPlan, SchedulerKind, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
 };
 use llumnix_metrics::LatencyReport;
 use llumnix_sim::SimRng;
@@ -40,17 +39,6 @@ pub struct BenchOpts {
     /// Canonical output mode (`--canonical`): zero out the wall-clock field
     /// so result files are byte-identical across runs and thread counts.
     pub canonical: bool,
-    /// Shard count for the windowed sharded core (`--shards N`), if given.
-    /// The windowed schedule is identical at every shard count (including
-    /// 1), but deliberately differs from the classic unsharded loop — so
-    /// determinism cross-checks compare `--shards 1` against `--shards 4`,
-    /// never against a run without the flag.
-    pub shards: Option<usize>,
-    /// Window-length autotuning for the sharded core (`--no-autotune`
-    /// disables it). Stretching is gated so the schedule is byte-identical
-    /// either way — CI diffs an autotune-on run against an autotune-off run
-    /// to hold that invariant.
-    pub autotune: bool,
 }
 
 /// Parses the value following a flag, exiting with a clear diagnostic when the
@@ -74,8 +62,8 @@ where
 }
 
 impl BenchOpts {
-    /// Parses `--seed`, `--json`, `--scale`, `--threads`, `--canonical`, and
-    /// `--shards` from `std::env::args`.
+    /// Parses `--seed`, `--json`, `--scale`, `--threads`, and `--canonical`
+    /// from `std::env::args`.
     ///
     /// Malformed or missing values for these flags abort with exit code 2.
     /// Unrecognized arguments are left alone — individual binaries consume
@@ -87,8 +75,6 @@ impl BenchOpts {
             scale: 1.0,
             threads: None,
             canonical: false,
-            shards: None,
-            autotune: true,
         };
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -130,19 +116,6 @@ impl BenchOpts {
                     set_canonical_output(true);
                     i += 1;
                 }
-                "--shards" => {
-                    let shards: usize = parse_flag_value(&args, i, "--shards");
-                    if shards == 0 {
-                        eprintln!("error: --shards must be at least 1");
-                        std::process::exit(2);
-                    }
-                    opts.shards = Some(shards);
-                    i += 2;
-                }
-                "--no-autotune" => {
-                    opts.autotune = false;
-                    i += 1;
-                }
                 _ => i += 1,
             }
         }
@@ -152,17 +125,6 @@ impl BenchOpts {
     /// Applies the scale factor to a request count.
     pub fn scaled(&self, n: usize) -> usize {
         ((n as f64 * self.scale) as usize).max(10)
-    }
-
-    /// Applies `--shards` to a serving configuration: with `--shards N` the
-    /// run uses the conservative time-windowed sharded core at `N` shards
-    /// (window autotuning on unless `--no-autotune` was given); without it
-    /// the classic single-queue loop runs untouched.
-    pub fn sharded(&self, config: ServingConfig) -> ServingConfig {
-        match self.shards {
-            Some(k) => config.with_shards(ShardConfig::new(k).with_autotune(self.autotune)),
-            None => config,
-        }
     }
 
     /// Writes rows as JSON if `--json` was given.
@@ -647,8 +609,6 @@ mod tests {
             scale: 0.1,
             threads: None,
             canonical: false,
-            shards: None,
-            autotune: true,
         };
         assert_eq!(opts.scaled(10_000), 1_000);
         assert_eq!(opts.scaled(50), 10, "floor at 10");

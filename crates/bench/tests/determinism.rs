@@ -17,8 +17,6 @@ fn arm_specs() -> Vec<ArmSpec> {
         scale: 1.0,
         threads: None,
         canonical: false,
-        shards: None,
-        autotune: true,
     };
     let mut arms = Vec::new();
     for (trace, rate) in [("S-S", 4.0), ("M-M", 2.0), ("L-L", 1.5)] {

@@ -67,18 +67,6 @@ pub struct IndexPolicy {
 }
 
 impl IndexPolicy {
-    /// Everything off (the placeholder policy of a default-constructed
-    /// index, e.g. a shard partition before configuration).
-    pub fn none() -> Self {
-        IndexPolicy {
-            track_freeness: false,
-            track_physical: false,
-            track_memory: false,
-            track_running: false,
-            track_pairing: false,
-        }
-    }
-
     /// Everything on (tests and benches).
     pub fn all() -> Self {
         IndexPolicy {
@@ -207,19 +195,6 @@ pub struct DispatchIndex {
     terminating: Vec<u32>,
     /// `serving_order` needs rebuilding from the store's order walk.
     order_dirty: bool,
-    /// Count of entries in the `Serving` membership class. Unlike
-    /// `serving_order.len()` this is exact without a [`Self::sync_order`]
-    /// call, which shard partitions (whose round-robin order lives in the
-    /// coordinator's fleet walk, not here) never make.
-    serving_count: usize,
-}
-
-impl Default for DispatchIndex {
-    /// An empty index tracking nothing — the placeholder a shard partition
-    /// holds until the run's [`IndexPolicy`] is configured.
-    fn default() -> Self {
-        DispatchIndex::new(IndexPolicy::none())
-    }
 }
 
 impl DispatchIndex {
@@ -236,7 +211,6 @@ impl DispatchIndex {
             serving_order: Vec::new(),
             terminating: Vec::new(),
             order_dirty: false,
-            serving_count: 0,
         }
     }
 
@@ -305,10 +279,7 @@ impl DispatchIndex {
     fn detach(&mut self, old: &Entry) {
         let id = old.report.id.0;
         match old.state {
-            Membership::Serving => {
-                self.serving_count -= 1;
-                self.remove_keys(&old.report, Keys::ALL);
-            }
+            Membership::Serving => self.remove_keys(&old.report, Keys::ALL),
             Membership::Terminating => {
                 if let Ok(pos) = self.terminating.binary_search(&id) {
                     self.terminating.remove(pos);
@@ -321,10 +292,7 @@ impl DispatchIndex {
     fn attach(&mut self, report: &LoadReport, state: Membership) {
         let id = report.id.0;
         match state {
-            Membership::Serving => {
-                self.serving_count += 1;
-                self.insert_keys(report, Keys::ALL);
-            }
+            Membership::Serving => self.insert_keys(report, Keys::ALL),
             Membership::Terminating => {
                 if let Err(pos) = self.terminating.binary_search(&id) {
                     self.terminating.insert(pos, id);
@@ -461,210 +429,6 @@ impl DispatchIndex {
             .zip(self.by_freeness_desc.range(..dst_bound))
             .map(|(s, &(_, d))| (InstanceId(s), InstanceId(d)))
             .collect()
-    }
-
-    // ---- partition-level reads (the k-way merge's per-shard inputs) ----
-
-    /// Whether the instance is currently in the `Serving` membership class.
-    pub(crate) fn is_serving(&self, id: InstanceId) -> bool {
-        matches!(
-            self.entries.get(id.0 as usize),
-            Some(Some(e)) if e.state == Membership::Serving
-        )
-    }
-
-    /// Exact `Serving`-class population (valid without `sync_order`).
-    pub(crate) fn serving_count(&self) -> usize {
-        self.serving_count
-    }
-
-    /// This partition's freest entry as its raw `(order_key, id)` tuple:
-    /// maximal key, smallest id among ties.
-    pub(crate) fn freest_entry(&self, physical: bool) -> Option<(u64, u32)> {
-        let set = if physical {
-            debug_assert!(self.policy.track_physical);
-            &self.by_physical
-        } else {
-            debug_assert!(self.policy.track_freeness);
-            &self.by_freeness
-        };
-        let &(max_key, _) = set.iter().next_back()?;
-        set.range((max_key, 0)..).next().copied()
-    }
-
-    /// This partition's minimal `(order_key(memory_load), id)` tuple.
-    pub(crate) fn memory_first(&self) -> Option<(u64, u32)> {
-        debug_assert!(self.policy.track_memory);
-        self.by_memory.iter().next().copied()
-    }
-
-    /// This partition's minimal `(num_running, id)` tuple.
-    pub(crate) fn running_first(&self) -> Option<(u32, u32)> {
-        debug_assert!(self.policy.track_running);
-        self.by_running.iter().next().copied()
-    }
-
-    /// This partition's terminating instances, ascending id.
-    pub(crate) fn terminating_ids(&self) -> &[u32] {
-        &self.terminating
-    }
-
-    /// This partition's serving entries strictly below `bound` in ascending
-    /// `(order_key(freeness), id)` order.
-    pub(crate) fn freeness_below(
-        &self,
-        bound: (u64, u32),
-    ) -> impl Iterator<Item = (u64, u32)> + '_ {
-        debug_assert!(self.policy.track_freeness);
-        self.by_freeness.range(..bound).copied()
-    }
-
-    /// This partition's serving entries strictly below `bound` in the
-    /// inverted-key (descending-freeness) ordering.
-    pub(crate) fn freeness_desc_below(
-        &self,
-        bound: (u64, u32),
-    ) -> impl Iterator<Item = (u64, u32)> + '_ {
-        debug_assert!(self.policy.track_pairing);
-        self.by_freeness_desc.range(..bound).copied()
-    }
-}
-
-/// The read-side a dispatch decision consults: implemented by the monolithic
-/// [`DispatchIndex`] and by the sharded [`MergedIndex`] view, so
-/// [`crate::policy::Dispatcher::dispatch_indexed`] runs unchanged over
-/// either.
-pub trait IndexReads {
-    /// Number of serving (dispatch-eligible) instances.
-    fn serving_len(&self) -> usize;
-    /// The `i`-th serving instance in fleet insertion order (round-robin).
-    fn serving_at(&self, i: usize) -> Option<InstanceId>;
-    /// The freest serving instance (headroom-free when `physical`),
-    /// smallest id among ties.
-    fn freest(&self, physical: bool) -> Option<InstanceId>;
-    /// The serving instance with the lowest memory load, smallest id among
-    /// ties.
-    fn least_memory_load(&self) -> Option<InstanceId>;
-}
-
-impl IndexReads for DispatchIndex {
-    fn serving_len(&self) -> usize {
-        DispatchIndex::serving_len(self)
-    }
-
-    fn serving_at(&self, i: usize) -> Option<InstanceId> {
-        DispatchIndex::serving_at(self, i)
-    }
-
-    fn freest(&self, physical: bool) -> Option<InstanceId> {
-        DispatchIndex::freest(self, physical)
-    }
-
-    fn least_memory_load(&self) -> Option<InstanceId> {
-        DispatchIndex::least_memory_load(self)
-    }
-}
-
-/// Canonical k-way merged read view over per-shard [`DispatchIndex`]
-/// partitions.
-///
-/// The partitions split the instance-id space (`id mod K`), so every
-/// ordering's global extremum is the extremum over the per-partition
-/// extrema, and every ordered range is the sorted union of the per-partition
-/// ranges — compared by the exact `(order_key, id)` tuples the monolithic
-/// B-trees sort by. Decisions read through this view are therefore
-/// bit-identical to the monolithic index built from the same report stream;
-/// the serving simulator asserts that equivalence in debug builds at every
-/// decision site.
-pub struct MergedIndex<'a> {
-    parts: Vec<&'a DispatchIndex>,
-    /// Live instances in fleet insertion order (the round-robin walk, owned
-    /// by the coordinator's store — partitions never track it).
-    order: &'a [InstanceId],
-}
-
-impl<'a> MergedIndex<'a> {
-    /// A merged view over `parts` (indexed by `id mod parts.len()`), with
-    /// `order` the store's insertion-order walk of live instances.
-    pub fn new(parts: Vec<&'a DispatchIndex>, order: &'a [InstanceId]) -> Self {
-        debug_assert!(!parts.is_empty());
-        MergedIndex { parts, order }
-    }
-
-    fn part_of(&self, id: InstanceId) -> &DispatchIndex {
-        self.parts[id.0 as usize % self.parts.len()]
-    }
-
-    /// The serving instance with the fewest running requests, smallest id
-    /// among ties — the termination-victim rule.
-    pub fn drain_victim(&self) -> Option<InstanceId> {
-        self.parts
-            .iter()
-            .filter_map(|p| p.running_first())
-            .min()
-            .map(|(_, id)| InstanceId(id))
-    }
-
-    /// Migration pairing over the merged orderings: identical tuples, hence
-    /// identical pairs, to [`DispatchIndex::pair`] on a monolithic index.
-    pub fn pair(&self, thresholds: MigrationThresholds) -> Vec<(InstanceId, InstanceId)> {
-        let src_bound = (order_key(thresholds.source_below), 0u32);
-        let dst_bound = (!order_key(thresholds.destination_above), 0u32);
-        let mut terminating: Vec<u32> = Vec::new();
-        let mut below: Vec<(u64, u32)> = Vec::new();
-        let mut above: Vec<(u64, u32)> = Vec::new();
-        for p in &self.parts {
-            terminating.extend_from_slice(p.terminating_ids());
-            below.extend(p.freeness_below(src_bound));
-            above.extend(p.freeness_desc_below(dst_bound));
-        }
-        terminating.sort_unstable();
-        below.sort_unstable();
-        above.sort_unstable();
-        terminating
-            .into_iter()
-            .chain(below.into_iter().map(|(_, id)| id))
-            .zip(above)
-            .map(|(s, (_, d))| (InstanceId(s), InstanceId(d)))
-            .collect()
-    }
-}
-
-impl IndexReads for MergedIndex<'_> {
-    fn serving_len(&self) -> usize {
-        self.parts.iter().map(|p| p.serving_count()).sum()
-    }
-
-    fn serving_at(&self, i: usize) -> Option<InstanceId> {
-        // The monolithic `serving_order` is the fleet walk filtered to the
-        // Serving class; replay that filter against partition membership.
-        self.order
-            .iter()
-            .copied()
-            .filter(|&id| self.part_of(id).is_serving(id))
-            .nth(i)
-    }
-
-    fn freest(&self, physical: bool) -> Option<InstanceId> {
-        let mut best: Option<(u64, u32)> = None;
-        for p in &self.parts {
-            if let Some((key, id)) = p.freest_entry(physical) {
-                best = Some(match best {
-                    // Maximal key wins; the smaller id wins a key tie.
-                    Some((bk, bid)) if bk > key || (bk == key && bid < id) => (bk, bid),
-                    _ => (key, id),
-                });
-            }
-        }
-        best.map(|(_, id)| InstanceId(id))
-    }
-
-    fn least_memory_load(&self) -> Option<InstanceId> {
-        self.parts
-            .iter()
-            .filter_map(|p| p.memory_first())
-            .min()
-            .map(|(_, id)| InstanceId(id))
     }
 }
 

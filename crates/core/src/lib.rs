@@ -19,12 +19,11 @@ pub mod index;
 mod llumlet;
 pub mod policy;
 mod serving;
-mod shard;
 pub mod store;
 pub mod virtual_usage;
 
 pub use central::{CentralScheduler, CentralSchedulerModel};
-pub use index::{DispatchIndex, IndexPolicy, IndexReads, MergedIndex};
+pub use index::{DispatchIndex, IndexPolicy};
 pub use llumlet::Llumlet;
 pub use llumnix_faults::{FaultKind, FaultPlan, FaultPlanConfig, PlannedFault};
 pub use policy::{
@@ -34,7 +33,6 @@ pub use policy::{
 pub use serving::{
     run_serving, FailureSpec, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
 };
-pub use shard::{ShardConfig, WindowStats};
 pub use store::InstanceStore;
 pub use virtual_usage::{
     engine_freeness, freeness, infaas_equivalent_freeness, infaas_memory_load, virtual_usage,

@@ -8,6 +8,8 @@ use llumnix_engine::InstanceId;
 use llumnix_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::index::DispatchIndex;
+
 /// Which scheduler drives the cluster — Llumnix or one of the paper's
 /// baselines (§6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -150,16 +152,15 @@ impl Dispatcher {
         }
     }
 
-    /// Like [`Dispatcher::dispatch_for`], but selecting from an incremental
-    /// index — the monolithic [`DispatchIndex`](crate::index::DispatchIndex)
-    /// or the sharded [`MergedIndex`](crate::index::MergedIndex) view —
-    /// instead of scanning a report slice: same decisions, same tie-breaks,
-    /// O(log N). The round-robin counter advances exactly when the slice
-    /// path would have advanced it (some instance is eligible).
-    pub fn dispatch_indexed<I: crate::index::IndexReads>(
+    /// Like [`Dispatcher::dispatch_for`], but selecting from the incremental
+    /// [`DispatchIndex`] instead of scanning a report slice: same decisions,
+    /// same tie-breaks, O(log N). The round-robin counter advances exactly
+    /// when the slice path would have advanced it (some instance is
+    /// eligible).
+    pub fn dispatch_indexed(
         &mut self,
         kind: SchedulerKind,
-        index: &I,
+        index: &DispatchIndex,
         high_priority: bool,
     ) -> Option<InstanceId> {
         let len = index.serving_len();

@@ -25,7 +25,7 @@ use llumnix_migration::{
     MigrationId, StageOutcome, StartOutcome,
 };
 use llumnix_model::InstanceSpec;
-use llumnix_sim::{merge_windowed, EffectKey, EventQueue, ShardPool, SimDuration, SimTime};
+use llumnix_sim::{EventQueue, SimDuration, SimTime};
 use llumnix_workload::Trace;
 
 use crate::central::{CentralScheduler, CentralSchedulerModel};
@@ -35,10 +35,7 @@ use crate::policy::{
     AutoScaleConfig, AutoScaler, Dispatcher, MigrationThresholds, ScaleAction, SchedulerKind,
     VictimPolicy,
 };
-use crate::shard::{
-    drain_window, Effect, EffectCounts, ShardConfig, ShardState, ShardedFleet, WindowOutbox,
-    WindowStats,
-};
+use crate::store::InstanceStore;
 use crate::virtual_usage::{HeadroomConfig, QueuingRule};
 
 /// Injected failures (§5's fault-tolerance behaviours).
@@ -102,13 +99,6 @@ pub struct ServingConfig {
     pub fault_plan: FaultPlan,
     /// Hard wall-clock cap on the simulation (guards runaway configs).
     pub max_sim_time: SimTime,
-    /// Sharded windowed core (DESIGN.md §10). `None` keeps the classic
-    /// single-queue event loop; `Some` partitions the fleet into shards
-    /// synchronized by conservative time windows. The windowed schedule is
-    /// identical at every shard count (including 1), but differs from the
-    /// classic loop: the window barrier models the llumlet ↔ scheduler RPC
-    /// latency the classic loop idealizes to zero.
-    pub shard: Option<ShardConfig>,
 }
 
 impl ServingConfig {
@@ -134,7 +124,6 @@ impl ServingConfig {
             failures: Vec::new(),
             fault_plan: FaultPlan::empty(),
             max_sim_time: SimTime::from_secs(24 * 3600),
-            shard: None,
         }
     }
 
@@ -153,12 +142,6 @@ impl ServingConfig {
     /// Uses a different instance spec.
     pub fn with_spec(mut self, spec: InstanceSpec) -> Self {
         self.spec = spec;
-        self
-    }
-
-    /// Runs on the sharded windowed core instead of the classic loop.
-    pub fn with_shards(mut self, shard: ShardConfig) -> Self {
-        self.shard = Some(shard);
         self
     }
 }
@@ -195,16 +178,6 @@ pub struct ServingOutput {
     pub makespan: SimTime,
     /// Simulation events processed by the event loop (throughput metric).
     pub events_processed: u64,
-    /// Events on the serial critical path of the run: every coordinator
-    /// event, plus — per conservative window — only the *busiest* shard's
-    /// drained events (the others drain concurrently). The ratio
-    /// `events_processed / critical_path_events` is the machine-independent
-    /// upper bound on the wall-clock speedup of giving each shard its own
-    /// core; in classic (unsharded) mode the two counters are equal.
-    pub critical_path_events: u64,
-    /// Per-window shard-balance statistics (windowed mode only; zeroed in
-    /// the classic loop, which has no windows).
-    pub window_stats: WindowStats,
     /// Failure/recovery accounting for the fault-injection subsystem.
     pub fault_stats: FaultStats,
 }
@@ -231,7 +204,7 @@ pub struct ServingSim {
     high_ids: BTreeSet<u64>,
     queue: EventQueue<Event>,
     now: SimTime,
-    store: ShardedFleet,
+    store: InstanceStore,
     index: DispatchIndex,
     /// Effective headroom config for this run (constant: derived from the
     /// scheduler kind and config only).
@@ -266,9 +239,6 @@ pub struct ServingSim {
     queued: TimeSeries,
     instances_ts: TimeSeries,
     arrivals_done: bool,
-    /// Windowed mode: arrivals applied at barriers so far (`arrivals_done`
-    /// flips when the count reaches the trace length).
-    arrivals_applied: usize,
     makespan: SimTime,
     /// Failure/recovery counters for the fault-injection subsystem.
     fault_stats: FaultStats,
@@ -277,9 +247,10 @@ pub struct ServingSim {
     /// Request id → time of the crash that lost it (drained into
     /// `recovery_acc` when the redispatched request produces a token).
     crash_lost_at: BTreeMap<u64, SimTime>,
-    /// Instances whose migration link is down, and until when. Global (not
-    /// per-shard): link state gates migrations, which the coordinator runs.
+    /// Instances whose migration link is down, and until when.
     link_down_until: BTreeMap<InstanceId, SimTime>,
+    /// Straggling instances: id → (expiry, latency factor).
+    slow_until: BTreeMap<InstanceId, (SimTime, f64)>,
     high_batch_acc: SummaryAccumulator,
     order_scratch: Vec<InstanceId>,
     events_processed: u64,
@@ -287,44 +258,6 @@ pub struct ServingSim {
     /// fleet-size coarsening factor (see [`tick_scale`]). Constant for a run.
     sample_interval: SimDuration,
     migration_interval: SimDuration,
-    /// Windowed mode (DESIGN.md §10): `config.shard.is_some()`.
-    windowed: bool,
-    /// Conservative window length (the modeled llumlet ↔ scheduler RPC
-    /// latency). Zero in classic mode.
-    lookahead: SimDuration,
-    /// Window-length autotuning enabled (see [`ShardConfig::autotune`]).
-    autotune: bool,
-    /// Current stretch multiplier: quiescent windows may extend to this many
-    /// lookahead cells. Doubles (capped) after an effect-sparse window,
-    /// resets to 1 after a dense one — a pure cadence heuristic; the
-    /// quiescence gates alone guarantee stretched schedules are identical.
-    stretch_mult: u64,
-    /// Live instances currently flagged `terminating` (scale-down drains).
-    /// Maintained exactly: +1 when termination begins, −1 when the instance
-    /// retires or fails. Gates window stretching: terminating instances emit
-    /// `CheckTermination` effects whose application is barrier-time
-    /// sensitive.
-    terminating_count: usize,
-    /// Drain windows on worker threads even on a single-CPU host.
-    force_parallel: bool,
-    /// Worker threads for parallel window drains (windowed mode with K > 1
-    /// on a multi-core host, or `force_parallel`).
-    pool: Option<ShardPool<ShardState, WindowOutbox>>,
-    /// Effects applied at barriers, by class (reconciled against the shards'
-    /// emission ledgers at teardown).
-    applied: EffectCounts,
-    /// Shard-local events folded into `events_processed` at barriers
-    /// (reconciled against the shards' own counts at teardown).
-    local_events_applied: u64,
-    /// See [`ServingOutput::critical_path_events`].
-    critical_path_events: u64,
-    /// Per-shard event counts of live migration stage/commit handshakes
-    /// handled since the last window closed (paper Figure 7 runs on the
-    /// llumlet pair, so this work belongs to the endpoint shards, not the
-    /// coordinator). Folded into the next window's busiest-shard tally.
-    rpc_tally: Vec<u64>,
-    /// See [`ServingOutput::window_stats`].
-    window_stats: WindowStats,
     /// Initial events (arrivals, ticks, scripted failures, fault chain) have
     /// been seeded. Flips on the first `run`/`run_until` call, so a snapshot
     /// taken before any progress forks cleanly.
@@ -337,18 +270,17 @@ pub struct ServingSim {
 ///
 /// Structurally a deep copy of every piece of simulation state: the event
 /// queue (both tiers plus the sequence counter), the instance store with
-/// every engine's batches and block ledgers, the dispatch-index partitions,
-/// the migration coordinator's reservations and handshake stages, the fault
-/// maps, and all metric accumulators. The only thing *not* captured is the
-/// worker-thread pool — pure drain plumbing, recreated lazily on resume —
-/// and there is no hidden ambient state to miss: the deterministic crates
-/// ban wall-clock reads and unordered iteration statically (`xtask lint`),
-/// and all randomness (trace, fault plans) is expanded before t = 0.
+/// every engine's batches and block ledgers, the dispatch index, the
+/// migration coordinator's reservations and handshake stages, the fault
+/// maps, and all metric accumulators. There is no hidden ambient state to
+/// miss: the deterministic crates ban wall-clock reads and unordered
+/// iteration statically (`xtask lint`), and all randomness (trace, fault
+/// plans) is expanded before t = 0.
 ///
-/// The resume invariant: for any point `t` between two units of work,
+/// The resume invariant: for any point `t` between two events,
 /// `snapshot` → [`ServingSim::resume`] → run-to-completion produces the
 /// byte-identical [`ServingOutput`] the uninterrupted run produces, at any
-/// `--threads`/`--shards` setting (DESIGN.md §13).
+/// `--threads` setting (DESIGN.md §13).
 #[derive(Clone)]
 pub struct SimSnapshot {
     state: Box<ServingSim>,
@@ -357,10 +289,7 @@ pub struct SimSnapshot {
 impl Clone for ServingSim {
     /// A structural deep copy of the full simulation state — the basis of
     /// [`ServingSim::snapshot`]. Every field is a plain ordered container or
-    /// scalar except the worker pool, which holds live threads: the clone
-    /// starts with `pool: None` and the windowed loop recreates it lazily.
-    /// Whether the pool exists only changes which thread computes a window
-    /// drain, never the drain itself, so the clone's schedule is unchanged.
+    /// scalar.
     fn clone(&self) -> Self {
         ServingSim {
             config: self.config.clone(),
@@ -392,29 +321,17 @@ impl Clone for ServingSim {
             queued: self.queued.clone(),
             instances_ts: self.instances_ts.clone(),
             arrivals_done: self.arrivals_done,
-            arrivals_applied: self.arrivals_applied,
             makespan: self.makespan,
             fault_stats: self.fault_stats.clone(),
             recovery_acc: self.recovery_acc.clone(),
             crash_lost_at: self.crash_lost_at.clone(),
             link_down_until: self.link_down_until.clone(),
+            slow_until: self.slow_until.clone(),
             high_batch_acc: self.high_batch_acc.clone(),
             order_scratch: self.order_scratch.clone(),
             events_processed: self.events_processed,
             sample_interval: self.sample_interval,
             migration_interval: self.migration_interval,
-            windowed: self.windowed,
-            lookahead: self.lookahead,
-            autotune: self.autotune,
-            stretch_mult: self.stretch_mult,
-            terminating_count: self.terminating_count,
-            force_parallel: self.force_parallel,
-            pool: None,
-            applied: self.applied,
-            local_events_applied: self.local_events_applied,
-            critical_path_events: self.critical_path_events,
-            rpc_tally: self.rpc_tally.clone(),
-            window_stats: self.window_stats,
             seeded: self.seeded,
             halted: self.halted,
         }
@@ -432,23 +349,6 @@ impl Clone for ServingSim {
 fn tick_scale(instances: u32) -> u64 {
     u64::from(instances.div_ceil(256).next_power_of_two())
 }
-
-/// Cap on how many lookahead cells one stretched window may merge: 32 cells
-/// = 64 ms at the default 2 ms lookahead, comfortably under the ≥ 100 ms
-/// periodic-tick cadences, so a stretch can widen windows by an order of
-/// magnitude while the global-event clamp still binds only occasionally.
-const MAX_STRETCH_CELLS: u64 = 32;
-
-/// Effect-sparsity budget for the autotune cadence: a window counts as
-/// sparse — and the stretch multiplier doubles — when it drained at most
-/// this many cross-shard effects per merged cell. Steady request drain-out
-/// emits a couple of effects (finish + engine event) per completing
-/// request, so a budget of one would freeze stretching exactly in the long
-/// quiescent phases it exists for; arrival bursts at peak rate run tens of
-/// effects per cell and still reset the multiplier. Correctness never rests
-/// on this number — the quiescence gates in `stretched_end` alone keep
-/// stretched schedules byte-identical.
-const STRETCH_EFFECT_BUDGET_PER_CELL: u64 = 4;
 
 impl ServingSim {
     /// Builds a simulation over `trace`.
@@ -471,24 +371,6 @@ impl ServingSim {
             config.scheduler,
             config.autoscale.is_some(),
         ));
-        let (windowed, shard_count, lookahead, force_parallel, autotune) = match config.shard {
-            Some(sc) => {
-                assert!(sc.shards >= 1, "need at least one shard");
-                assert!(
-                    !sc.lookahead.is_zero(),
-                    "windowed mode needs a nonzero lookahead"
-                );
-                (
-                    true,
-                    sc.shards,
-                    sc.lookahead,
-                    sc.force_parallel,
-                    sc.autotune,
-                )
-            }
-            None => (false, 1, SimDuration::ZERO, false, false),
-        };
-        let defer_steps = windowed && config.scheduler.has_central_stalls();
         let mut sim = ServingSim {
             coordinator: MigrationCoordinator::new(config.migration.clone()),
             central: CentralScheduler::new(config.central),
@@ -500,7 +382,7 @@ impl ServingSim {
             high_ids,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            store: ShardedFleet::new(shard_count, defer_steps),
+            store: InstanceStore::new(),
             index,
             headroom,
             refresh_all,
@@ -521,43 +403,18 @@ impl ServingSim {
             queued: TimeSeries::new("queued"),
             instances_ts: TimeSeries::new("instances"),
             arrivals_done: false,
-            arrivals_applied: 0,
             makespan: SimTime::ZERO,
             fault_stats: FaultStats::default(),
             recovery_acc: SummaryAccumulator::new(),
             crash_lost_at: BTreeMap::new(),
             link_down_until: BTreeMap::new(),
+            slow_until: BTreeMap::new(),
             high_batch_acc: SummaryAccumulator::new(),
             order_scratch: Vec::new(),
             events_processed: 0,
-            windowed,
-            lookahead,
-            autotune,
-            stretch_mult: 1,
-            terminating_count: 0,
-            force_parallel,
-            pool: None,
-            applied: EffectCounts::default(),
-            local_events_applied: 0,
-            critical_path_events: 0,
-            // Sized up front (not at `run_windowed` entry) so a snapshot
-            // taken mid-run carries the handshake tallies.
-            rpc_tally: vec![0; shard_count],
-            window_stats: WindowStats::default(),
             seeded: false,
             halted: false,
         };
-        if sim.windowed {
-            // Shard-local index maintenance: each shard folds its own dirty
-            // set into its partition at every window end, except under the
-            // Gradual rule, whose reports drift with bare time (the
-            // coordinator full-sweeps at each decision instead — partitions
-            // then update only through `refresh_fleet`).
-            let policy = IndexPolicy::for_run(sim.config.scheduler, sim.config.autoscale.is_some());
-            let headroom = sim.headroom;
-            let refresh = !sim.refresh_all;
-            sim.store.configure_partitions(policy, headroom, refresh);
-        }
         for _ in 0..sim.config.initial_instances {
             sim.launch_instance(SimTime::ZERO, None);
         }
@@ -567,20 +424,13 @@ impl ServingSim {
     /// Runs the simulation to completion and returns the measurements.
     pub fn run(mut self) -> ServingOutput {
         self.ensure_seeded();
-        if self.windowed {
-            self.run_windowed_until(None);
-        } else {
-            self.run_classic_until(None);
-        }
+        self.run_events_until(None);
         self.into_output()
     }
 
-    /// Advances the simulation until the next unit of work would start at or
-    /// after `until` (an event pop in classic mode; a global event or window
-    /// opening in windowed mode — windows drain whole, so progress may run
-    /// past `until` by up to one window). Returns the simulation time
-    /// reached. Seeds the initial events on the first call; [`Self::run`]
-    /// completes the run afterwards.
+    /// Advances the simulation until the next event would fire at or after
+    /// `until`, and returns the simulation time reached. Seeds the initial
+    /// events on the first call; [`Self::run`] completes the run afterwards.
     ///
     /// The snapshot/fork workflow: `run_until(t)`, [`Self::snapshot`] the
     /// warm prefix, then [`Self::resume`] each fork — optionally activating
@@ -588,19 +438,15 @@ impl ServingSim {
     /// completion.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
         self.ensure_seeded();
-        if self.windowed {
-            self.run_windowed_until(Some(until));
-        } else {
-            self.run_classic_until(Some(until));
-        }
+        self.run_events_until(Some(until));
         self.now
     }
 
     /// Captures the current state as a deterministic [`SimSnapshot`].
     ///
     /// Callable whenever the caller has control (the sim is then always
-    /// between units of work). Cost: one structural deep copy — no
-    /// serialization, no thread state (see [`SimSnapshot`]).
+    /// between events). Cost: one structural deep copy — no serialization
+    /// (see [`SimSnapshot`]).
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             state: Box::new(self.clone()),
@@ -658,7 +504,7 @@ impl ServingSim {
         self.seed_events();
     }
 
-    fn run_classic_until(&mut self, until: Option<SimTime>) {
+    fn run_events_until(&mut self, until: Option<SimTime>) {
         while !self.halted {
             let Some(t) = self.queue.peek_time() else {
                 break;
@@ -689,19 +535,8 @@ impl ServingSim {
             // simulation alive.
             self.queue.push(first.at, Event::PlannedFault(0));
         }
-        if self.windowed {
-            // Pre-partitioned arrival streams (DESIGN.md §12): the trace
-            // expands into K shard-local sequences once, up front. Arrivals
-            // then drain inside windows like any other shard-local event and
-            // reach the coordinator as barrier effects — they never touch
-            // the global queue.
-            for (i, r) in self.trace.requests.iter().enumerate() {
-                self.store.seed_arrival(r.arrival, i, r.id);
-            }
-        } else {
-            self.queue
-                .push_coalesced(self.trace.requests[0].arrival, Event::Arrival(0));
-        }
+        self.queue
+            .push_coalesced(self.trace.requests[0].arrival, Event::Arrival(0));
         self.queue
             .push(SimTime::ZERO + self.sample_interval, Event::Sample);
         if self.config.scheduler.uses_migration() {
@@ -719,357 +554,32 @@ impl ServingSim {
         }
     }
 
-    /// The windowed main loop (DESIGN.md §10): coordinator events interleave
-    /// with shard-local windows in global time order. Whenever the earliest
-    /// pending work is a shard-local step completion at `t`, a window
-    /// `[t, t + lookahead)` opens and every shard with work due inside it
-    /// drains concurrently; cross-shard consequences buffer per shard and
-    /// apply at the barrier in canonical key order. Coordinator events whose
-    /// time falls inside an already-opened window run after its barrier —
-    /// the coordinator → llumlet direction of the same modeled RPC latency.
-    ///
-    /// With `until` set, stops before the first global event or window
-    /// opening at or past it (windows drain whole). Window composition —
-    /// cell start, stretch, quiescence gates — is a pure function of the
-    /// snapshotted state, so a stopped-and-resumed run opens the exact
-    /// windows the uninterrupted run opens.
-    fn run_windowed_until(&mut self, until: Option<SimTime>) {
-        let k = self.store.shard_count();
-        if self.pool.is_none() {
-            let host_parallel =
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
-            if k > 1 && (self.force_parallel || host_parallel) {
-                // K - 1 workers: the coordinator thread drains one due shard
-                // itself while the workers drain the rest. Whether the pool
-                // exists only changes which thread computes a drain, never
-                // the drain itself; inline and pooled runs produce the same
-                // bytes. Created lazily (not in `new`) so snapshots — which
-                // cannot carry threads — recreate it transparently here.
-                self.pool = Some(ShardPool::new(k - 1, drain_window));
-            }
-        }
-        while !self.halted {
-            let next_local = self.store.next_local_time();
-            let next_global = self.queue.peek_time();
-            let take_global = match (next_global, next_local) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                // Ties go to the coordinator: a global event at t can
-                // schedule local work at t, never the reverse (local work's
-                // cross-shard consequences ride the barrier).
-                (Some(g), Some(l)) => g <= l,
-            };
-            if take_global {
-                let g = next_global.expect("global side chosen");
-                if until.is_some_and(|u| g >= u) {
-                    break;
-                }
-                let (at, event) = self.queue.pop().expect("peeked above");
-                if at > self.config.max_sim_time {
-                    self.halted = true;
-                    break;
-                }
-                // A global event inside the last window's horizon executes
-                // at the barrier time, not before it (time stays monotone).
-                self.now = self.now.max(at);
-                self.handle(event);
-            } else {
-                let start = next_local.expect("local side chosen");
-                if until.is_some_and(|u| start >= u) {
-                    break;
-                }
-                if start > self.config.max_sim_time {
-                    self.halted = true;
-                    break;
-                }
-                // Windows are cells of the lookahead lattice: the window
-                // containing `start` is `[cell, cell + L)`. Ending on
-                // lattice points (rather than `start + L`) makes the set of
-                // barrier times a run visits a subset of one fixed lattice,
-                // which is what lets the autotuner merge adjacent cells
-                // without moving any barrier an unstretched run would take.
-                let cell = self.cell_start(start);
-                let base_end = cell + self.lookahead;
-                let end = self.stretched_end(cell, base_end, next_global);
-                let before = self.applied.total();
-                self.run_window(end);
-                // Autotune cadence: effect-sparse window → double the
-                // stretch; denser → reset. Pure heuristic — the quiescence
-                // gates in `stretched_end` alone guarantee stretched
-                // schedules are byte-identical.
-                let effects = self.applied.total() - before;
-                let cells = end.since(cell).as_micros() / self.lookahead.as_micros();
-                self.stretch_mult = if effects <= STRETCH_EFFECT_BUDGET_PER_CELL * cells {
-                    (self.stretch_mult * 2).min(MAX_STRETCH_CELLS)
-                } else {
-                    1
-                };
-            }
-        }
-    }
-
-    /// Start of the lookahead-lattice cell containing `t`.
-    fn cell_start(&self, t: SimTime) -> SimTime {
-        let l = self.lookahead.as_micros();
-        SimTime::from_micros(t.as_micros() / l * l)
-    }
-
-    /// The window end for a window opening in `[cell, base_end)`: up to
-    /// [`MAX_STRETCH_CELLS`] merged lattice cells when autotuning finds the
-    /// coordinator quiescent, else `base_end`.
-    ///
-    /// Stretching is restricted to spans whose barrier is a pure recorder —
-    /// no dispatch, no termination, no centralized decision, no global
-    /// event, and no migration-sensitive source step boundary before the
-    /// final cell (the hazard horizon below) — so draining N cells behind
-    /// one barrier applies the byte-identical effect stream the N per-cell
-    /// barriers would have, and every later decision runs at the same time
-    /// with the same state (DESIGN.md §12).
-    fn stretched_end(
-        &self,
-        cell: SimTime,
-        base_end: SimTime,
-        next_global: Option<SimTime>,
-    ) -> SimTime {
-        if !self.autotune || self.stretch_mult <= 1 {
-            return base_end;
-        }
-        // Quiescence gates — every effect class a stretched drain could emit
-        // must apply independently of the barrier time:
-        // - terminating instances emit `CheckTermination`, whose teardown
-        //   samples a timeline at `now`;
-        // - starting instances' reports flip by time alone (their partition
-        //   refresh happens at the window end);
-        // - centralized mode's `StepPending` grants schedule at `now`.
-        if self.config.scheduler.has_central_stalls()
-            || self.terminating_count != 0
-            || !self.starting_queue.is_empty()
-        {
-            return base_end;
-        }
-        let mut end = cell + self.lookahead * self.stretch_mult;
-        // Never swallow a coordinator event, an undispatched arrival, or the
-        // simulation horizon: each must meet its own cell's barrier exactly
-        // as an unstretched run would (clamping to the *cell start* keeps
-        // the event's whole cell out of the stretched window).
-        if let Some(g) = next_global {
-            end = end.min(self.cell_start(g));
-        }
-        if let Some(a) = self.store.next_arrival_time() {
-            end = end.min(self.cell_start(a));
-        }
-        end = end.min(self.cell_start(self.config.max_sim_time));
-        // The migration hazard horizon. Active migrations advance from below
-        // only at a *source* step boundary — the migrating request finishing,
-        // being preempted, or draining all surface there, and their barrier
-        // handling (abort + re-kick, `on_drained`'s commit schedule) depends
-        // on the barrier time. A source engine emits nothing before its
-        // in-flight step completes (new steps start only from a completion or
-        // a barrier/global kick, both of which end a window), so the span may
-        // run up to the *end of the cell holding the earliest source step
-        // finish*: that event then meets the same barrier, at the same time,
-        // as in an unstretched run. Idle sources impose no bound.
-        for src in self.coordinator.source_instances() {
-            let finish = self
-                .store
-                .get(src)
-                .and_then(|l| l.engine.in_flight_finish());
-            if let Some(f) = finish {
-                end = end.min(self.cell_start(f) + self.lookahead);
-            }
-        }
-        end.max(base_end)
-    }
-
-    /// Drains one conservative window across every due shard and applies the
-    /// merged cross-shard effects at the barrier.
-    fn run_window(&mut self, window_end: SimTime) {
-        // Which shards have work due strictly before the window end is a
-        // global property of the schedule (per-instance queues and times),
-        // not of the partition — so window composition is shard-count
-        // independent.
-        let due: Vec<usize> = self
-            .store
-            .shard_states()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.peek_time().is_some_and(|t| t < window_end))
-            .map(|(i, _)| i)
-            .collect();
-        let mut outboxes: Vec<(usize, WindowOutbox)> = Vec::with_capacity(due.len());
-        match self.pool.as_ref() {
-            Some(pool) if due.len() >= 2 => {
-                let workers = pool.workers();
-                let mut per_worker: Vec<Vec<usize>> = vec![Vec::new(); workers];
-                for (j, &si) in due[1..].iter().enumerate() {
-                    let w = j % workers;
-                    let state = std::mem::take(self.store.shard_mut(si));
-                    pool.dispatch(w, state, window_end);
-                    per_worker[w].push(si);
-                }
-                outboxes.push((
-                    due[0],
-                    drain_window(self.store.shard_mut(due[0]), window_end),
-                ));
-                for (w, shards) in per_worker.iter().enumerate() {
-                    for &si in shards {
-                        let (state, out) = pool.collect(w);
-                        *self.store.shard_mut(si) = state;
-                        outboxes.push((si, out));
-                    }
-                }
-            }
-            _ => {
-                for &si in &due {
-                    outboxes.push((si, drain_window(self.store.shard_mut(si), window_end)));
-                }
-            }
-        }
-        let mut buffers = Vec::with_capacity(outboxes.len());
-        let mut busiest = 0u64;
-        let mut window_events = 0u64;
-        let mut active_shards = 0u64;
-        for (si, out) in outboxes {
-            // Live migration handshakes handled since the last barrier ran on
-            // this shard's llumlets (see `handle`): they join its serial
-            // tally for this window.
-            let shard_events = out.events + std::mem::take(&mut self.rpc_tally[si]);
-            self.events_processed += out.events;
-            self.local_events_applied += out.events;
-            window_events += shard_events;
-            busiest = busiest.max(shard_events);
-            active_shards += 1;
-            // Zero-stall observations are order-free in the summary's float
-            // sum, so they fold here; nonzero stalls ride `StepPending`
-            // effects and land in canonical merge order.
-            for _ in 0..out.stall_zeros {
-                self.stalls_acc.observe(0.0);
-            }
-            // Shard refreshes that saw an instance enter its startup delay:
-            // queue the online re-check (set semantics — shard order and
-            // duplicates are immaterial to the deadline sweep).
-            for id in out.starting {
-                if let Some(until) = self.store.get(id).and_then(|l| l.starting_until) {
-                    self.starting_queue.push((until, id));
-                }
-            }
-            // Mirror the shards' partition updates into the monolithic
-            // cross-check index before any barrier effect can reach a
-            // decision site.
-            #[cfg(debug_assertions)]
-            for report in &out.refreshed {
-                self.index.update(report);
-            }
-            buffers.push(out.effects);
-        }
-        // A shard with no local work due can still owe handshake time from
-        // the barriers since its last drain.
-        for tally in &mut self.rpc_tally {
-            let t = std::mem::take(tally);
-            if t > 0 {
-                busiest = busiest.max(t);
-                window_events += t;
-                active_shards += 1;
-            }
-        }
-        // Shards drain (and run their migration handshakes) concurrently:
-        // only the busiest one is on the run's serial critical path this
-        // window.
-        self.critical_path_events += busiest;
-        self.window_stats
-            .record(busiest, active_shards, window_events);
-        // The barrier: time advances to the window end (cross-shard effects
-        // land after the modeled RPC latency), then the merged effects apply
-        // in `(time, instance, emission)` order — identical at every K.
-        self.now = self.now.max(window_end);
-        for (key, effect) in merge_windowed(buffers) {
-            self.apply_effect(key, effect);
-        }
-    }
-
-    /// Applies one merged cross-shard effect at the window barrier.
-    fn apply_effect(&mut self, key: EffectKey, effect: Effect) {
-        self.applied.count(&effect);
-        if let Effect::Arrival(index) = effect {
-            // The dispatch decision runs here, at the barrier: the frontend →
-            // scheduler hop of the arrival rode the same modeled RPC as every
-            // other cross-shard effect. Only arrivals needing a dispatch
-            // decision reach the coordinator; their pops were shard work.
-            self.arrivals_applied += 1;
-            if self.arrivals_applied == self.trace.requests.len() {
-                self.arrivals_done = true;
-            }
-            self.dispatch(index);
-            return;
-        }
-        let id = InstanceId(u32::try_from(key.entity).expect("entity is an instance id"));
-        match effect {
-            Effect::Arrival(_) => unreachable!("handled above"),
-            Effect::Finished(state) => self.apply_finished(state),
-            Effect::Engine(ev) => self.route_engine_event(id, ev),
-            Effect::HighBatch(batch) => self.high_batch_acc.observe(batch),
-            Effect::StepPending { tracked, finish } => {
-                // The central scheduler serves decision requests in canonical
-                // key order; its FIFO `free_at` carries queueing across
-                // windows, so decisions keep their poll-time spacing even
-                // though they are granted at the barrier.
-                let stall = self.central.request_decision(key.at, tracked);
-                self.stalls_acc.observe(stall.as_secs_f64());
-                let mut finish = finish + stall;
-                if let Some(factor) = self.store.slow_factor(id, key.at) {
-                    finish = key.at + finish.since(key.at).mul_f64(factor);
-                }
-                if self.store.contains(id) {
-                    // The grant reaches the llumlet no earlier than the
-                    // barrier (it rode the modeled RPC back): never schedule
-                    // into the already-drained window.
-                    self.store.push_local(id, finish.max(self.now));
-                }
-            }
-            Effect::CheckTermination => self.maybe_finish_termination(id),
-        }
-    }
-
     fn into_output(self) -> ServingOutput {
-        let mut critical_path_events = self.critical_path_events;
-        if self.windowed {
-            // Handshake work attributed after the last window closed (tail
-            // commits): the endpoint shards still execute it concurrently,
-            // so only the busiest tally joins the critical path. Folded here
-            // — the true end of the run — rather than in the windowed loop,
-            // which `run_until` may enter many times.
-            critical_path_events += self.rpc_tally.iter().copied().max().unwrap_or(0);
-            // Barrier-teardown reconciliation (the sharded honest-accounting
-            // guard): the partition must be structurally sound and every
-            // effect the shards emitted must have been applied by the
-            // coordinator — the same ledger discipline the single-threaded
-            // run gets from executing everything in one place.
-            self.store.check_consistency();
-            assert_eq!(
-                self.store.emitted_totals(),
-                self.applied,
-                "cross-shard effect ledgers must reconcile at teardown"
-            );
-            assert_eq!(
-                self.store.local_events_total(),
-                self.local_events_applied,
-                "shard-local event counts must reconcile at teardown"
-            );
-            assert!(
-                self.fault_stats.consistent(),
-                "fault ledger inconsistent at shutdown: {:?}",
-                self.fault_stats
-            );
-        }
-        // No leaked blocks: every surviving engine's per-request block ledger
-        // must still reconcile with its allocator, crashes and aborts
-        // included. Cheap (one pass per engine, once per run), so it is a
-        // hard assert rather than debug-only.
+        // Teardown ledger checks. Each is one pass, once per run, so they
+        // are hard asserts rather than debug-only. No leaked blocks: every
+        // surviving engine's per-request block ledger must still reconcile
+        // with its allocator, crashes and aborts included.
         for (id, l) in self.store.iter() {
             assert!(
                 l.engine.check_invariants(),
                 "engine {id:?} block ledger inconsistent at shutdown"
+            );
+        }
+        // Every request a crash lost was redispatched or aborted.
+        assert!(
+            self.fault_stats.consistent(),
+            "fault ledger inconsistent at shutdown: {:?}",
+            self.fault_stats
+        );
+        // Every request completed or aborted, unless the run halted at
+        // `max_sim_time` with work still in flight.
+        if !self.halted {
+            assert_eq!(
+                self.records.len() as u64 + self.aborted,
+                self.trace.len() as u64,
+                "request ledger inconsistent at shutdown: {} records + {} aborted",
+                self.records.len(),
+                self.aborted
             );
         }
         let mut fault_stats = self.fault_stats;
@@ -1090,8 +600,6 @@ impl ServingSim {
             high_step_batches: self.high_batch_acc.finish(),
             makespan: self.makespan,
             events_processed: self.events_processed,
-            critical_path_events,
-            window_stats: self.window_stats,
             fault_stats,
         }
     }
@@ -1100,32 +608,6 @@ impl ServingSim {
 
     fn handle(&mut self, event: Event) {
         self.events_processed += 1;
-        // Coordinator events are inherently serial; in classic mode this
-        // makes the critical path equal to `events_processed`. One class is
-        // charged differently in windowed runs: a *live* migration stage or
-        // commit is the paper's Figure 7 handshake, executed pairwise by the
-        // source and destination llumlets — the global scheduler only
-        // initiates migrations, it does not relay their copies. Such an
-        // event's cost lands on both endpoint shards' tallies and rides the
-        // busiest-shard bound of the next window (`run_window`); only stale
-        // events, whose migration is already gone, stay coordinator
-        // bookkeeping.
-        let mut shard_charged = false;
-        if self.windowed {
-            if let Event::MigrationStage(mid) | Event::MigrationCommit(mid) = &event {
-                if let Some((src, dst)) = self.coordinator.endpoints(*mid) {
-                    let (a, b) = (self.store.shard_of(src), self.store.shard_of(dst));
-                    self.rpc_tally[a] += 1;
-                    if b != a {
-                        self.rpc_tally[b] += 1;
-                    }
-                    shard_charged = true;
-                }
-            }
-        }
-        if !shard_charged {
-            self.critical_path_events += 1;
-        }
         match event {
             Event::Arrival(i) => self.on_arrival(i),
             Event::StepDone(id) => self.on_step_done(id),
@@ -1183,34 +665,7 @@ impl ServingSim {
                     .dispatch_for(self.config.scheduler, &reports, high)
             }
         };
-        // The merged-view comparison must also run on pre-advance clones:
-        // the real dispatch below moves the round-robin counter.
-        #[cfg(debug_assertions)]
-        let monolithic = self.windowed.then(|| {
-            if self.global_down {
-                self.bypass_dispatcher.clone().dispatch_indexed(
-                    SchedulerKind::RoundRobin,
-                    &self.index,
-                    false,
-                )
-            } else {
-                self.dispatcher
-                    .clone()
-                    .dispatch_indexed(self.config.scheduler, &self.index, high)
-            }
-        });
-        let target = if self.windowed {
-            // Windowed mode reads the canonical k-way merge over the shard
-            // partitions; the monolithic index is debug-only.
-            let view = self.store.merged_index();
-            if self.global_down {
-                self.bypass_dispatcher
-                    .dispatch_indexed(SchedulerKind::RoundRobin, &view, false)
-            } else {
-                self.dispatcher
-                    .dispatch_indexed(self.config.scheduler, &view, high)
-            }
-        } else if self.global_down {
+        let target = if self.global_down {
             // Scheduler-bypass mode (§5): frontends use a simple round-robin
             // rule directly.
             self.bypass_dispatcher
@@ -1220,15 +675,7 @@ impl ServingSim {
                 .dispatch_indexed(self.config.scheduler, &self.index, high)
         };
         #[cfg(debug_assertions)]
-        {
-            debug_assert_eq!(target, expected, "index diverged from rescan");
-            if let Some(monolithic) = monolithic {
-                debug_assert_eq!(
-                    target, monolithic,
-                    "merged partition view diverged from monolithic index"
-                );
-            }
-        }
+        debug_assert_eq!(target, expected, "index diverged from rescan");
         target
     }
 
@@ -1282,10 +729,9 @@ impl ServingSim {
                 self.abort_migration_of(req, AbortReason::RequestPreempted);
             }
             EngineEvent::Drained(req) => {
-                // A barrier-delivered drain can trail instance teardown; a
-                // gone instance means its migration already aborted with it
-                // (impossible in the classic loop, where the drain routes in
-                // the same event that produced it).
+                // The drain routes in the event that produced it, so the
+                // instance is normally live; if it is gone, its migration
+                // went with it and there is nothing to commit.
                 let Some(llumlet) = self.store.get_mut(id) else {
                     return;
                 };
@@ -1375,31 +821,13 @@ impl ServingSim {
     fn on_migration_tick(&mut self) {
         if !self.global_down {
             self.refresh_fleet();
-            let pairs = if self.windowed {
-                self.store
-                    .merged_index()
-                    .pair(self.config.migration_thresholds)
-            } else {
-                self.index.pair(self.config.migration_thresholds)
-            };
+            let pairs = self.index.pair(self.config.migration_thresholds);
             #[cfg(debug_assertions)]
-            {
-                debug_assert_eq!(
-                    pairs,
-                    crate::policy::pair_migrations(
-                        &self.reports(),
-                        self.config.migration_thresholds
-                    ),
-                    "index pairing diverged from rescan"
-                );
-                if self.windowed {
-                    debug_assert_eq!(
-                        pairs,
-                        self.index.pair(self.config.migration_thresholds),
-                        "merged partition pairing diverged from monolithic index"
-                    );
-                }
-            }
+            debug_assert_eq!(
+                pairs,
+                crate::policy::pair_migrations(&self.reports(), self.config.migration_thresholds),
+                "index pairing diverged from rescan"
+            );
             self.pairs = pairs.into_iter().collect();
             let sources: Vec<InstanceId> = self.pairs.keys().copied().collect();
             for src in sources {
@@ -1450,7 +878,7 @@ impl ServingSim {
         // Expired fault effects cost a map probe per kick; drop them here so
         // the maps stay proportional to the *active* fault set.
         let now = self.now;
-        self.store.slow_retain(now);
+        self.slow_until.retain(|_, &mut (until, _)| until > now);
         self.link_down_until.retain(|_, &mut until| until > now);
         self.sample_timelines();
         self.autoscale();
@@ -1534,9 +962,7 @@ impl ServingSim {
             }
             FaultKind::Slowdown { factor, duration } => {
                 self.fault_stats.slowdowns += 1;
-                // Overlapping slowdowns: keep the later expiry and the worse
-                // factor.
-                self.store.slow_apply(target, self.now + duration, factor);
+                self.slow_down(target, self.now + duration, factor);
             }
             FaultKind::LinkFailure { duration } => {
                 self.fault_stats.link_failures += 1;
@@ -1556,6 +982,16 @@ impl ServingSim {
             return None;
         }
         Some(order[(rank % order.len() as u64) as usize])
+    }
+
+    /// Makes `id` a straggler until `until`. Overlapping slowdowns keep the
+    /// later expiry and the worse factor.
+    fn slow_down(&mut self, id: InstanceId, until: SimTime, factor: f64) {
+        let entry = self.slow_until.entry(id).or_insert((SimTime::ZERO, 1.0));
+        entry.0 = entry.0.max(until);
+        if factor > entry.1 {
+            entry.1 = factor;
+        }
     }
 
     /// True while `id`'s migration link is down.
@@ -1603,13 +1039,10 @@ impl ServingSim {
             }
         }
         let llumlet = self.store.remove(id).expect("teardown of live instance");
-        if llumlet.terminating {
-            self.terminating_count -= 1;
-        }
         self.index.remove(id);
         self.pairs.remove(&id);
         self.pairs.retain(|_, d| *d != id);
-        self.store.slow_remove(id);
+        self.slow_until.remove(&id);
         self.link_down_until.remove(&id);
         llumlet
             .engine
@@ -1632,15 +1065,8 @@ impl ServingSim {
         self.next_instance += 1;
         let engine = InstanceEngine::new(id, self.config.spec.clone(), self.config.engine.clone());
         let starting_until = startup.map(|d| now + d);
-        if let Some(until) = starting_until {
-            // Queue the online re-check immediately (not when a refresh
-            // first observes `became_starting`): the autotuner's quiescence
-            // gate reads this queue, so it must cover a starting instance
-            // from the moment it exists. The refresh's own push (if any)
-            // just duplicates the entry, which the deadline sweep tolerates.
-            self.starting_queue.push((until, id));
-        }
-        // `insert` marks the instance dirty, so the next refresh indexes it.
+        // `insert` marks the instance dirty, so the next refresh indexes it
+        // and, if it is still starting, queues its online re-check.
         self.store
             .insert(id, Llumlet::new(engine, now, starting_until));
         self.sample_instances();
@@ -1673,35 +1099,18 @@ impl ServingSim {
         self.store.take_dirty(&mut dirty);
         for &id in &dirty {
             let Some(l) = self.store.get(id) else {
-                // Removed after being marked; drop any stale entry. (In
-                // release windowed builds the monolithic index is empty and
-                // this is a no-op; the partition entry was dropped by
-                // `ShardedFleet::remove`.)
+                // Removed after being marked; drop any stale entry.
                 self.index.remove(id);
                 continue;
             };
             let report = l.report(self.now, &self.headroom);
-            let until = l.starting_until;
-            // Windowed mode indexes into the shard partitions (bulk-refreshed
-            // inside `drain_window`; this residual pass covers instances the
-            // coordinator itself dirtied since the barrier). The monolithic
-            // index is then maintained only in debug builds, as the
-            // cross-check reference.
-            let became_starting = if self.windowed {
-                #[cfg(debug_assertions)]
-                self.index.update(&report);
-                self.store.partition_update(&report).became_starting
-            } else {
-                self.index.update(&report).became_starting
-            };
-            if became_starting {
-                self.starting_queue
-                    .push((until.expect("starting implies deadline"), id));
+            if self.index.update(&report).became_starting {
+                let until = l.starting_until.expect("starting implies deadline");
+                self.starting_queue.push((until, id));
             }
         }
         self.dirty_scratch = dirty;
-        // No-op when the monolithic index saw no membership change (always
-        // true in release windowed builds).
+        // No-op when the index saw no membership change.
         self.index.sync_order(self.store.order());
     }
 
@@ -1746,19 +1155,15 @@ impl ServingSim {
             }
             // A straggling instance stretches its whole step (compute and
             // any stall) by the slowdown factor until the fault expires.
-            if let Some(factor) = self.store.slow_factor(id, self.now) {
-                finish = self.now + finish.since(self.now).mul_f64(factor);
+            if let Some(&(until, factor)) = self.slow_until.get(&id) {
+                if self.now < until {
+                    finish = self.now + finish.since(self.now).mul_f64(factor);
+                }
             }
             // Step completions dominate the event volume and pile up on the
             // same microsecond in large fleets; route them through the
-            // calendar tier so same-time completions share one bucket (the
-            // owning shard's queue in windowed mode, the global queue
-            // otherwise).
-            if self.windowed {
-                self.store.push_local(id, finish);
-            } else {
-                self.queue.push_coalesced(finish, Event::StepDone(id));
-            }
+            // calendar tier so same-time completions share one bucket.
+            self.queue.push_coalesced(finish, Event::StepDone(id));
         }
         let pending = self
             .store
@@ -1783,8 +1188,7 @@ impl ServingSim {
         self.maybe_finish_termination(id);
     }
 
-    /// Records one finished request — shared by the classic collection path
-    /// and the barrier's `Finished` effects.
+    /// Records one finished request.
     fn apply_finished(&mut self, state: SeqState) {
         if state.aborted {
             // Counted via the Aborted event; no latency record.
@@ -1939,11 +1343,7 @@ impl ServingSim {
     fn begin_termination(&mut self) {
         // Terminate the serving instance with the fewest running requests.
         self.refresh_fleet();
-        let candidate = if self.windowed {
-            self.store.merged_index().drain_victim()
-        } else {
-            self.index.drain_victim()
-        };
+        let candidate = self.index.drain_victim();
         #[cfg(debug_assertions)]
         {
             let expected = self
@@ -1953,20 +1353,12 @@ impl ServingSim {
                 .min_by_key(|&(id, l)| (l.engine.batch_size(), id))
                 .map(|(id, _)| id);
             debug_assert_eq!(candidate, expected, "index victim diverged from rescan");
-            if self.windowed {
-                debug_assert_eq!(
-                    candidate,
-                    self.index.drain_victim(),
-                    "merged partition victim diverged from monolithic index"
-                );
-            }
         }
         let Some(id) = candidate else {
             return;
         };
         let llumlet = self.store.get_mut(id).expect("candidate");
         llumlet.terminating = true;
-        self.terminating_count += 1;
         // Re-dispatch its queued requests; migration handles the running ones
         // (the fake ∞ request makes it a permanent migration source).
         let waiting = llumlet.engine.waiting_ids();
@@ -2022,7 +1414,6 @@ impl ServingSim {
             return;
         }
         self.store.remove(id);
-        self.terminating_count -= 1;
         self.index.remove(id);
         self.pairs.remove(&id);
         self.pairs.retain(|_, d| *d != id);
@@ -2479,6 +1870,41 @@ mod tests {
         assert!(out.fault_stats.failure_aborts() <= out.migration_stats.aborted);
     }
 
+    /// The straggler map: overlapping slowdowns keep the later expiry and the
+    /// worse factor, a step polled before the expiry stretches by that
+    /// factor, and the sample tick drops the entry once it expires.
+    #[test]
+    fn slowdowns_merge_stretch_steps_and_expire() {
+        let trace = tiny_trace(3, 0.1, 27);
+        let mut sim = ServingSim::new(tiny_config(SchedulerKind::RoundRobin, 2), trace);
+        let (slow, fast) = (InstanceId(0), InstanceId(1));
+        let t10 = SimTime::from_secs(10);
+        sim.slow_down(slow, t10, 2.0);
+        sim.slow_down(slow, SimTime::from_secs(5), 3.0);
+        assert_eq!(sim.slow_until.get(&slow), Some(&(t10, 3.0)));
+        // The same request on each instance: one prefill step apiece.
+        let step = |sim: &mut ServingSim, id: InstanceId, rid: u64| {
+            let now = sim.now;
+            let meta = RequestMeta {
+                id: RequestId(rid),
+                input_len: 64,
+                output_len: 8,
+                priority: PriorityPair::NORMAL,
+                arrival: now,
+            };
+            let e = &mut sim.store.get_mut(id).expect("live").engine;
+            e.add_request(meta, now);
+            sim.kick(id);
+            let (at, _) = sim.queue.pop().expect("step scheduled");
+            at.since(now)
+        };
+        let base = step(&mut sim, fast, 1);
+        assert_eq!(step(&mut sim, slow, 2), base.mul_f64(3.0));
+        sim.now = t10;
+        sim.on_sample();
+        assert!(sim.slow_until.is_empty(), "expired slowdown dropped");
+    }
+
     /// Drives the stage-boundary LinkFailed abort deterministically: start a
     /// migration, kill the link mid-copy, and deliver the stage event.
     #[test]
@@ -2583,29 +2009,57 @@ mod tests {
         );
     }
 
-    // ---- windowed sharded core (DESIGN.md §10) ------------------------------
-
-    fn sharded(mut cfg: ServingConfig, k: usize, parallel: bool) -> ServingConfig {
-        let mut sc = ShardConfig::new(k);
-        if parallel {
-            sc = sc.with_force_parallel();
-        }
-        cfg.shard = Some(sc);
-        cfg
-    }
-
-    fn sharded_no_autotune(mut cfg: ServingConfig, k: usize) -> ServingConfig {
-        cfg.shard = Some(
-            ShardConfig::new(k)
-                .with_autotune(false)
-                .with_force_parallel(),
+    #[test]
+    fn high_priority_batches_are_observed() {
+        // The §6.4 isolation diagnostic: decode steps that carry a
+        // high-execution-priority request record their batch size.
+        let spec = presets::by_name("S-S", 200, Arrivals::poisson(6.0))
+            .expect("preset")
+            .with_max_total_tokens(2_000)
+            .with_high_priority_fraction(0.3);
+        let trace = spec.generate(&SimRng::new(35));
+        let out = run_serving(tiny_config(SchedulerKind::Llumnix, 4), trace.clone());
+        assert_all_complete(trace.len(), &out);
+        assert!(
+            out.high_step_batches.count > 0,
+            "high-priority batches observed"
         );
-        cfg
     }
 
-    /// Byte-identical-schedule check for the windowed core: every observable
-    /// of the run, including float accumulators and event counts, must match.
-    fn assert_identical(a: &ServingOutput, b: &ServingOutput) {
+    /// A faulted run driven through every event with `run_until`, so only
+    /// its teardown is left. The untouched run tears down cleanly.
+    fn drained_faulted_sim() -> ServingSim {
+        let trace = tiny_trace(120, 5.0, 48);
+        let cfg = tiny_config(SchedulerKind::Llumnix, 3).with_faults(churn_plan(48, 900.0));
+        let horizon = cfg.max_sim_time;
+        let mut sim = ServingSim::new(cfg, trace);
+        sim.run_until(horizon);
+        assert!(sim.queue.is_empty(), "every event processed");
+        assert!(sim.fault_stats.crashes > 0, "plan should fire crashes");
+        let out = sim.clone().run();
+        assert_all_complete(sim.trace.len(), &out);
+        sim
+    }
+
+    #[test]
+    #[should_panic(expected = "fault ledger inconsistent")]
+    fn teardown_checks_the_fault_ledger() {
+        let mut sim = drained_faulted_sim();
+        sim.fault_stats.requests_lost += 1;
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "request ledger inconsistent")]
+    fn teardown_checks_request_conservation() {
+        let mut sim = drained_faulted_sim();
+        sim.aborted += 1;
+        sim.run();
+    }
+
+    /// Full-output equality for snapshot round-trips and forks: every
+    /// record, float accumulator, counter and time-series sample.
+    fn assert_outputs_bitwise(a: &ServingOutput, b: &ServingOutput) {
         assert_eq!(a.records.len(), b.records.len());
         for (x, y) in a.records.iter().zip(&b.records) {
             assert_eq!(x.id, y.id);
@@ -2631,145 +2085,6 @@ mod tests {
         assert_eq!(a.high_step_batches.count, b.high_step_batches.count);
         assert_eq!(a.high_step_batches.mean, b.high_step_batches.mean);
         assert_eq!(a.avg_instances, b.avg_instances);
-    }
-
-    #[test]
-    fn windowed_schedule_is_shard_count_independent() {
-        let trace = tiny_trace(300, 8.0, 31);
-        let base = tiny_config(SchedulerKind::Llumnix, 4);
-        let k1 = run_serving(sharded(base.clone(), 1, false), trace.clone());
-        let k2 = run_serving(sharded(base.clone(), 2, true), trace.clone());
-        let k4 = run_serving(sharded(base.clone(), 4, true), trace.clone());
-        // Same K, worker threads vs inline: the pool must be pure plumbing.
-        let k4_inline = run_serving(sharded(base, 4, false), trace.clone());
-        assert_all_complete(trace.len(), &k1);
-        assert!(k1.migration_stats.started > 0, "want migration pressure");
-        assert_identical(&k1, &k2);
-        assert_identical(&k1, &k4);
-        assert_identical(&k4, &k4_inline);
-    }
-
-    #[test]
-    fn windowed_autotune_stretching_is_unobservable() {
-        // Autotuned window stretching must not change a single observable —
-        // same records, same float sums, same event count — while actually
-        // merging windows (fewer barriers). Migration pressure plus
-        // autoscaling churn exercises every quiescence gate.
-        let trace = tiny_trace(300, 8.0, 31);
-        let base = tiny_config(SchedulerKind::Llumnix, 4);
-        let on = run_serving(sharded(base.clone(), 2, true), trace.clone());
-        let off = run_serving(sharded_no_autotune(base.clone(), 2), trace.clone());
-        assert_all_complete(trace.len(), &on);
-        assert!(
-            on.window_stats.windows < off.window_stats.windows,
-            "autotuning must merge some windows ({} vs {})",
-            on.window_stats.windows,
-            off.window_stats.windows
-        );
-        assert_identical(&on, &off);
-        // And the stretched schedule stays shard-count independent.
-        let on_k1 = run_serving(sharded(base, 1, false), trace);
-        assert_identical(&on, &on_k1);
-    }
-
-    #[test]
-    fn windowed_autotune_with_autoscaling_is_unobservable() {
-        // Scale-up (starting instances) and scale-down (terminating
-        // instances) both gate stretching; the schedule must be identical
-        // with autotuning on and off through that churn.
-        let trace = tiny_trace(400, 10.0, 34);
-        let scale = AutoScaleConfig {
-            min_instances: 1,
-            max_instances: 8,
-            freeness_low: 10.0,
-            freeness_high: 60.0,
-            sustain: SimDuration::from_secs(2),
-            startup_delay: SimDuration::from_secs(3),
-        };
-        let base = tiny_config(SchedulerKind::Llumnix, 1).with_autoscale(scale);
-        let on = run_serving(sharded(base.clone(), 3, true), trace.clone());
-        let off = run_serving(sharded_no_autotune(base, 3), trace.clone());
-        assert_all_complete(trace.len(), &on);
-        assert!(on.instances.max() > 1.0, "load should trigger scale-up");
-        assert_identical(&on, &off);
-    }
-
-    #[test]
-    fn windowed_faults_are_shard_count_independent() {
-        let trace = tiny_trace(200, 6.0, 32);
-        let cfg = llumnix_faults::FaultPlanConfig::none()
-            .with_crashes(600.0, Some(SimDuration::from_secs(2)))
-            .with_slowdowns(1200.0, (2.0, 3.0), SimDuration::from_secs(5))
-            .with_link_failures(600.0, SimDuration::from_secs(2))
-            .with_horizon(SimDuration::from_secs(600));
-        let plan = FaultPlan::generate(&cfg, &SimRng::new(32));
-        let base = tiny_config(SchedulerKind::Llumnix, 3).with_faults(plan);
-        let k1 = run_serving(sharded(base.clone(), 1, false), trace.clone());
-        // A shard count that does not divide the fleet exercises uneven
-        // partitions.
-        let k3 = run_serving(sharded(base, 3, true), trace.clone());
-        assert!(!k1.fault_stats.quiet(), "faults should fire");
-        assert_all_complete(trace.len(), &k1);
-        assert_identical(&k1, &k3);
-    }
-
-    #[test]
-    fn windowed_centralized_defers_stall_decisions_identically() {
-        let trace = tiny_trace(200, 10.0, 33);
-        let base = tiny_config(SchedulerKind::Centralized, 8);
-        let k1 = run_serving(sharded(base.clone(), 1, false), trace.clone());
-        let k4 = run_serving(sharded(base, 4, true), trace.clone());
-        assert_all_complete(trace.len(), &k1);
-        assert!(k1.stalls.mean > 0.0, "centralized scheduler must stall");
-        assert_identical(&k1, &k4);
-    }
-
-    #[test]
-    fn windowed_autoscaling_is_shard_count_independent() {
-        let trace = tiny_trace(400, 10.0, 34);
-        let scale = AutoScaleConfig {
-            min_instances: 1,
-            max_instances: 8,
-            freeness_low: 10.0,
-            freeness_high: 60.0,
-            sustain: SimDuration::from_secs(2),
-            startup_delay: SimDuration::from_secs(3),
-        };
-        let base = tiny_config(SchedulerKind::Llumnix, 1).with_autoscale(scale);
-        let k1 = run_serving(sharded(base.clone(), 1, false), trace.clone());
-        let k4 = run_serving(sharded(base, 4, true), trace.clone());
-        assert_all_complete(trace.len(), &k1);
-        assert!(k1.instances.max() > 1.0, "load should trigger scale-up");
-        assert_identical(&k1, &k4);
-    }
-
-    #[test]
-    fn windowed_priority_runs_match_across_shard_counts() {
-        let spec = presets::by_name("S-S", 200, Arrivals::poisson(6.0))
-            .expect("preset")
-            .with_max_total_tokens(2_000)
-            .with_high_priority_fraction(0.3);
-        let trace = spec.generate(&SimRng::new(35));
-        let base = tiny_config(SchedulerKind::Llumnix, 4);
-        let k1 = run_serving(sharded(base.clone(), 1, false), trace.clone());
-        let k2 = run_serving(sharded(base, 2, true), trace.clone());
-        assert!(
-            k1.high_step_batches.count > 0,
-            "high-priority batches observed"
-        );
-        assert_identical(&k1, &k2);
-    }
-
-    /// Full-output equality for snapshot round-trips: everything
-    /// `assert_identical` checks, plus the diagnostics it deliberately
-    /// skips (critical-path accounting, window statistics, time-series
-    /// samples). A pure snapshot/resume must reproduce even the
-    /// observables that forked fault arms are allowed to perturb
-    /// (DESIGN.md §13).
-    fn assert_outputs_bitwise(a: &ServingOutput, b: &ServingOutput) {
-        assert_identical(a, b);
-        assert_eq!(a.critical_path_events, b.critical_path_events);
-        assert_eq!(a.window_stats, b.window_stats);
         for (s, t) in [
             (&a.fragmentation, &b.fragmentation),
             (&a.free_blocks, &b.free_blocks),
@@ -2815,29 +2130,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_windowed_shards() {
-        let trace = tiny_trace(300, 8.0, 42);
-        let base = tiny_config(SchedulerKind::Llumnix, 4);
-        let out = assert_snapshot_roundtrip(
-            sharded(base.clone(), 4, true),
-            trace.clone(),
-            SimTime::from_secs(8),
-        );
-        assert_all_complete(trace.len(), &out);
-        assert!(out.migration_stats.started > 0);
-        // Fixed (non-autotuned) windows restore the same schedule too.
-        assert_snapshot_roundtrip(sharded_no_autotune(base, 4), trace, SimTime::from_secs(8));
-    }
-
-    #[test]
     fn snapshot_roundtrip_with_pending_faults_and_restarts() {
         let trace = tiny_trace(200, 5.0, 43);
         let cfg = tiny_config(SchedulerKind::Llumnix, 3).with_faults(churn_plan(43, 900.0));
         // Fork mid-churn: planned faults already fired, more pending, and
         // crashed instances possibly mid-restart at the fork point.
-        let out = assert_snapshot_roundtrip(cfg.clone(), trace.clone(), SimTime::from_secs(10));
+        let out = assert_snapshot_roundtrip(cfg, trace, SimTime::from_secs(10));
         assert!(out.fault_stats.crashes > 0, "plan should fire crashes");
-        assert_snapshot_roundtrip(sharded(cfg, 3, true), trace, SimTime::from_secs(10));
     }
 
     #[test]
@@ -2852,8 +2151,12 @@ mod tests {
             startup_delay: SimDuration::from_secs(3),
         };
         let base = tiny_config(SchedulerKind::Llumnix, 1).with_autoscale(scale);
-        let out = assert_snapshot_roundtrip(sharded(base, 3, true), trace, SimTime::from_secs(10));
+        // Fork mid-churn: scale-up has launched instances (some possibly
+        // still starting) and scale-down may be draining others.
+        let out = assert_snapshot_roundtrip(base, trace, SimTime::from_secs(10));
         assert!(out.instances.max() > 1.0, "load should trigger scale-up");
+        let final_count = out.instances.points().last().expect("samples").1;
+        assert!(final_count < out.instances.max(), "expected scale-down");
     }
 
     #[test]
@@ -2907,9 +2210,9 @@ mod tests {
     }
 
     #[test]
-    fn forked_fault_arms_match_cold_runs_windowed() {
+    fn forked_fault_arms_match_cold_runs_with_every_fault_kind() {
         let trace = tiny_trace(200, 6.0, 47);
-        let base = sharded(tiny_config(SchedulerKind::Llumnix, 3), 3, true);
+        let base = tiny_config(SchedulerKind::Llumnix, 3);
         let cfg = llumnix_faults::FaultPlanConfig::none()
             .with_crashes(700.0, Some(SimDuration::from_secs(2)))
             .with_slowdowns(1200.0, (2.0, 3.0), SimDuration::from_secs(5))
@@ -2918,20 +2221,17 @@ mod tests {
             .with_start_offset(SimDuration::from_secs(10));
         let plan = FaultPlan::generate(&cfg, &SimRng::new(47));
         let cold = run_serving(base.clone().with_faults(plan.clone()), trace.clone());
-        assert!(!cold.fault_stats.quiet(), "faults should fire");
+        let fs = &cold.fault_stats;
+        assert!(
+            fs.crashes > 0 && fs.slowdowns > 0 && fs.link_failures > 0,
+            "{fs:?}"
+        );
         assert_all_complete(trace.len(), &cold);
         let mut warm = ServingSim::new(base, trace);
-        // Windows drain whole, so the fork lands at ≤ 8 s + one window —
-        // still safely before the 10 s fault offset.
         warm.run_until(SimTime::from_secs(8));
-        let fork = ServingSim::resume(&warm.snapshot());
-        let mut fork = fork;
+        let mut fork = ServingSim::resume(&warm.snapshot());
         fork.activate_faults(plan);
-        // The pending fault event can clamp autotuned window stretching
-        // during the cold warmup where the fault-free forked warmup is not
-        // clamped, so window diagnostics are exempt; the schedule itself
-        // must match byte for byte (DESIGN.md §13).
-        assert_identical(&cold, &fork.run());
+        assert_outputs_bitwise(&cold, &fork.run());
     }
 
     #[test]

@@ -289,6 +289,23 @@ mod tests {
     }
 
     #[test]
+    fn peers_mut_excludes_one_and_marks_the_rest_dirty() {
+        let mut s = InstanceStore::new();
+        for i in 0..4 {
+            s.insert(InstanceId(i), llumlet(i));
+        }
+        let mut dirty = Vec::new();
+        s.take_dirty(&mut dirty);
+        assert_eq!(dirty.len(), 4, "inserts dirty every instance");
+        let peers = s.peers_mut(InstanceId(1));
+        let ids: Vec<u32> = peers.keys().map(|i| i.0).collect();
+        assert_eq!(ids, vec![0, 2, 3]);
+        drop(peers);
+        s.take_dirty(&mut dirty);
+        assert_eq!(dirty, vec![InstanceId(0), InstanceId(2), InstanceId(3)]);
+    }
+
+    #[test]
     fn two_engines_disjoint() {
         let mut s = InstanceStore::new();
         s.insert(InstanceId(0), llumlet(0));

@@ -3,14 +3,13 @@
 //! The resume invariant (DESIGN.md §13): for any point between two units of
 //! work, snapshot → resume → run-to-completion is byte-identical to the
 //! uninterrupted run. These tests fork full serving runs at random event
-//! boundaries across random workloads, schedulers, shard counts, and fault
-//! plans — including forks landing mid-migration-handshake, mid-restart, and
-//! between planned faults — and compare every observable of the output,
-//! float accumulators and diagnostic counters included.
+//! boundaries across random workloads, schedulers, and fault plans —
+//! including forks landing mid-migration-handshake, mid-restart, and between
+//! planned faults — and compare every observable of the output, float
+//! accumulators and diagnostic counters included.
 
 use llumnix_core::{
     FaultPlan, FaultPlanConfig, SchedulerKind, ServingConfig, ServingOutput, ServingSim,
-    ShardConfig,
 };
 use llumnix_model::InstanceSpec;
 use llumnix_sim::{SimDuration, SimRng, SimTime};
@@ -25,8 +24,6 @@ struct Scenario {
     /// Arrival rate ×10 (integer so the strategy stays integral).
     rate_x10: u32,
     scheduler_idx: u8,
-    /// 0 = classic event loop; otherwise the windowed core's shard count.
-    shards: u8,
     faults: bool,
     /// Fork point in milliseconds of simulated time.
     fork_ms: u64,
@@ -35,20 +32,14 @@ struct Scenario {
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (0u64..1_000_000, 80usize..160, 30u32..80),
-        (
-            0u8..3,
-            prop_oneof![Just(0u8), Just(1u8), Just(3u8), Just(4u8)],
-            any::<bool>(),
-            500u64..25_000,
-        ),
+        (0u8..3, any::<bool>(), 500u64..25_000),
     )
         .prop_map(
-            |((seed, requests, rate_x10), (scheduler_idx, shards, faults, fork_ms))| Scenario {
+            |((seed, requests, rate_x10), (scheduler_idx, faults, fork_ms))| Scenario {
                 seed,
                 requests,
                 rate_x10,
                 scheduler_idx,
-                shards,
                 faults,
                 fork_ms,
             },
@@ -77,14 +68,11 @@ fn build(s: Scenario) -> (ServingConfig, Trace) {
             .with_horizon(SimDuration::from_secs(600));
         cfg = cfg.with_faults(FaultPlan::generate(&fc, &SimRng::new(s.seed ^ 0x5eed)));
     }
-    if s.shards > 0 {
-        cfg.shard = Some(ShardConfig::new(s.shards as usize).with_force_parallel());
-    }
     (cfg, trace)
 }
 
 /// Byte-identical-output check over every public observable, including the
-/// diagnostics the bench JSON omits (critical path, window stats, series).
+/// diagnostics the bench JSON omits (time series, stall summaries).
 fn assert_same(a: &ServingOutput, b: &ServingOutput) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.records.len(), b.records.len());
     for (x, y) in a.records.iter().zip(&b.records) {
@@ -99,8 +87,6 @@ fn assert_same(a: &ServingOutput, b: &ServingOutput) -> Result<(), TestCaseError
     }
     prop_assert_eq!(a.aborted, b.aborted);
     prop_assert_eq!(a.events_processed, b.events_processed);
-    prop_assert_eq!(a.critical_path_events, b.critical_path_events);
-    prop_assert_eq!(a.window_stats, b.window_stats);
     prop_assert_eq!(a.makespan, b.makespan);
     prop_assert_eq!(a.avg_instances, b.avg_instances);
     prop_assert_eq!(a.migration_stats.started, b.migration_stats.started);
@@ -130,9 +116,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// snapshot → resume → run is byte-identical to the uninterrupted run
-    /// at a random event boundary, for random workloads, schedulers, shard
-    /// counts (classic, 1, 3, 4), and fault plans — and the donor sim is
-    /// unharmed by being snapshotted.
+    /// at a random event boundary, for random workloads, schedulers, and
+    /// fault plans — and the donor sim is unharmed by being snapshotted.
     #[test]
     fn snapshot_resume_is_byte_identical(s in scenario()) {
         let (cfg, trace) = build(s);

@@ -270,15 +270,6 @@ impl InstanceEngine {
         self.in_flight.is_some()
     }
 
-    /// When the in-flight step (if any) completes. Until then the engine
-    /// produces no events on its own: steps are planned one at a time, and a
-    /// new one starts only from a completion or an external kick. The sharded
-    /// core's window autotuner leans on exactly this to bound when an
-    /// instance can next emit anything (DESIGN.md §12).
-    pub fn in_flight_finish(&self) -> Option<SimTime> {
-        self.in_flight.as_ref().map(StepPlan::finish_at)
-    }
-
     /// Whether the instance has any request in any phase.
     pub fn has_work(&self) -> bool {
         !self.waiting.is_empty() || !self.prefill_pending.is_empty() || !self.running.is_empty()

@@ -137,18 +137,6 @@ impl MigrationCoordinator {
         self.by_request.contains_key(&request)
     }
 
-    /// Every instance that is the source of at least one active migration,
-    /// in id order. Source engines are the only place a live migration can
-    /// be advanced from below — the migrating request finishing, being
-    /// preempted, or draining all happen at a source step boundary — so this
-    /// set bounds where migration-sensitive events can originate.
-    pub fn source_instances(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.endpoint_counts
-            .iter()
-            .filter(|(_, &(src, _))| src > 0)
-            .map(|(&id, _)| id)
-    }
-
     /// All requests currently migrating out of `instance`.
     pub fn migrating_from(&self, instance: InstanceId) -> Vec<RequestId> {
         if !self.is_migration_source(instance) {

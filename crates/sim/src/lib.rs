@@ -13,11 +13,9 @@
 mod clock;
 mod queue;
 mod rng;
-pub mod shard;
 mod time;
 
 pub use clock::{Clock, ClockError};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shard::{merge_windowed, EffectKey, ShardPool};
 pub use time::{SimDuration, SimTime};

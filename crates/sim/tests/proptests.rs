@@ -1,35 +1,7 @@
 //! Property tests for the simulation kernel.
 
-use std::collections::BTreeMap;
-
-use llumnix_sim::{merge_windowed, EffectKey, EventQueue, SimDuration, SimRng, SimTime};
+use llumnix_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
-
-/// Pops everything strictly before `end` from one shard queue, tagging each
-/// pop with its canonical [`EffectKey`]: the pop time, the entity, and a
-/// per-`(time, entity)` emission counter. Mirrors how the serving loop's
-/// window drain keys its cross-shard effects.
-fn drain_window(
-    q: &mut EventQueue<(u64, usize)>,
-    end: SimTime,
-    seqs: &mut BTreeMap<(SimTime, u64), u32>,
-) -> Vec<(EffectKey, usize)> {
-    let mut out = Vec::new();
-    while q.peek_time().is_some_and(|t| t < end) {
-        let (at, (entity, item)) = q.pop().expect("peeked");
-        let seq = seqs.entry((at, entity)).or_insert(0);
-        out.push((
-            EffectKey {
-                at,
-                entity,
-                seq: *seq,
-            },
-            item,
-        ));
-        *seq += 1;
-    }
-    out
-}
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO ties.
@@ -128,61 +100,4 @@ proptest! {
         }
     }
 
-    /// Draining K per-shard queues window by window and merging each window
-    /// at the barrier reproduces the single-queue canonical order exactly —
-    /// for any shard count, any window length, and any mix of heap and
-    /// coalesced-bucket pushes. Times are drawn from a tiny range so
-    /// same-timestamp coalesced buckets (the FIFO-tie case that the barrier
-    /// sort must canonicalize) occur constantly.
-    #[test]
-    fn windowed_shard_merge_matches_single_queue(
-        events in prop::collection::vec((0u64..48, 0u64..12, any::<bool>()), 1..300),
-        shards in 1usize..6,
-        window in 1u64..16,
-    ) {
-        // The same event stream feeds one reference queue and K shard
-        // queues routed by entity, preserving per-entity push order.
-        let mut single = EventQueue::new();
-        let mut sharded: Vec<EventQueue<(u64, usize)>> =
-            (0..shards).map(|_| EventQueue::new()).collect();
-        for (item, &(t, entity, coalesce)) in events.iter().enumerate() {
-            let at = SimTime::from_micros(t);
-            let shard = &mut sharded[entity as usize % shards];
-            if coalesce {
-                single.push_coalesced(at, (entity, item));
-                shard.push_coalesced(at, (entity, item));
-            } else {
-                single.push(at, (entity, item));
-                shard.push(at, (entity, item));
-            }
-        }
-        // Drain both through the same fixed window grid; each run assigns
-        // its own emission counters. Per-entity pop order is identical in
-        // both runs (entities never split across shards), so the counters
-        // assign the same key to the same item.
-        let mut single_seqs = BTreeMap::new();
-        let mut shard_seqs = BTreeMap::new();
-        let mut reference: Vec<(EffectKey, usize)> = Vec::new();
-        let mut merged: Vec<(EffectKey, usize)> = Vec::new();
-        let mut window_start = 0u64;
-        while !single.is_empty() || sharded.iter().any(|q| !q.is_empty()) {
-            let end = SimTime::from_micros(window_start + window);
-            reference.extend(merge_windowed(vec![drain_window(
-                &mut single,
-                end,
-                &mut single_seqs,
-            )]));
-            let buffers: Vec<_> = sharded
-                .iter_mut()
-                .map(|q| drain_window(q, end, &mut shard_seqs))
-                .collect();
-            merged.extend(merge_windowed(buffers));
-            window_start += window;
-        }
-        prop_assert_eq!(reference.len(), events.len());
-        prop_assert_eq!(&merged, &reference);
-        // The merged stream is sorted by key with no duplicates: a total
-        // order, independent of how the windows chopped it.
-        prop_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-    }
 }

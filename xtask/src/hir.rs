@@ -16,9 +16,9 @@
 //! buckets, classified from declared types, constructor paths like
 //! `HashMap::new()`, float literals, and struct-field lookups through
 //! `self.` — because every consumer errs on the safe side: the
-//! unordered-iter and effect-ownership rules fire when a receiver *may* be
-//! the dangerous type, and the float-ord and panic-path rules suppress only
-//! when a receiver is *known* to be a safe one. `Unknown` therefore never
+//! unordered-iter rule fires when a receiver *may* be the dangerous type,
+//! and the float-ord and panic-path rules suppress only when a receiver is
+//! *known* to be a safe one. `Unknown` therefore never
 //! hides a violation; it only declines to silence one.
 //!
 //! Nothing here is a real parser: item headers are recognized by keyword
@@ -42,7 +42,7 @@ pub enum TypeApprox {
     /// range.
     VecLike,
     /// Any other resolved head type, by name (`SimTime`, `BTreeMap`,
-    /// `EffectCounts`, ...).
+    /// `FaultStats`, ...).
     Named(String),
     /// Could not classify. Consumers must treat this as "any type".
     Unknown,

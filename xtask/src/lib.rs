@@ -22,7 +22,6 @@
 //! | `serialized-hash`  | no default-hasher container inside a `#[derive(Serialize)]` type (figure/bench output must not depend on hasher order) |
 //! | `missing-forbid`   | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `clone-exhaustive` | a hand-written `impl Clone` must mention every declared field (the snapshot/fork deep-copy contract) |
-//! | `effect-ownership` | `EffectKey` construction and `effects` outbox pushes only inside ledger-counting emit paths |
 //! | `panic-path`       | no unjustified `unwrap`/vacuous `expect`/computed slice index in deterministic code |
 //!
 //! Escape hatches, both with **mandatory justifications**:
@@ -82,8 +81,6 @@ pub enum Rule {
     MissingForbid,
     /// A manual `impl Clone` that skips a declared field.
     CloneExhaustive,
-    /// Effect construction/emission outside the ledger-counting paths.
-    EffectOwnership,
     /// Unjustified panic site in deterministic code.
     PanicPath,
     /// An allow annotation without a justification.
@@ -103,7 +100,6 @@ impl Rule {
             Rule::SerializedHash => "serialized-hash",
             Rule::MissingForbid => "missing-forbid",
             Rule::CloneExhaustive => "clone-exhaustive",
-            Rule::EffectOwnership => "effect-ownership",
             Rule::PanicPath => "panic-path",
             Rule::BareAllow => "bare-allow",
             Rule::UnusedAllow => "unused-allow",
@@ -119,7 +115,6 @@ impl Rule {
             "serialized-hash" => Rule::SerializedHash,
             "missing-forbid" => Rule::MissingForbid,
             "clone-exhaustive" => Rule::CloneExhaustive,
-            "effect-ownership" => Rule::EffectOwnership,
             "panic-path" => Rule::PanicPath,
             _ => return None,
         })
@@ -340,7 +335,6 @@ fn rule_passes(class: &FileClass, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         rules::tokens::wall_clock(ctx, out);
         rules::floats::float_ord(ctx, out);
         rules::clone::clone_exhaustive(ctx, out);
-        rules::effects::effect_ownership(ctx, out);
         rules::panics::panic_path(ctx, out);
     } else if class.xtask {
         rules::iter::unordered_iter(ctx, out);

@@ -7,7 +7,6 @@
 //! a pure function of the code under audit.
 
 pub mod clone;
-pub mod effects;
 pub mod floats;
 pub mod iter;
 pub mod panics;

@@ -1,11 +1,10 @@
 //! `panic-path`: unjustified panic sites in deterministic code.
 //!
-//! A panic mid-window tears down a shard worker without ledger
-//! reconciliation: the pool's `Drop` re-raises it, the run dies, and —
-//! worse, under `catch_unwind`-style harnesses — a half-drained window
-//! could leak into observable state. Panics in the deterministic crates
-//! are therefore only acceptable when a human has written down why they
-//! cannot fire. Three site classes, three justification channels:
+//! A panic in the deterministic crates kills the run in the middle of an
+//! event, before the teardown ledger checks can say what went wrong.
+//! Panics there are therefore only acceptable when a human has written
+//! down why they cannot fire. Three site classes, three justification
+//! channels:
 //!
 //! * `.expect("...")` — **justified by its message**: the message is the
 //!   in-language proof obligation ("peeked above", "checked non-empty").
@@ -24,7 +23,7 @@
 //!   indexed hot-path container in the audited crates.
 //!
 //! Test code and `debug_assert*!` arguments are out of scope: neither runs
-//! inside a production window.
+//! in a release simulation.
 
 use crate::hir::{receiver_approx, skip_group, TypeApprox};
 use crate::lexer::{Token, TokenKind};
@@ -96,8 +95,8 @@ pub fn panic_path(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                     t.line,
                     Rule::PanicPath,
                     "`.unwrap()` in deterministic code carries no justification; a \
-                     panic mid-window tears down a shard worker without ledger \
-                     reconciliation — use `.expect(\"<why this cannot fail>\")` or \
+                     panic here kills the run mid-event with its ledgers \
+                     unreconciled — use `.expect(\"<why this cannot fail>\")` or \
                      annotate `// lint: allow(panic-path) — <reason>`"
                         .to_string(),
                 );
@@ -156,7 +155,7 @@ pub fn panic_path(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 Rule::PanicPath,
                 format!(
                     "computed index into `{}` (a Vec/slice) can panic out of range \
-                     mid-window; use `.get(..).expect(\"<why in range>\")` so the \
+                     mid-event; use `.get(..).expect(\"<why in range>\")` so the \
                      proof obligation is written down, or annotate \
                      `// lint: allow(panic-path) — <reason>`",
                     t.text
