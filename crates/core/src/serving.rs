@@ -38,31 +38,6 @@ use crate::policy::{
 use crate::store::InstanceStore;
 use crate::virtual_usage::{HeadroomConfig, QueuingRule};
 
-/// Injected failures (§5's fault-tolerance behaviours).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailureSpec {
-    /// An instance (and its llumlet) fails at `at`; running requests abort,
-    /// in-flight migrations touching it abort per the handshake rules. If
-    /// `restart_after` is set, a replacement instance launches that much
-    /// later (Ray restarting the actor).
-    Instance {
-        /// The failing instance.
-        instance: InstanceId,
-        /// When it fails.
-        at: SimTime,
-        /// Optional replacement delay.
-        restart_after: Option<SimDuration>,
-    },
-    /// The global scheduler fails at `at` for `duration`: the frontends fall
-    /// back to scheduler-bypass round-robin dispatch and migration pauses.
-    GlobalScheduler {
-        /// When it fails.
-        at: SimTime,
-        /// How long until it recovers.
-        duration: SimDuration,
-    },
-}
-
 /// Full configuration of a serving run.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
@@ -90,12 +65,11 @@ pub struct ServingConfig {
     pub sample_interval: SimDuration,
     /// Centralized-scheduler stall model (used by `Centralized` only).
     pub central: CentralSchedulerModel,
-    /// Injected failures.
-    pub failures: Vec<FailureSpec>,
-    /// Seeded fault schedule replayed as first-class events (crashes,
-    /// stragglers, migration-link failures). Empty by default. Unlike the
-    /// scripted [`FailureSpec`] path, requests lost to a planned crash are
-    /// *re-dispatched* through the main dispatcher, not aborted.
+    /// Fault schedule replayed as first-class events (crashes, stragglers,
+    /// migration-link failures, global-scheduler outages), seeded with
+    /// [`FaultPlan::generate`] or scripted with [`FaultPlan::from_faults`].
+    /// Empty by default. Requests lost to a crash are *re-dispatched*
+    /// through the main dispatcher, not aborted.
     pub fault_plan: FaultPlan,
     /// Hard wall-clock cap on the simulation (guards runaway configs).
     pub max_sim_time: SimTime,
@@ -121,7 +95,6 @@ impl ServingConfig {
             autoscale: None,
             sample_interval: SimDuration::from_secs(1),
             central: CentralSchedulerModel::default(),
-            failures: Vec::new(),
             fault_plan: FaultPlan::empty(),
             max_sim_time: SimTime::from_secs(24 * 3600),
         }
@@ -153,7 +126,8 @@ pub struct ServingOutput {
     pub scheduler: SchedulerKind,
     /// One record per completed request.
     pub records: Vec<RequestRecord>,
-    /// Requests aborted (admission-impossible or instance failure).
+    /// Requests aborted: their footprint can never fit an instance, or no
+    /// dispatch target existed when they were redispatched.
     pub aborted: u64,
     /// Fragmented-memory proportion over time (Figure 12's definition).
     pub fragmentation: TimeSeries,
@@ -191,9 +165,7 @@ enum Event {
     MigrationCommit(MigrationId),
     MigrationTick,
     Sample,
-    Fail(usize),
     PlannedFault(usize),
-    GlobalRecover,
     InstanceRestart,
 }
 
@@ -228,7 +200,9 @@ pub struct ServingSim {
     pairs: BTreeMap<InstanceId, InstanceId>,
     scaler: Option<AutoScaler>,
     central: CentralScheduler,
-    global_down: bool,
+    /// The global scheduler is down until this time (§5). Overlapping
+    /// outages keep the later end.
+    scheduler_down_until: SimTime,
     undispatched: VecDeque<usize>,
     records: Vec<RequestRecord>,
     aborted: u64,
@@ -258,9 +232,9 @@ pub struct ServingSim {
     /// fleet-size coarsening factor (see [`tick_scale`]). Constant for a run.
     sample_interval: SimDuration,
     migration_interval: SimDuration,
-    /// Initial events (arrivals, ticks, scripted failures, fault chain) have
-    /// been seeded. Flips on the first `run`/`run_until` call, so a snapshot
-    /// taken before any progress forks cleanly.
+    /// Initial events (arrivals, ticks, fault chain) have been seeded. Flips
+    /// on the first `run`/`run_until` call, so a snapshot taken before any
+    /// progress forks cleanly.
     seeded: bool,
     /// The run crossed `max_sim_time` and must not process further events.
     halted: bool,
@@ -310,7 +284,7 @@ impl Clone for ServingSim {
             pairs: self.pairs.clone(),
             scaler: self.scaler.clone(),
             central: self.central.clone(),
-            global_down: self.global_down,
+            scheduler_down_until: self.scheduler_down_until,
             undispatched: self.undispatched.clone(),
             records: self.records.clone(),
             aborted: self.aborted,
@@ -392,7 +366,7 @@ impl ServingSim {
             dispatcher: Dispatcher::new(),
             bypass_dispatcher: Dispatcher::new(),
             pairs: BTreeMap::new(),
-            global_down: false,
+            scheduler_down_until: SimTime::ZERO,
             undispatched: VecDeque::new(),
             records: Vec::new(),
             aborted: 0,
@@ -468,8 +442,9 @@ impl ServingSim {
     /// every pending event, exactly where seeding would have put it, so a
     /// fork that activates a plan matches the cold run configured with the
     /// same plan from t = 0 — provided every planned fault fires strictly
-    /// after the fork point (build plans with
-    /// [`llumnix_faults::FaultPlanConfig::with_start_offset`]).
+    /// after the fork point (build seeded plans with
+    /// [`llumnix_faults::FaultPlanConfig::with_start_offset`], and script
+    /// entries after it).
     pub fn activate_faults(&mut self, plan: FaultPlan) {
         assert!(
             self.config.fault_plan.get(0).is_none(),
@@ -545,13 +520,6 @@ impl ServingSim {
                 Event::MigrationTick,
             );
         }
-        for i in 0..self.config.failures.len() {
-            let at = match self.config.failures[i] {
-                FailureSpec::Instance { at, .. } => at,
-                FailureSpec::GlobalScheduler { at, .. } => at,
-            };
-            self.queue.push(at, Event::Fail(i));
-        }
     }
 
     fn into_output(self) -> ServingOutput {
@@ -615,11 +583,7 @@ impl ServingSim {
             Event::MigrationCommit(mid) => self.on_migration_commit(mid),
             Event::MigrationTick => self.on_migration_tick(),
             Event::Sample => self.on_sample(),
-            Event::Fail(i) => self.on_failure(i),
             Event::PlannedFault(i) => self.on_planned_fault(i),
-            Event::GlobalRecover => {
-                self.global_down = false;
-            }
             Event::InstanceRestart => {
                 self.launch_instance(self.now, None);
             }
@@ -655,7 +619,7 @@ impl ServingSim {
             // Clones so the comparison dispatch does not advance the real
             // round-robin counters.
             let reports = self.reports();
-            if self.global_down {
+            if self.scheduler_down() {
                 self.bypass_dispatcher
                     .clone()
                     .dispatch(SchedulerKind::RoundRobin, &reports)
@@ -665,7 +629,7 @@ impl ServingSim {
                     .dispatch_for(self.config.scheduler, &reports, high)
             }
         };
-        let target = if self.global_down {
+        let target = if self.scheduler_down() {
             // Scheduler-bypass mode (§5): frontends use a simple round-robin
             // rule directly.
             self.bypass_dispatcher
@@ -819,7 +783,7 @@ impl ServingSim {
     }
 
     fn on_migration_tick(&mut self) {
-        if !self.global_down {
+        if !self.scheduler_down() {
             self.refresh_fleet();
             let pairs = self.index.pair(self.config.migration_thresholds);
             #[cfg(debug_assertions)]
@@ -900,37 +864,6 @@ impl ServingSim {
         }
     }
 
-    fn on_failure(&mut self, index: usize) {
-        match self.config.failures[index] {
-            FailureSpec::Instance {
-                instance,
-                restart_after,
-                ..
-            } => {
-                self.fail_instance(instance);
-                if let Some(delay) = restart_after {
-                    self.queue.push(self.now + delay, Event::InstanceRestart);
-                }
-            }
-            FailureSpec::GlobalScheduler { duration, .. } => {
-                self.global_down = true;
-                self.queue.push(self.now + duration, Event::GlobalRecover);
-            }
-        }
-    }
-
-    fn fail_instance(&mut self, id: InstanceId) {
-        if !self.store.contains(id) {
-            return;
-        }
-        // Requests resident on or queued at the failed instance abort (§5);
-        // a request mid-migration *out of* it dies with it too, while one
-        // migrating *into* it survives on its still-healthy source.
-        let lost = self.teardown_failed_instance(id);
-        self.aborted += lost.len() as u64;
-        self.sample_instances();
-    }
-
     // ---- fault injection ---------------------------------------------------
 
     fn on_planned_fault(&mut self, i: usize) {
@@ -970,12 +903,18 @@ impl ServingSim {
                 let entry = self.link_down_until.entry(target).or_insert(SimTime::ZERO);
                 *entry = (*entry).max(until);
             }
+            FaultKind::SchedulerOutage { duration } => {
+                self.fault_stats.scheduler_outages += 1;
+                self.scheduler_down_until = self.scheduler_down_until.max(self.now + duration);
+            }
         }
     }
 
     /// Resolves a planned fault's abstract rank against the live roster:
     /// insertion-order walk, modulo the current fleet size. Keeps the plan
-    /// itself fleet-agnostic while the pick stays fully deterministic.
+    /// itself fleet-agnostic while the pick stays fully deterministic. On a
+    /// fleet that has lost no instance, rank `k < n` is `InstanceId(k)`,
+    /// which is how a scripted plan names its target.
     fn fault_target(&self, rank: u64) -> Option<InstanceId> {
         let order = self.store.order();
         if order.is_empty() {
@@ -994,6 +933,12 @@ impl ServingSim {
         }
     }
 
+    /// True while the global scheduler is down: dispatch bypasses it, and
+    /// migration pairing and auto-scaling pause.
+    fn scheduler_down(&self) -> bool {
+        self.now < self.scheduler_down_until
+    }
+
     /// True while `id`'s migration link is down.
     fn link_impaired(&self, id: InstanceId) -> bool {
         self.link_down_until
@@ -1001,11 +946,11 @@ impl ServingSim {
             .is_some_and(|&until| self.now < until)
     }
 
-    /// Kills `id` as a planned crash. Unlike the scripted [`FailureSpec`]
-    /// abort semantics, the requests the instance held are re-dispatched
-    /// through the main dispatcher — same round-robin state and
-    /// priority-class routing as a fresh arrival, against freshly recomputed
-    /// virtual usage — and only abort if no dispatch target exists.
+    /// Kills `id` as a planned crash. The requests the instance held are
+    /// re-dispatched through the main dispatcher — same round-robin state
+    /// and priority-class routing as a fresh arrival, against freshly
+    /// recomputed virtual usage — and only abort if no dispatch target
+    /// exists.
     fn crash_instance(&mut self, id: InstanceId) {
         let metas = self.teardown_failed_instance(id);
         self.fault_stats.requests_lost += metas.len() as u64;
@@ -1021,7 +966,7 @@ impl ServingSim {
         self.sample_instances();
     }
 
-    /// Shared dead-instance teardown: aborts in-flight migrations touching
+    /// Dead-instance teardown: aborts in-flight migrations touching
     /// `id` via the Figure 7 failure paths (counting each abort reason),
     /// evicts it from the dispatch index, the pairing table, and the fault
     /// maps, and returns the metas of every request it held — running batch,
@@ -1295,7 +1240,7 @@ impl ServingSim {
     }
 
     fn autoscale(&mut self) {
-        if self.scaler.is_none() || self.global_down {
+        if self.scaler.is_none() || self.scheduler_down() {
             return;
         }
         let scaler = self.scaler.as_mut().expect("checked above");
@@ -1457,12 +1402,13 @@ pub fn run_serving(config: ServingConfig, trace: Trace) -> ServingOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llumnix_faults::PlannedFault;
     use llumnix_sim::SimRng;
     use llumnix_workload::{presets, Arrivals};
 
     fn tiny_trace(n: usize, rate: f64, seed: u64) -> Trace {
         // Capped so every request fits the 2048-token test instances: no
-        // admission-impossible aborts unless a test injects failures.
+        // admission-impossible aborts.
         let spec = presets::by_name("S-S", n, Arrivals::poisson(rate))
             .expect("preset")
             .with_max_total_tokens(2_000);
@@ -1608,37 +1554,70 @@ mod tests {
         assert!(out.avg_instances >= 1.0 && out.avg_instances <= 8.0);
     }
 
+    /// A scripted fault: `kind` fires at `secs` on rank `target`.
+    fn scripted(secs: u64, target: u64, kind: FaultKind) -> PlannedFault {
+        PlannedFault {
+            at: SimTime::from_secs(secs),
+            target_rank: target,
+            kind,
+        }
+    }
+
+    fn outage(secs: u64, for_secs: u64) -> PlannedFault {
+        let duration = SimDuration::from_secs(for_secs);
+        scripted(secs, 0, FaultKind::SchedulerOutage { duration })
+    }
+
     #[test]
-    fn instance_failure_aborts_but_service_continues() {
+    fn instance_crash_redispatches_and_service_continues() {
         let trace = tiny_trace(200, 5.0, 7);
-        let mut cfg = tiny_config(SchedulerKind::Llumnix, 3);
-        cfg.failures = vec![FailureSpec::Instance {
-            instance: InstanceId(0),
-            at: SimTime::from_secs(5),
-            restart_after: Some(SimDuration::from_secs(2)),
-        }];
+        let restart_after = Some(SimDuration::from_secs(2));
+        let crash = scripted(5, 0, FaultKind::Crash { restart_after });
+        let cfg =
+            tiny_config(SchedulerKind::Llumnix, 3).with_faults(FaultPlan::from_faults(vec![crash]));
         let out = run_serving(cfg, trace.clone());
-        // Some requests died with the instance, the rest completed.
+        // The crash lost requests; each was redispatched and completed.
         assert_all_complete(trace.len(), &out);
-        assert!(out.aborted > 0, "failure should abort resident requests");
+        let fs = &out.fault_stats;
+        assert_eq!(fs.crashes, 1);
         assert!(
-            out.records.len() > trace.len() / 2,
-            "most requests still complete"
+            fs.requests_lost > 0,
+            "the crash should lose requests: {fs:?}"
         );
+        assert_eq!(fs.requests_redispatched, fs.requests_lost);
+        assert_eq!(out.records.len(), trace.len(), "every request completes");
     }
 
     #[test]
     fn global_scheduler_failure_falls_back_to_bypass() {
         let trace = tiny_trace(200, 5.0, 8);
-        let mut cfg = tiny_config(SchedulerKind::Llumnix, 3);
-        cfg.failures = vec![FailureSpec::GlobalScheduler {
-            at: SimTime::from_secs(2),
-            duration: SimDuration::from_secs(20),
-        }];
-        let out = run_serving(cfg, trace.clone());
+        let plan = FaultPlan::from_faults(vec![outage(2, 20)]);
+        let out = run_serving(
+            tiny_config(SchedulerKind::Llumnix, 3).with_faults(plan),
+            trace.clone(),
+        );
         // Availability is preserved: every request is still served.
         assert_all_complete(trace.len(), &out);
         assert_eq!(out.aborted, 0);
+        assert_eq!(out.fault_stats.scheduler_outages, 1);
+    }
+
+    /// A second outage that starts while the first is still on extends the
+    /// downtime to its own end instead of ending with the first.
+    #[test]
+    fn overlapping_scheduler_outages_keep_the_later_end() {
+        let trace = tiny_trace(200, 5.0, 8);
+        let plan = FaultPlan::from_faults(vec![outage(2, 10), outage(6, 10)]);
+        let mut sim = ServingSim::new(
+            tiny_config(SchedulerKind::Llumnix, 3).with_faults(plan),
+            trace,
+        );
+        sim.run_until(SimTime::from_secs(14));
+        assert_eq!(sim.fault_stats.scheduler_outages, 2);
+        assert_eq!(sim.scheduler_down_until, SimTime::from_secs(16));
+        assert!(sim.scheduler_down(), "still down at {:?}", sim.now);
+        sim.run_until(SimTime::from_secs(17));
+        assert!(!sim.scheduler_down(), "recovered by {:?}", sim.now);
     }
 
     #[test]
@@ -2219,13 +2198,20 @@ mod tests {
             .with_link_failures(600.0, SimDuration::from_secs(2))
             .with_horizon(SimDuration::from_secs(600))
             .with_start_offset(SimDuration::from_secs(10));
-        let plan = FaultPlan::generate(&cfg, &SimRng::new(47));
+        // Scripted entries ride along with the seeded ones, after the fork.
+        let crash = FaultKind::Crash {
+            restart_after: None,
+        };
+        let scripted_faults = [outage(12, 6), scripted(14, 1, crash)];
+        let seeded = FaultPlan::generate(&cfg, &SimRng::new(47));
+        let plan = FaultPlan::from_faults(seeded.iter().copied().chain(scripted_faults).collect());
         let cold = run_serving(base.clone().with_faults(plan.clone()), trace.clone());
         let fs = &cold.fault_stats;
         assert!(
             fs.crashes > 0 && fs.slowdowns > 0 && fs.link_failures > 0,
             "{fs:?}"
         );
+        assert_eq!(fs.scheduler_outages, 1);
         assert_all_complete(trace.len(), &cold);
         let mut warm = ServingSim::new(base, trace);
         warm.run_until(SimTime::from_secs(8));

@@ -1,10 +1,12 @@
 //! Seeded fault-injection plans.
 //!
 //! A [`FaultPlan`] is a precomputed, sorted schedule of faults — instance
-//! crashes, transient slowdowns (stragglers), and migration-link failures —
-//! generated entirely from an experiment seed before the simulation starts.
-//! The serving loop replays the plan as first-class events; nothing about
-//! fault timing or targeting is decided at runtime.
+//! crashes, transient slowdowns (stragglers), migration-link failures and
+//! global-scheduler outages — generated entirely from an experiment seed
+//! before the simulation starts ([`FaultPlan::generate`]), or scripted entry
+//! by entry ([`FaultPlan::from_faults`]). The serving loop replays the plan
+//! as first-class events; nothing about fault timing or targeting is decided
+//! at runtime.
 //!
 //! ## Determinism rules
 //!
@@ -156,6 +158,13 @@ pub enum FaultKind {
         /// How long the link stays down.
         duration: SimDuration,
     },
+    /// The global scheduler fails (§5): frontends fall back to
+    /// scheduler-bypass round-robin dispatch, and migration pairing and
+    /// auto-scaling pause until it recovers. Ignores `target_rank`.
+    SchedulerOutage {
+        /// How long the scheduler stays down.
+        duration: SimDuration,
+    },
 }
 
 impl FaultKind {
@@ -164,6 +173,7 @@ impl FaultKind {
             FaultKind::Crash { .. } => 0,
             FaultKind::Slowdown { .. } => 1,
             FaultKind::LinkFailure { .. } => 2,
+            FaultKind::SchedulerOutage { .. } => 3,
         }
     }
 }
@@ -193,6 +203,13 @@ impl FaultPlan {
     /// An empty plan (no faults ever fire).
     pub fn empty() -> Self {
         FaultPlan::default()
+    }
+
+    /// A scripted plan. The stable sort by fire time keeps entries that
+    /// share a timestamp in their given order.
+    pub fn from_faults(mut faults: Vec<PlannedFault>) -> Self {
+        faults.sort_by_key(|f| f.at);
+        FaultPlan { faults }
     }
 
     /// Generates the schedule for `cfg` from `rng`.
@@ -324,7 +341,7 @@ impl FaultPlan {
                     h.write(factor.to_bits());
                     h.write(duration.as_micros());
                 }
-                FaultKind::LinkFailure { duration } => {
+                FaultKind::LinkFailure { duration } | FaultKind::SchedulerOutage { duration } => {
                     h.write(duration.as_micros());
                 }
             }
@@ -449,6 +466,41 @@ mod tests {
         for f in shifted.iter() {
             assert!(f.at >= start && f.at < end);
         }
+    }
+
+    #[test]
+    fn scripted_plans_sort_stably_and_fingerprint_every_kind() {
+        let at = |secs| SimTime::from_secs(secs);
+        let down = SimDuration::from_secs(5);
+        let fault = |secs, target_rank, kind| PlannedFault {
+            at: at(secs),
+            target_rank,
+            kind,
+        };
+        let outage = fault(4, 0, FaultKind::SchedulerOutage { duration: down });
+        let crash = fault(
+            4,
+            1,
+            FaultKind::Crash {
+                restart_after: None,
+            },
+        );
+        let link = fault(2, 2, FaultKind::LinkFailure { duration: down });
+        let plan = FaultPlan::from_faults(vec![outage, crash, link]);
+        // Sorted by fire time; the two 4 s entries keep their given order.
+        let order: Vec<_> = plan.iter().copied().collect();
+        assert_eq!(order, vec![link, outage, crash]);
+        let swapped = FaultPlan::from_faults(vec![crash, outage, link]);
+        assert_eq!(
+            swapped.iter().copied().collect::<Vec<_>>(),
+            vec![link, crash, outage]
+        );
+        // An outage and a link failure of the same duration, time and rank
+        // differ only in their kind, and the fingerprint tells them apart.
+        let as_link =
+            FaultPlan::from_faults(vec![fault(4, 0, FaultKind::LinkFailure { duration: down })]);
+        let as_outage = FaultPlan::from_faults(vec![outage]);
+        assert_ne!(as_link.fingerprint(), as_outage.fingerprint());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Failure and recovery accounting for fault-injection runs.
 //!
-//! The serving loop fills a [`FaultStats`] while replaying a seeded fault
-//! plan: how many faults of each class actually fired, what happened to the
+//! The serving loop fills a [`FaultStats`] while replaying a fault plan:
+//! how many faults of each class actually fired, what happened to the
 //! requests a crashed instance was holding, how its in-flight migrations
 //! were aborted, and how long lost requests took to produce their first
 //! token after the crash (recovery latency).
@@ -26,6 +26,8 @@ pub struct FaultStats {
     pub slowdowns: u64,
     /// Migration-link failures applied.
     pub link_failures: u64,
+    /// Global-scheduler outages applied.
+    pub scheduler_outages: u64,
     /// Requests resident on crashed instances (queued + running + draining).
     pub requests_lost: u64,
     /// Lost requests successfully re-dispatched to a surviving instance.
@@ -60,6 +62,7 @@ impl FaultStats {
             && self.crashes_skipped == 0
             && self.slowdowns == 0
             && self.link_failures == 0
+            && self.scheduler_outages == 0
     }
 }
 
@@ -83,5 +86,10 @@ mod tests {
         s.aborts_source_failed = 3;
         s.aborts_link_failed = 1;
         assert_eq!(s.failure_aborts(), 4);
+        let outage_only = FaultStats {
+            scheduler_outages: 1,
+            ..FaultStats::default()
+        };
+        assert!(!outage_only.quiet());
     }
 }

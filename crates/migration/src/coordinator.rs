@@ -1151,6 +1151,52 @@ mod tests {
         assert!(coord.on_drained(RequestId(1), &mut src, step_end).is_none());
     }
 
+    /// The destination crashes while the coordinator awaits the source's
+    /// drain: the failure abort must cancel the still-pending drain, so the
+    /// in-flight step completes without a `Drained` and the request keeps
+    /// running on its source.
+    #[test]
+    fn destination_failure_while_awaiting_drain_cancels_pending_drain() {
+        let mut src = engine(0, 4096);
+        let mut dst = engine(1, 4096);
+        let t = start_running(&mut src, meta(1, 512, 100));
+        let mut coord = MigrationCoordinator::new(MigrationConfig::default());
+        let StartOutcome::Started { id, stage_done_at } =
+            coord.start(RequestId(1), &mut src, &mut dst, t)
+        else {
+            panic!("refused");
+        };
+        // Put a decode step in flight so the drain defers to its boundary.
+        let plan = src.poll_step(t).expect("decode");
+        let step_end = plan.finish_at();
+        let outcome = coord
+            .on_stage_done(id, &mut src, &mut dst, stage_done_at)
+            .expect("active");
+        assert_eq!(outcome, StageOutcome::DrainRequested);
+        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
+        peers.insert(InstanceId(0), &mut src);
+        let aborted = coord.abort_for_failed_instance(InstanceId(1), &mut peers);
+        drop(peers);
+        assert_eq!(
+            aborted,
+            vec![(id, RequestId(1), AbortReason::DestinationFailed)]
+        );
+        assert_eq!(coord.active_count(), 0);
+        assert!(!coord.touches(InstanceId(0)));
+        // The cancelled drain must not fire at the step boundary.
+        let events = src.complete_step(step_end);
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, llumnix_engine::EngineEvent::Drained(_))),
+            "cancelled drain fired anyway: {events:?}"
+        );
+        assert_eq!(
+            src.state(RequestId(1)).expect("alive").phase,
+            Phase::Running
+        );
+    }
+
     /// Source instance fails during the final copy: the destination's
     /// reservation is released and the late commit event is stale.
     #[test]

@@ -61,8 +61,9 @@ pub use llumnix_workload as workload;
 /// The most common imports for building experiments.
 pub mod prelude {
     pub use llumnix_core::{
-        run_serving, AutoScaleConfig, FailureSpec, FaultPlan, FaultPlanConfig, HeadroomConfig,
-        MigrationThresholds, SchedulerKind, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
+        run_serving, AutoScaleConfig, FaultKind, FaultPlan, FaultPlanConfig, HeadroomConfig,
+        MigrationThresholds, PlannedFault, SchedulerKind, ServingConfig, ServingOutput, ServingSim,
+        SimSnapshot,
     };
     pub use llumnix_engine::{EngineConfig, InstanceId, Priority, PriorityPair, RequestId};
     pub use llumnix_metrics::{

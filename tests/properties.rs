@@ -2,7 +2,6 @@
 //! injections through the full serving simulation.
 
 use llumnix::prelude::*;
-use llumnix::sim::SimTime;
 use proptest::prelude::*;
 
 fn any_scheduler() -> impl Strategy<Value = SchedulerKind> {
@@ -44,13 +43,16 @@ proptest! {
         }
     }
 
-    /// Failure injection at any time never panics, never loses accounting,
-    /// and the service keeps completing the surviving requests.
+    /// A crash, and optionally a scheduler outage before it, at any point
+    /// of the arrival window never panics, never loses accounting, and the
+    /// service keeps completing the surviving requests. Both faults fire at
+    /// an arrival, so they land while the trace is still being served (the
+    /// plan drops faults once serving has finished).
     #[test]
     fn failures_never_break_accounting(
         seed in any::<u64>(),
-        fail_at in 1u64..60,
-        fail_instance in 0u32..3,
+        fail_after in 1usize..119,
+        crash_rank in 0u64..3,
         restart in any::<bool>(),
         global_fail in any::<bool>(),
     ) {
@@ -59,21 +61,32 @@ proptest! {
             .expect("preset")
             .with_max_total_tokens(1_500)
             .generate(&SimRng::new(seed));
-        let mut config = ServingConfig::new(SchedulerKind::Llumnix, 3)
-            .with_spec(InstanceSpec::tiny_for_tests(2_048));
-        config.failures.push(FailureSpec::Instance {
-            instance: InstanceId(fail_instance),
-            at: SimTime::from_secs(fail_at),
-            restart_after: restart.then(|| llumnix::sim::SimDuration::from_secs(5)),
-        });
+        let mut faults = vec![PlannedFault {
+            at: trace.requests[fail_after].arrival,
+            target_rank: crash_rank,
+            kind: FaultKind::Crash {
+                restart_after: restart.then(|| SimDuration::from_secs(5)),
+            },
+        }];
         if global_fail {
-            config.failures.push(FailureSpec::GlobalScheduler {
-                at: SimTime::from_secs(fail_at / 2 + 1),
-                duration: llumnix::sim::SimDuration::from_secs(15),
+            faults.push(PlannedFault {
+                at: trace.requests[fail_after / 2].arrival,
+                target_rank: 0,
+                kind: FaultKind::SchedulerOutage {
+                    duration: SimDuration::from_secs(15),
+                },
             });
         }
+        let config = ServingConfig::new(SchedulerKind::Llumnix, 3)
+            .with_spec(InstanceSpec::tiny_for_tests(2_048))
+            .with_faults(FaultPlan::from_faults(faults));
         let out = run_serving(config, trace);
         prop_assert_eq!(out.records.len() as u64 + out.aborted, n as u64);
+        // Both faults fired, and the lost-request ledger balances.
+        let fs = &out.fault_stats;
+        prop_assert_eq!(fs.crashes, 1);
+        prop_assert_eq!(fs.scheduler_outages, u64::from(global_fail));
+        prop_assert!(fs.consistent());
         // Migration accounting stays balanced.
         let stats = out.migration_stats;
         prop_assert_eq!(stats.started, stats.committed + stats.aborted);

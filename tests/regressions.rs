@@ -15,37 +15,45 @@ fn tiny(kind: SchedulerKind, n: u32) -> ServingConfig {
     ServingConfig::new(kind, n).with_spec(InstanceSpec::tiny_for_tests(2_048))
 }
 
+/// A crash of `rank` at `secs` with no restart, scripted as a fault plan.
+fn crash_at(secs: u64, rank: u64) -> FaultPlan {
+    FaultPlan::from_faults(vec![PlannedFault {
+        at: SimTime::from_secs(secs),
+        target_rank: rank,
+        kind: FaultKind::Crash {
+            restart_after: None,
+        },
+    }])
+}
+
 /// Requests inside an *in-flight prefill step* are in neither the running
-/// batch nor the pending list; an instance failure at that instant must
-/// still count them as aborted (found by proptest, seed 9194729304982698691).
+/// batch nor the pending list; an instance crash at that instant must still
+/// count them as lost and redispatch them (found by proptest, seed
+/// 9194729304982698691).
 #[test]
 fn failure_counts_requests_inside_prefill_steps() {
     let trace = capped_trace(120, 6.0, 9194729304982698691);
-    let mut config = tiny(SchedulerKind::Llumnix, 3);
-    config.failures = vec![FailureSpec::Instance {
-        instance: InstanceId(2),
-        at: SimTime::from_secs(9),
-        restart_after: None,
-    }];
+    let config = tiny(SchedulerKind::Llumnix, 3).with_faults(crash_at(9, 2));
     let out = run_serving(config, trace);
     assert_eq!(out.records.len() as u64 + out.aborted, 120);
+    assert_eq!(out.fault_stats.crashes, 1);
 }
 
-/// A migration aborted while awaiting its drain must cancel the pending
-/// drain; otherwise the request is drained later with no migration waiting
-/// and is stranded in `Draining` forever (found by proptest, seed
-/// 7820411515648217046).
+/// Request and migration accounting stay balanced when instance 0 crashes
+/// at 17 s on this seed (found by proptest, seed 7820411515648217046, when an
+/// aborted migration left its drain pending and stranded the request in
+/// `Draining`). This run cannot tell whether the coordinator cancels the
+/// drain: the serving loop undrains a request whose migration is gone. The
+/// coordinator tests `abort_while_awaiting_drain_cancels_pending_drain` and
+/// `destination_failure_while_awaiting_drain_cancels_pending_drain` guard
+/// the cancel itself.
 #[test]
 fn aborted_migration_cancels_pending_drain() {
     let trace = capped_trace(120, 6.0, 7820411515648217046);
-    let mut config = tiny(SchedulerKind::Llumnix, 3);
-    config.failures = vec![FailureSpec::Instance {
-        instance: InstanceId(0),
-        at: SimTime::from_secs(17),
-        restart_after: None,
-    }];
+    let config = tiny(SchedulerKind::Llumnix, 3).with_faults(crash_at(17, 0));
     let out = run_serving(config, trace);
     assert_eq!(out.records.len() as u64 + out.aborted, 120);
+    assert_eq!(out.fault_stats.crashes, 1);
     let stats = out.migration_stats;
     assert_eq!(stats.started, stats.committed + stats.aborted);
 }
