@@ -34,11 +34,6 @@ pub struct BenchOpts {
     pub json: Option<String>,
     /// Scale factor on request counts (use < 1.0 for quick runs).
     pub scale: f64,
-    /// Worker-thread override (`--threads N`), if given.
-    pub threads: Option<usize>,
-    /// Canonical output mode (`--canonical`): zero out the wall-clock field
-    /// so result files are byte-identical across runs and thread counts.
-    pub canonical: bool,
 }
 
 /// Parses the value following a flag, exiting with a clear diagnostic when the
@@ -63,7 +58,8 @@ where
 
 impl BenchOpts {
     /// Parses `--seed`, `--json`, `--scale`, `--threads`, and `--canonical`
-    /// from `std::env::args`.
+    /// from `std::env::args`. The last two take effect through
+    /// [`set_thread_override`] and [`set_canonical_output`].
     ///
     /// Malformed or missing values for these flags abort with exit code 2.
     /// Unrecognized arguments are left alone — individual binaries consume
@@ -73,8 +69,6 @@ impl BenchOpts {
             seed: DEFAULT_SEED,
             json: None,
             scale: 1.0,
-            threads: None,
-            canonical: false,
         };
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -107,12 +101,10 @@ impl BenchOpts {
                         eprintln!("error: --threads must be at least 1");
                         std::process::exit(2);
                     }
-                    opts.threads = Some(threads);
                     set_thread_override(threads);
                     i += 2;
                 }
                 "--canonical" => {
-                    opts.canonical = true;
                     set_canonical_output(true);
                     i += 1;
                 }
@@ -127,12 +119,15 @@ impl BenchOpts {
         ((n as f64 * self.scale) as usize).max(10)
     }
 
-    /// Writes rows as JSON if `--json` was given.
+    /// Writes rows as JSON if `--json` was given, exiting with code 1 when
+    /// the file cannot be written (a run whose result file silently failed
+    /// would leave a stale one in its place).
     pub fn maybe_write_json<T: Serialize>(&self, rows: &T) {
         if let Some(path) = &self.json {
             let body = llumnix_metrics::to_json(rows);
             if let Err(e) = std::fs::write(path, body) {
-                eprintln!("warning: could not write {path}: {e}");
+                eprintln!("error: could not write {path}: {e}");
+                std::process::exit(1);
             }
         }
     }
@@ -184,27 +179,17 @@ pub fn canonical_output() -> bool {
 }
 
 /// Overrides the worker-thread count for [`parallel_map`] / [`run_arms`]
-/// (what `--threads N` sets). Zero restores the environment-driven default.
+/// (what `--threads N` sets). Zero restores the default.
 pub fn set_thread_override(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
 /// Worker threads for the sweep harness: the `--threads` override if set,
-/// else `LLUMNIX_THREADS` or `RAYON_NUM_THREADS` from the environment, else
-/// the machine's available parallelism.
+/// else the machine's available parallelism.
 pub fn num_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
-    }
-    for var in ["LLUMNIX_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(raw) = std::env::var(var) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -607,8 +592,6 @@ mod tests {
             seed: 1,
             json: None,
             scale: 0.1,
-            threads: None,
-            canonical: false,
         };
         assert_eq!(opts.scaled(10_000), 1_000);
         assert_eq!(opts.scaled(50), 10, "floor at 10");

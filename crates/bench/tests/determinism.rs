@@ -15,8 +15,6 @@ fn arm_specs() -> Vec<ArmSpec> {
         seed: DEFAULT_SEED,
         json: None,
         scale: 1.0,
-        threads: None,
-        canonical: false,
     };
     let mut arms = Vec::new();
     for (trace, rate) in [("S-S", 4.0), ("M-M", 2.0), ("L-L", 1.5)] {

@@ -73,9 +73,9 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 ///
 /// Cloning a queue (for [`crate`]-level snapshot/fork support) copies both
-/// tiers, the sequence counter, the coalescing statistics, and — in debug
-/// builds — the shadow schedule, so a clone pops the exact same stream as the
-/// original and keeps cross-checking it.
+/// tiers, the sequence counter and — in debug builds — the shadow schedule,
+/// so a clone pops the exact same stream as the original and keeps
+/// cross-checking it.
 #[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -85,8 +85,6 @@ pub struct EventQueue<E> {
     buckets: BTreeMap<SimTime, VecDeque<(u64, E)>>,
     bucket_len: usize,
     next_seq: u64,
-    coalesced_events: u64,
-    coalesced_buckets: u64,
     /// Unbatched reference schedule: every push lands here too, and every pop
     /// must match it. This is the determinism cross-check demanded by the
     /// coalescing contract (DESIGN.md §7.4).
@@ -108,8 +106,6 @@ impl<E> EventQueue<E> {
             buckets: BTreeMap::new(),
             bucket_len: 0,
             next_seq: 0,
-            coalesced_events: 0,
-            coalesced_buckets: 0,
             #[cfg(debug_assertions)]
             shadow: BinaryHeap::new(),
         }
@@ -130,13 +126,11 @@ impl<E> EventQueue<E> {
     /// (e.g. per-instance engine step completions in a large fleet).
     pub fn push_coalesced(&mut self, at: SimTime, payload: E) {
         let seq = self.take_seq(at);
-        let bucket = self.buckets.entry(at).or_insert_with(|| {
-            self.coalesced_buckets += 1;
-            VecDeque::new()
-        });
-        bucket.push_back((seq, payload));
+        self.buckets
+            .entry(at)
+            .or_default()
+            .push_back((seq, payload));
         self.bucket_len += 1;
-        self.coalesced_events += 1;
     }
 
     /// Schedules `payload` at `at`, ordered *before* every currently-pending
@@ -279,17 +273,6 @@ impl<E> EventQueue<E> {
         #[cfg(debug_assertions)]
         self.shadow.clear();
     }
-
-    /// Total events ever scheduled through the coalesced tier.
-    pub fn coalesced_events(&self) -> u64 {
-        self.coalesced_events
-    }
-
-    /// Total calendar buckets ever created by the coalesced tier. The ratio
-    /// `coalesced_events / coalesced_buckets` is the mean batch width.
-    pub fn coalesced_buckets(&self) -> u64 {
-        self.coalesced_buckets
-    }
 }
 
 #[cfg(test)]
@@ -355,20 +338,19 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_counters_track_batch_width() {
+    fn coalesced_tier_drains_and_reopens_an_instant() {
         let mut q = EventQueue::new();
         for i in 0..12u64 {
             // Three distinct instants, four events each.
             q.push_coalesced(SimTime::from_millis(i % 3), i);
         }
-        assert_eq!(q.coalesced_events(), 12);
-        assert_eq!(q.coalesced_buckets(), 3);
         assert_eq!(q.len(), 12);
         // Draining and refilling an instant opens a fresh bucket.
         while q.pop().is_some() {}
         assert!(q.is_empty());
         q.push_coalesced(SimTime::from_millis(1), 99);
-        assert_eq!(q.coalesced_buckets(), 4);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 99)));
     }
 
     #[test]
@@ -396,7 +378,6 @@ mod tests {
         q.push_coalesced(t, 3);
         let mut c = q.clone();
         assert_eq!(c.len(), q.len());
-        assert_eq!(c.coalesced_events(), q.coalesced_events());
         // Identical pop stream (debug builds also cross-check each clone pop
         // against the cloned shadow).
         loop {

@@ -1,6 +1,6 @@
 #!/bin/bash
 # Regenerates every table and figure at full scale into results/.
-set -e
+set -euo pipefail
 cd "$(dirname "$0")"
 BIN="cargo run --release -q -p llumnix-bench --bin"
 $BIN table1_distributions -- --json results/table1.json | tee results/table1.txt
