@@ -14,9 +14,9 @@
 //! req/s per instance) and scaling the request count with the fleet,
 //! probing whether the global scheduler's per-decision cost grows with
 //! fleet size. Past 256 instances the simulator coarsens its periodic
-//! sampling/migration ticks (2× at 512, 4× at 1024) and coalesces
-//! same-microsecond step completions, so wall-clock cost per simulated
-//! event stays flat while the schedule below 512 is bit-for-bit unchanged.
+//! sampling/migration ticks (2× at 512, 4× at 1024), so per-tick work per
+//! instance stays flat while the schedule below 512 is bit-for-bit
+//! unchanged.
 //!
 //! `--huge` appends 4096- and 10 240-instance arms, kept out of the default
 //! sweep for their wall-clock cost.

@@ -29,6 +29,7 @@
 //! index through arbitrary event sequences with the same assertion.
 
 use std::collections::BTreeSet;
+use std::ops::Bound;
 
 use llumnix_engine::InstanceId;
 
@@ -60,10 +61,6 @@ pub struct IndexPolicy {
     pub track_memory: bool,
     /// Running-count ordering (termination-victim selection).
     pub track_running: bool,
-    /// Descending-freeness ordering (migration destination pairing); lets
-    /// [`DispatchIndex::pair`] read destinations off a persistent order
-    /// instead of sorting a scratch vector every migration tick.
-    pub track_pairing: bool,
 }
 
 impl IndexPolicy {
@@ -74,7 +71,6 @@ impl IndexPolicy {
             track_physical: true,
             track_memory: true,
             track_running: true,
-            track_pairing: true,
         }
     }
 
@@ -90,7 +86,6 @@ impl IndexPolicy {
             track_physical: kind.uses_priorities(),
             track_memory: matches!(kind, SchedulerKind::InfaasPlusPlus),
             track_running: autoscale,
-            track_pairing: kind.uses_migration(),
         }
     }
 }
@@ -177,11 +172,6 @@ pub struct DispatchIndex {
     entries: Vec<Option<Entry>>,
     /// Serving instances by `(order_key(freeness), id)`.
     by_freeness: BTreeSet<(u64, u32)>,
-    /// Serving instances by `(!order_key(freeness), id)`: ascending iteration
-    /// yields descending freeness with ascending id among ties — the
-    /// destination order [`DispatchIndex::pair`] needs, kept persistent so
-    /// pairing never sorts.
-    by_freeness_desc: BTreeSet<(u64, u32)>,
     /// Serving instances by `(order_key(freeness_physical), id)`.
     by_physical: BTreeSet<(u64, u32)>,
     /// Serving instances by `(order_key(memory_load), id)`.
@@ -204,7 +194,6 @@ impl DispatchIndex {
             policy,
             entries: Vec::new(),
             by_freeness: BTreeSet::new(),
-            by_freeness_desc: BTreeSet::new(),
             by_physical: BTreeSet::new(),
             by_memory: BTreeSet::new(),
             by_running: BTreeSet::new(),
@@ -309,9 +298,6 @@ impl DispatchIndex {
         if keys.freeness && track.track_freeness {
             self.by_freeness.remove(&(order_key(r.freeness), id));
         }
-        if keys.freeness && track.track_pairing {
-            self.by_freeness_desc.remove(&(!order_key(r.freeness), id));
-        }
         if keys.physical && track.track_physical {
             self.by_physical
                 .remove(&(order_key(r.freeness_physical), id));
@@ -330,9 +316,6 @@ impl DispatchIndex {
         let track = self.policy;
         if keys.freeness && track.track_freeness {
             self.by_freeness.insert((order_key(r.freeness), id));
-        }
-        if keys.freeness && track.track_pairing {
-            self.by_freeness_desc.insert((!order_key(r.freeness), id));
         }
         if keys.physical && track.track_physical {
             self.by_physical
@@ -410,25 +393,46 @@ impl DispatchIndex {
     /// followed by serving instances strictly below the source threshold in
     /// ascending `(freeness, id)` order; destinations are serving instances
     /// strictly above the destination threshold in descending freeness,
-    /// ascending id among ties, read off the persistent inverted-key
-    /// ordering — no per-tick sort. Lowest is matched with highest,
-    /// repeatedly — identical to [`crate::policy::pair_migrations`] over
-    /// fresh reports.
+    /// ascending id among ties. Lowest is matched with highest, repeatedly —
+    /// identical to [`crate::policy::pair_migrations`] over fresh reports.
+    ///
+    /// Destinations come off a reverse walk of `by_freeness` that stops when
+    /// the sources run out. That walk meets tied keys in descending id
+    /// order, so a run of equal keys is read ascending through its own range
+    /// lookup, and the walk resumes below it. Nothing is sorted or buffered.
     pub fn pair(&self, thresholds: MigrationThresholds) -> Vec<(InstanceId, InstanceId)> {
-        debug_assert!(self.policy.track_freeness && self.policy.track_pairing);
+        debug_assert!(self.policy.track_freeness);
         let src_bound = (order_key(thresholds.source_below), 0u32);
-        // In inverted-key space, freeness strictly above the threshold means
-        // a key strictly below `!order_key(threshold)` (any id).
-        let dst_bound = (!order_key(thresholds.destination_above), 0u32);
-        let sources = self
+        let mut sources = self
             .terminating
             .iter()
             .copied()
             .chain(self.by_freeness.range(..src_bound).map(|&(_, id)| id));
-        sources
-            .zip(self.by_freeness_desc.range(..dst_bound))
-            .map(|(s, &(_, d))| (InstanceId(s), InstanceId(d)))
-            .collect()
+        // Freeness strictly above the threshold: past every id at its key.
+        let above = Bound::Excluded((order_key(thresholds.destination_above), u32::MAX));
+        let mut walk = self.by_freeness.range((above, Bound::Unbounded)).rev();
+        let mut pairs = Vec::new();
+        let mut next = walk.next();
+        while let Some(&(key, id)) = next {
+            next = walk.next();
+            if next.is_none_or(|&(k, _)| k != key) {
+                let Some(src) = sources.next() else { break };
+                pairs.push((InstanceId(src), InstanceId(id)));
+                continue;
+            }
+            for &(_, tied) in self.by_freeness.range((key, 0)..=(key, u32::MAX)) {
+                let Some(src) = sources.next() else {
+                    return pairs;
+                };
+                pairs.push((InstanceId(src), InstanceId(tied)));
+            }
+            walk = self
+                .by_freeness
+                .range((above, Bound::Excluded((key, 0))))
+                .rev();
+            next = walk.next();
+        }
+        pairs
     }
 }
 
@@ -572,6 +576,45 @@ mod tests {
             vec![
                 (InstanceId(1), InstanceId(2)),
                 (InstanceId(0), InstanceId(4)),
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_reads_every_tie_run_in_ascending_id_order() {
+        let mut ix = DispatchIndex::new(IndexPolicy::all());
+        for id in 10..16 {
+            ix.update(&report(id, f64::from(id) - 10.0, 0.0)); // sources
+        }
+        for (id, freeness) in [
+            (4, 90.0),
+            (2, 90.0),
+            (7, 90.0),
+            (3, 80.0),
+            (9, 70.0),
+            (1, 70.0),
+        ] {
+            ix.update(&report(id, freeness, 0.0));
+        }
+        ix.update(&report(0, 60.0, 0.0)); // at the threshold: not a destination
+        let dests: Vec<u32> = ix
+            .pair(MigrationThresholds::default())
+            .into_iter()
+            .map(|(_, d)| d.0)
+            .collect();
+        assert_eq!(dests, vec![2, 4, 7, 3, 1, 9]);
+        // Fewer sources than destinations stops the walk inside a run.
+        let mut ix2 = DispatchIndex::new(IndexPolicy::all());
+        ix2.update(&report(10, 0.0, 0.0));
+        ix2.update(&report(11, 1.0, 0.0));
+        for id in [8, 6, 5] {
+            ix2.update(&report(id, 90.0, 0.0));
+        }
+        assert_eq!(
+            ix2.pair(MigrationThresholds::default()),
+            vec![
+                (InstanceId(10), InstanceId(5)),
+                (InstanceId(11), InstanceId(6)),
             ]
         );
     }

@@ -112,10 +112,30 @@ impl Llumlet {
     /// Builds the load report from scratch, bypassing the cache (the cache's
     /// reference semantics; property tests compare [`Llumlet::report`]
     /// against this). Both freeness signals come from one allocation-free
-    /// pass, [`engine_freeness`].
+    /// pass, [`engine_freeness`]; debug builds check both, to the bit,
+    /// against Algorithm 1's [`freeness`](crate::freeness) over an
+    /// [`InstanceView`](crate::InstanceView).
     pub fn report_fresh(&self, now: SimTime, headroom: &HeadroomConfig) -> LoadReport {
         let (freeness, freeness_physical) =
             engine_freeness(&self.engine, self.terminating, now, headroom);
+        #[cfg(debug_assertions)]
+        {
+            use crate::virtual_usage::{freeness as algorithm1, InstanceView};
+            let view = InstanceView::from_engine(&self.engine, self.terminating, now);
+            let physical = HeadroomConfig {
+                high_priority_target_tokens: None,
+                ..*headroom
+            };
+            debug_assert_eq!(
+                (freeness.to_bits(), freeness_physical.to_bits()),
+                (
+                    algorithm1(&view, headroom).to_bits(),
+                    algorithm1(&view, &physical).to_bits()
+                ),
+                "one-pass freeness diverged from Algorithm 1 on {}",
+                self.engine.id
+            );
+        }
         LoadReport {
             id: self.engine.id,
             freeness,

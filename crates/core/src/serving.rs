@@ -511,7 +511,7 @@ impl ServingSim {
             self.queue.push(first.at, Event::PlannedFault(0));
         }
         self.queue
-            .push_coalesced(self.trace.requests[0].arrival, Event::Arrival(0));
+            .push(self.trace.requests[0].arrival, Event::Arrival(0));
         self.queue
             .push(SimTime::ZERO + self.sample_interval, Event::Sample);
         if self.config.scheduler.uses_migration() {
@@ -592,16 +592,12 @@ impl ServingSim {
 
     fn on_arrival(&mut self, index: usize) {
         if index + 1 < self.trace.requests.len() {
-            // High-rate open-loop traces duplicate timestamps at large fleet
-            // sizes; arrivals ride the same calendar buckets as step
-            // completions (DESIGN.md §7.4).
             let next = self
                 .trace
                 .requests
                 .get(index + 1)
                 .expect("bounds-checked above");
-            self.queue
-                .push_coalesced(next.arrival, Event::Arrival(index + 1));
+            self.queue.push(next.arrival, Event::Arrival(index + 1));
         } else {
             self.arrivals_done = true;
         }
@@ -1079,15 +1075,11 @@ impl ServingSim {
             return;
         }
         if let Some(plan) = llumlet.engine.poll_step(self.now) {
-            if let llumnix_engine::StepKind::Decode(ids) = &plan.kind {
-                let has_high = ids.iter().any(|r| {
-                    llumlet.engine.state(*r).is_some_and(|s| {
-                        s.meta.priority.execution == llumnix_engine::Priority::High
-                    })
-                });
-                if has_high {
-                    self.high_batch_acc.observe(ids.len() as f64);
-                }
+            // A decode step is planned only when no admitted request awaits
+            // prefill, so its batch is exactly the engine's residents.
+            if plan.kind == llumnix_engine::StepKind::Decode && llumlet.engine.resident_high() > 0 {
+                self.high_batch_acc
+                    .observe(llumlet.engine.in_flight_ids().len() as f64);
             }
             let mut finish = plan.finish_at();
             if self.config.scheduler.has_central_stalls() {
@@ -1105,10 +1097,7 @@ impl ServingSim {
                     finish = self.now + finish.since(self.now).mul_f64(factor);
                 }
             }
-            // Step completions dominate the event volume and pile up on the
-            // same microsecond in large fleets; route them through the
-            // calendar tier so same-time completions share one bucket.
-            self.queue.push_coalesced(finish, Event::StepDone(id));
+            self.queue.push(finish, Event::StepDone(id));
         }
         let pending = self
             .store

@@ -284,16 +284,19 @@ pub fn freeness(instance: &InstanceView, cfg: &HeadroomConfig) -> f64 {
 /// Freeness straight from an engine, with and without execution-priority
 /// headroom: `(freeness, freeness_physical)`, the pair a load report carries.
 ///
-/// This is the production path. It makes no allocation and reads only the
-/// resident requests, the head of the queue and the block ledger, where
+/// This is the production path. It makes no allocation and reads the
+/// engine's resident ledgers, the head of the queue and the block ledger; it
+/// walks the residents only when high-priority residents share a headroom.
 /// [`freeness`] over [`InstanceView::from_engine`] walks the whole queue and
 /// recounts residents for every request. The two are bit-identical, under
 /// `cfg` and under `cfg` with the headroom target removed, because this
 /// pass adds the same terms in the same order: the residents in batch
 /// order, then the head-of-line demand, then the blocks no resident
-/// accounts for. It skips only terms that are exactly `+0.0`: the queued
-/// requests behind the head, and an absent untracked term. Adding `+0.0`
-/// to a non-negative sum leaves it unchanged.
+/// accounts for. Without a headroom share the residents' terms are whole
+/// token counts, which a float sums exactly in any order, so the ledger's
+/// total stands in for them. The pass skips only terms that are exactly
+/// `+0.0`: the queued requests behind the head, and an absent untracked
+/// term. Adding `+0.0` to a non-negative sum leaves it unchanged.
 pub fn engine_freeness(
     engine: &InstanceEngine,
     terminating: bool,
@@ -305,32 +308,26 @@ pub fn engine_freeness(
     }
     let geometry = engine.spec().geometry;
     let capacity = geometry.capacity_tokens();
-    let residents = || {
-        engine
-            .running_ids()
-            .iter()
-            .chain(engine.prefill_pending_ids())
-            .map(|&id| engine.state(id).expect("resident request has state"))
-    };
     // Without headroom a resident's virtual usage is `physical + 0.0 / n`,
     // which is exactly its physical usage.
-    let mut used_physical = 0.0;
-    let mut accounted = 0u32;
-    let mut high = 0usize;
-    for s in residents() {
-        used_physical += (s.blocks_held * geometry.block_tokens) as f64;
-        accounted += s.blocks_held;
-        high += usize::from(s.meta.priority.execution == Priority::High);
-    }
+    let accounted = engine.resident_blocks();
+    let mut used_physical = (accounted * geometry.block_tokens) as f64;
     // Algorithm 1's `GetHeadroom`: the high-priority residents share the
     // headroom. The untracked term below counts as a normal resident, so
     // `high` is the reference's divisor too.
+    let high = engine.resident_high();
     let headroom = cfg.headroom_for(Priority::High, capacity);
     let mut used_virtual = used_physical;
     if headroom != 0.0 && high > 0 {
+        // The shares are not whole numbers, so the sum keeps batch order.
         let share = headroom / high as f64;
         used_virtual = 0.0;
-        for s in residents() {
+        for &id in engine
+            .running_ids()
+            .iter()
+            .chain(engine.prefill_pending_ids())
+        {
+            let s = engine.state(id).expect("resident request has state");
             let tokens = (s.blocks_held * geometry.block_tokens) as f64;
             used_virtual += if s.meta.priority.execution == Priority::High {
                 tokens + share

@@ -19,7 +19,7 @@ use llumnix_sim::{SimDuration, SimTime};
 use crate::block::{BlockError, BlockManager, ReservationId};
 use crate::id_hash::IdHashing;
 use crate::queue::{QueueOrder, WaitQueue};
-use crate::request::{Phase, RequestId, RequestMeta, SeqState};
+use crate::request::{Phase, Priority, RequestId, RequestMeta, SeqState};
 
 /// Unique instance identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,17 +79,18 @@ pub enum PreemptionMode {
     Swap,
 }
 
-/// What a planned step computes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a planned step computes. The step's requests are
+/// [`InstanceEngine::in_flight_ids`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
-    /// Prefill (or preemption recompute) of the listed requests.
-    Prefill(Vec<RequestId>),
-    /// One decode iteration for the listed requests.
-    Decode(Vec<RequestId>),
+    /// Prefill (or preemption recompute, or swap-in).
+    Prefill,
+    /// One decode iteration.
+    Decode,
 }
 
 /// A step the engine has committed to run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepPlan {
     /// What the step computes.
     pub kind: StepKind,
@@ -167,10 +168,17 @@ pub struct InstanceEngine {
     prefill_pending: Vec<RequestId>,
     /// The running batch. Exactly the requests in [`Phase::Running`].
     running: Vec<RequestId>,
+    /// The residents, `running ∪ prefill_pending`, as a running ledger kept
+    /// in step with both lists, so a load report reads it in O(1).
+    /// [`InstanceEngine::check_invariants`] re-walks the lists.
+    residents: Residents,
     /// Per-request state. Hot lookups keep it a hash map; every iteration
     /// over it must either be order-insensitive or sort before use.
     states: HashMap<RequestId, SeqState, IdHashing>,
     in_flight: Option<StepPlan>,
+    /// The in-flight step's requests in batch order, empty when idle. One
+    /// buffer reused by every step, so planning a step allocates nothing.
+    step_ids: Vec<RequestId>,
     /// Drains deferred to the step boundary. A `BTreeSet` so the boundary
     /// flush emits `Drained` events in id order, not hasher order.
     drain_requested: BTreeSet<RequestId>,
@@ -196,8 +204,10 @@ impl InstanceEngine {
             queued_demand: 0,
             prefill_pending: Vec::new(),
             running: Vec::new(),
+            residents: Residents::default(),
             states: HashMap::default(),
             in_flight: None,
+            step_ids: Vec::new(),
             drain_requested: BTreeSet::new(),
             active_migrations: 0,
             finished: Vec::new(),
@@ -254,13 +264,17 @@ impl InstanceEngine {
             let state = self.states.get(&id).expect("queued request has state");
             self.queued_demand -= self.demand_blocks(state);
         }
-        self.prefill_pending.retain(|&r| r != id);
-        self.running.retain(|&r| r != id);
+        let resident = remove_id(&mut self.prefill_pending, id) | remove_id(&mut self.running, id);
         self.drain_requested.remove(&id);
         if self.blocks.blocks_of(id) > 0 {
             let _ = self.blocks.release(id);
         }
-        self.states.remove(&id)
+        let state = self.states.remove(&id);
+        if resident {
+            let s = state.as_ref().expect("resident request has state");
+            self.residents.remove(s);
+        }
+        state
     }
 
     // ---- step loop -------------------------------------------------------
@@ -286,6 +300,7 @@ impl InstanceEngine {
         if self.in_flight.is_some() {
             return None;
         }
+        debug_assert!(self.step_ids.is_empty(), "idle engine with step ids");
         self.touch();
         self.admit(now);
         let plan = if !self.prefill_pending.is_empty() {
@@ -293,9 +308,7 @@ impl InstanceEngine {
         } else {
             self.plan_decode(now)
         };
-        if let Some(p) = &plan {
-            self.in_flight = Some(p.clone());
-        }
+        self.in_flight = plan;
         plan
     }
 
@@ -330,6 +343,7 @@ impl InstanceEngine {
                     let state = self.states.get_mut(&head).expect("present");
                     state.phase = Phase::Prefilling;
                     state.blocks_held = needed;
+                    self.residents.add(state);
                     self.prefill_pending.push(head);
                 }
                 Err(BlockError::OutOfBlocks { .. }) => break,
@@ -342,31 +356,38 @@ impl InstanceEngine {
     ///
     /// Swapped-out requests in the batch contribute a PCIe swap-in transfer
     /// instead of prefill compute.
+    ///
+    /// The step's requests leave `prefill_pending` for the step buffer, so
+    /// they stop counting as residents until the step completes.
     fn plan_prefill(&mut self, now: SimTime) -> StepPlan {
-        let mut ids = Vec::new();
+        let mut num_seqs = 0u32;
         let mut total = 0u64;
         let mut max = 0u64;
         let mut swap_tokens = 0u64;
         let budget = self.config.max_prefill_tokens_per_step as u64;
-        let mut rest = Vec::new();
-        for id in std::mem::take(&mut self.prefill_pending) {
+        let mut kept = 0;
+        for i in 0..self.prefill_pending.len() {
+            let id = self.prefill_pending[i];
             let s = &self.states[&id];
             let tokens = s.required_tokens() as u64;
-            if !ids.is_empty() && total + tokens > budget {
-                rest.push(id);
+            if !self.step_ids.is_empty() && total + tokens > budget {
+                self.prefill_pending[kept] = id;
+                kept += 1;
                 continue;
             }
             if s.swapped_out {
                 swap_tokens += tokens;
             } else {
+                num_seqs += 1;
                 total += tokens;
                 max = max.max(tokens);
             }
-            ids.push(id);
+            self.residents.remove(s);
+            self.step_ids.push(id);
         }
-        self.prefill_pending = rest;
+        self.prefill_pending.truncate(kept);
         let compute = self.spec.cost.prefill_step(PrefillBatch {
-            num_seqs: ids.iter().filter(|id| !self.states[id].swapped_out).count() as u32,
+            num_seqs,
             total_tokens: total,
             max_tokens: max,
         });
@@ -374,7 +395,7 @@ impl InstanceEngine {
         let duration = (compute + swap_in).mul_f64(self.overhead_factor());
         self.stats.prefill_steps += 1;
         StepPlan {
-            kind: StepKind::Prefill(ids),
+            kind: StepKind::Prefill,
             started: now,
             duration,
         }
@@ -392,9 +413,6 @@ impl InstanceEngine {
 
     /// Plans one decode iteration, preempting if block growth cannot fit.
     fn plan_decode(&mut self, now: SimTime) -> Option<StepPlan> {
-        if self.running.is_empty() {
-            return None;
-        }
         // Grow each sequence's allocation for the token this step appends.
         // Victims are chosen lowest-execution-priority first, then latest
         // arrival (vLLM preempts the most recent request).
@@ -404,10 +422,18 @@ impl InstanceEngine {
                 .blocks_for_tokens(s.cached_tokens + 1)
                 .saturating_sub(s.blocks_held)
         };
-        loop {
-            let total_needed: u32 = self.running.iter().map(|id| growth(&self.states[id])).sum();
-            if total_needed <= self.blocks.free_blocks() {
-                if total_needed > 0 {
+        let total_tokens = loop {
+            if self.running.is_empty() {
+                return None;
+            }
+            // One pass sums the growth and the batch's tokens; growing
+            // changes no request's length.
+            let (needed, tokens) = self.running.iter().fold((0u32, 0u64), |(n, t), id| {
+                let s = &self.states[id];
+                (n + growth(s), t + s.total_len() as u64)
+            });
+            if needed <= self.blocks.free_blocks() {
+                if needed > 0 {
                     for &id in &self.running {
                         let s = self.states.get_mut(&id).expect("running");
                         let extra = growth(s);
@@ -416,29 +442,21 @@ impl InstanceEngine {
                             s.blocks_held += extra;
                         }
                     }
+                    self.residents.blocks += needed;
                 }
-                break;
+                break tokens;
             }
             if !self.preempt_one(now) {
                 // Only one request left and it still cannot grow: it can
                 // never proceed here. Preempt it too; admission will abort
                 // it if it cannot ever fit.
-                if !self.running.is_empty() {
-                    let id = self.running[0];
+                if let Some(&id) = self.running.first() {
                     self.preempt(id, now);
                     continue;
                 }
                 return None;
             }
-        }
-        if self.running.is_empty() {
-            return None;
-        }
-        let total_tokens: u64 = self
-            .running
-            .iter()
-            .map(|id| self.states[id].total_len() as u64)
-            .sum();
+        };
         let duration = self
             .decode_memo
             .decode_step(
@@ -450,8 +468,9 @@ impl InstanceEngine {
             )
             .mul_f64(self.overhead_factor());
         self.stats.decode_steps += 1;
+        self.step_ids.extend_from_slice(&self.running);
         Some(StepPlan {
-            kind: StepKind::Decode(self.running.clone()),
+            kind: StepKind::Decode,
             started: now,
             duration,
         })
@@ -485,10 +504,11 @@ impl InstanceEngine {
     /// Preempts `id`: releases its blocks and re-queues it for recompute or
     /// swap-in, per the configured [`PreemptionMode`].
     fn preempt(&mut self, id: RequestId, now: SimTime) {
-        self.running.retain(|&r| r != id);
+        remove_id(&mut self.running, id);
         let _ = self.blocks.release(id);
         let mode = self.config.preemption_mode;
         let s = self.states.get_mut(&id).expect("running request has state");
+        self.residents.remove(s);
         s.phase = Phase::Waiting;
         s.cached_tokens = 0;
         s.blocks_held = 0;
@@ -525,9 +545,10 @@ impl InstanceEngine {
         let plan = self.in_flight.take().expect("complete_step without a step");
         self.stats.busy_time += plan.duration;
         let mut events = std::mem::take(&mut self.pending_events);
+        let mut ids = std::mem::take(&mut self.step_ids);
         match plan.kind {
-            StepKind::Prefill(ids) => {
-                for id in ids {
+            StepKind::Prefill => {
+                for &id in &ids {
                     // The request may have been aborted mid-step.
                     let Some(s) = self.states.get_mut(&id) else {
                         continue;
@@ -540,6 +561,7 @@ impl InstanceEngine {
                             s.preemption_loss += now.since(t);
                         }
                         s.phase = Phase::Running;
+                        self.residents.add(s);
                         self.running.push(id);
                         continue;
                     }
@@ -558,14 +580,14 @@ impl InstanceEngine {
                         events.push(EngineEvent::Finished(id));
                         self.finish(id, now);
                     } else {
-                        let s = self.states.get_mut(&id).expect("present");
                         s.phase = Phase::Running;
+                        self.residents.add(s);
                         self.running.push(id);
                     }
                 }
             }
-            StepKind::Decode(ids) => {
-                for id in ids {
+            StepKind::Decode => {
+                for &id in &ids {
                     // Skip requests that left the batch mid-step (aborted);
                     // the Running phase is exactly membership of `running`.
                     let Some(s) = self
@@ -581,13 +603,16 @@ impl InstanceEngine {
                     s.decode_compute += plan.duration;
                     if s.is_complete() {
                         events.push(EngineEvent::Finished(id));
-                        self.running.retain(|&r| r != id);
+                        self.residents.remove(s);
+                        remove_id(&mut self.running, id);
                         self.drain_requested.remove(&id);
                         self.finish(id, now);
                     }
                 }
             }
         }
+        ids.clear();
+        self.step_ids = ids;
         // Apply drains requested while the step was in flight, in id order.
         let pending: Vec<RequestId> = std::mem::take(&mut self.drain_requested)
             .into_iter()
@@ -637,8 +662,10 @@ impl InstanceEngine {
     }
 
     fn do_drain(&mut self, id: RequestId) {
-        self.running.retain(|&r| r != id);
-        self.states.get_mut(&id).expect("draining request").phase = Phase::Draining;
+        remove_id(&mut self.running, id);
+        let s = self.states.get_mut(&id).expect("draining request");
+        s.phase = Phase::Draining;
+        self.residents.remove(s);
     }
 
     /// Cancels a pending (not yet executed) drain request, e.g. when the
@@ -655,6 +682,7 @@ impl InstanceEngine {
         let s = self.states.get_mut(&id).expect("undrain unknown request");
         assert_eq!(s.phase, Phase::Draining, "undrain of non-draining {id}");
         s.phase = Phase::Running;
+        self.residents.add(s);
         self.running.push(id);
     }
 
@@ -663,7 +691,9 @@ impl InstanceEngine {
         self.states.get(&id)
     }
 
-    /// Mutable state access for the migration coordinator's accounting.
+    /// Mutable state access for the migration coordinator's accounting. The
+    /// resident ledgers assume callers leave `blocks_held` and the priority
+    /// of a running or admitted request alone.
     pub fn state_mut(&mut self, id: RequestId) -> Option<&mut SeqState> {
         self.touch();
         self.states.get_mut(&id)
@@ -708,6 +738,7 @@ impl InstanceEngine {
         let blocks = self.blocks.commit_reservation(reservation, id)?;
         state.blocks_held = blocks;
         state.phase = Phase::Running;
+        self.residents.add(&state);
         self.running.push(id);
         self.states.insert(id, state);
         Ok(())
@@ -802,6 +833,23 @@ impl InstanceEngine {
         &self.prefill_pending
     }
 
+    /// Ids in the in-flight step, in batch order; empty when no step is in
+    /// flight. A decode step's ids are the running batch as planned.
+    pub fn in_flight_ids(&self) -> &[RequestId] {
+        &self.step_ids
+    }
+
+    /// Blocks held by the residents, the running batch and the admitted
+    /// requests awaiting prefill, read off a running ledger.
+    pub fn resident_blocks(&self) -> u32 {
+        self.residents.blocks
+    }
+
+    /// Residents with high execution priority, read off a running ledger.
+    pub fn resident_high(&self) -> usize {
+        self.residents.high
+    }
+
     /// Queued ids in scheduling order.
     pub fn waiting_ids(&self) -> Vec<RequestId> {
         self.waiting.iter().collect()
@@ -880,9 +928,9 @@ impl InstanceEngine {
     }
 
     /// Verifies internal invariants (tests and debug assertions): per-request
-    /// block counts match the block ledger, the queued-demand ledger matches
-    /// a walk of the queue, and the running batch is exactly the requests in
-    /// [`Phase::Running`].
+    /// block counts match the block ledger, the queued-demand and resident
+    /// ledgers match walks of the queue and of the residents, and the running
+    /// batch is exactly the requests in [`Phase::Running`].
     pub fn check_invariants(&self) -> bool {
         let block_sum: u32 = self.states.values().map(|s| s.blocks_held).sum();
         let queued: u32 = self
@@ -890,6 +938,13 @@ impl InstanceEngine {
             .iter()
             .map(|id| self.demand_blocks(&self.states[&id]))
             .sum();
+        let residents = self.running.iter().chain(&self.prefill_pending).try_fold(
+            Residents::default(),
+            |mut residents, id| {
+                residents.add(self.states.get(id)?);
+                Some(residents)
+            },
+        );
         let running = self
             .states
             .values()
@@ -898,6 +953,7 @@ impl InstanceEngine {
         block_sum == self.blocks.allocated_blocks()
             && self.blocks.check_invariants()
             && queued == self.queued_demand
+            && residents == Some(self.residents)
             && running == self.running.len()
             && self.running.iter().all(|id| {
                 self.states
@@ -905,6 +961,35 @@ impl InstanceEngine {
                     .is_some_and(|s| s.phase == Phase::Running)
             })
     }
+}
+
+/// Blocks held by, and the number of high-execution-priority requests
+/// among, a set of requests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Residents {
+    blocks: u32,
+    high: usize,
+}
+
+impl Residents {
+    fn add(&mut self, s: &SeqState) {
+        self.blocks += s.blocks_held;
+        self.high += usize::from(s.meta.priority.execution == Priority::High);
+    }
+
+    fn remove(&mut self, s: &SeqState) {
+        self.blocks -= s.blocks_held;
+        self.high -= usize::from(s.meta.priority.execution == Priority::High);
+    }
+}
+
+/// Removes `id` from `ids`, keeping the order; returns whether it was there.
+fn remove_id(ids: &mut Vec<RequestId>, id: RequestId) -> bool {
+    let Some(pos) = ids.iter().position(|&r| r == id) else {
+        return false;
+    };
+    ids.remove(pos);
+    true
 }
 
 #[cfg(test)]
@@ -1010,10 +1095,8 @@ mod tests {
         e.add_request(meta(1, 64, 40, 0), SimTime::ZERO);
         e.add_request(meta(2, 64, 4, 0), SimTime::ZERO);
         let plan = e.poll_step(SimTime::ZERO).expect("step");
-        match &plan.kind {
-            StepKind::Prefill(ids) => assert_eq!(ids.as_slice(), &[RequestId(1)]),
-            other => panic!("expected prefill, got {other:?}"),
-        }
+        assert_eq!(plan.kind, StepKind::Prefill);
+        assert_eq!(e.in_flight_ids(), &[RequestId(1)]);
         assert_eq!(e.waiting_len(), 1);
         let (_, hol_demand) = e.head_of_line_demand().expect("queued head");
         assert_eq!(hol_demand, 4);
@@ -1139,7 +1222,7 @@ mod tests {
         assert_eq!(dst.running_ids(), &[RequestId(1)]);
         // No prefill needed: next step is a decode.
         let plan = dst.poll_step(t).expect("decode");
-        assert!(matches!(plan.kind, StepKind::Decode(_)));
+        assert_eq!(plan.kind, StepKind::Decode);
         // And the request runs to completion on the destination.
         dst.complete_step(plan.finish_at());
         let (_, events) = run_to_idle(&mut dst, plan.finish_at());
@@ -1280,10 +1363,8 @@ mod tests {
         e.add_request(meta(1, 32, 8, 0), SimTime::ZERO); // 2 blocks + 2 slack OK
         e.add_request(meta(2, 48, 8, 0), SimTime::ZERO); // 3 blocks + 2 slack > 4 free
         let plan = e.poll_step(SimTime::ZERO).expect("prefill r1");
-        match plan.kind {
-            StepKind::Prefill(ref ids) => assert_eq!(ids.as_slice(), &[RequestId(1)]),
-            ref other => panic!("expected prefill, got {other:?}"),
-        }
+        assert_eq!(plan.kind, StepKind::Prefill);
+        assert_eq!(e.in_flight_ids(), &[RequestId(1)]);
         assert_eq!(e.waiting_len(), 1, "r2 held back by the watermark");
         // Both still finish once space frees.
         let t = plan.finish_at();
@@ -1306,10 +1387,8 @@ mod tests {
             e.add_request(meta(i, 32, 20, i), SimTime::ZERO);
         }
         let plan = e.poll_step(SimTime::ZERO).expect("prefill");
-        match plan.kind {
-            StepKind::Prefill(ref ids) => assert_eq!(ids.len(), 2, "cap applies"),
-            ref other => panic!("expected prefill, got {other:?}"),
-        }
+        assert_eq!(plan.kind, StepKind::Prefill);
+        assert_eq!(e.in_flight_ids().len(), 2, "cap applies");
         assert_eq!(e.waiting_len(), 3);
         // All requests still complete eventually.
         let t = plan.finish_at();
@@ -1328,5 +1407,61 @@ mod tests {
         e.add_request(meta(3, 20, 4, 2), p.finish_at());
         // r2 needs 3 blocks, r3 needs 2.
         assert_eq!(e.queued_demand_blocks(), 5);
+    }
+
+    #[test]
+    fn in_flight_ids_are_the_batch_as_planned() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 50, 0), SimTime::ZERO);
+        e.add_request(meta(2, 32, 50, 0), SimTime::ZERO);
+        assert!(e.in_flight_ids().is_empty());
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        assert_eq!(e.in_flight_ids(), &[RequestId(1), RequestId(2)]);
+        let t = p.finish_at();
+        e.complete_step(t);
+        assert!(e.in_flight_ids().is_empty());
+        let d = e.poll_step(t).expect("decode");
+        // r1 is aborted and a migrated-in r9 joins while the step runs.
+        assert!(e.abort_request(RequestId(1)).is_some());
+        let mut src = engine(1024);
+        src.add_request(meta(9, 32, 50, 0), SimTime::ZERO);
+        let sp = src.poll_step(SimTime::ZERO).expect("prefill");
+        src.complete_step(sp.finish_at());
+        assert_eq!(src.request_drain(RequestId(9)), DrainOutcome::Drained);
+        let state = src.finish_migration_out(RequestId(9));
+        let generated = state.generated;
+        let blocks = e.spec().geometry.blocks_for_tokens(state.cached_tokens);
+        let r = e.reserve_blocks(blocks).expect("space");
+        e.insert_migrated(state, r).expect("commit");
+        assert_eq!(e.in_flight_ids(), &[RequestId(1), RequestId(2)]);
+        e.complete_step(d.finish_at());
+        assert!(e.in_flight_ids().is_empty());
+        // Only r2 ran in that step: r9 joined after it was planned.
+        assert_eq!(e.state(RequestId(2)).expect("r2").generated, 2);
+        assert_eq!(e.state(RequestId(9)).expect("r9").generated, generated);
+        e.poll_step(d.finish_at()).expect("decode");
+        assert_eq!(e.in_flight_ids(), &[RequestId(2), RequestId(9)]);
+        assert!(e.check_invariants());
+    }
+
+    #[test]
+    fn residents_leave_the_ledgers_while_their_prefill_runs() {
+        let mut e = engine(1024);
+        let mut high = meta(1, 40, 8, 0);
+        high.priority = PriorityPair::HIGH;
+        e.add_request(high, SimTime::ZERO);
+        e.add_request(meta(2, 20, 8, 0), SimTime::ZERO);
+        assert_eq!((e.resident_blocks(), e.resident_high()), (0, 0));
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        // Admitted (3 + 2 blocks held) but inside the in-flight step.
+        assert_eq!(e.free_blocks(), e.total_blocks() - 5);
+        assert_eq!((e.resident_blocks(), e.resident_high()), (0, 0));
+        e.complete_step(p.finish_at());
+        assert_eq!((e.resident_blocks(), e.resident_high()), (5, 1));
+        assert_eq!(e.request_drain(RequestId(1)), DrainOutcome::Drained);
+        assert_eq!((e.resident_blocks(), e.resident_high()), (2, 0));
+        e.undrain(RequestId(1));
+        assert_eq!((e.resident_blocks(), e.resident_high()), (5, 1));
+        assert!(e.check_invariants());
     }
 }

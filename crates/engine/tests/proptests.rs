@@ -136,10 +136,14 @@ proptest! {
         prop_assert!(!engine.has_work());
     }
 
-    /// Under any mix of intake, steps, aborts, drains and migration
-    /// reservations, the engine's two running ledgers match a recount after
-    /// every operation: queued demand equals a walk of the queue, and free
-    /// blocks equal the total minus every allocation and reservation.
+    /// Under any mix of intake, step planning and completion, aborts, drains
+    /// and undrains, and migration reservations and commits, the engine's
+    /// running ledgers match a recount after every operation: queued demand
+    /// equals a walk of the queue, free blocks equal the total minus every
+    /// allocation and reservation, and the resident blocks and
+    /// high-priority count equal a walk of the running batch and the
+    /// admitted requests. Planning and completing a step are separate
+    /// operations, so aborts, drains and commits also land mid-step.
     #[test]
     fn engine_ledgers_match_a_recount(ops in prop::collection::vec(engine_op(), 1..120)) {
         let spec = InstanceSpec::tiny_for_tests(1024);
@@ -147,6 +151,7 @@ proptest! {
         let mut engine = InstanceEngine::new(InstanceId(0), spec, EngineConfig::default());
         let mut reservations: Vec<(ReservationId, u32)> = Vec::new();
         let mut now = SimTime::ZERO;
+        let mut finish_at = None;
         let mut next_id = 0u64;
         for op in ops {
             match op {
@@ -161,9 +166,15 @@ proptest! {
                     next_id += 1;
                     engine.add_request(meta, now);
                 }
-                EngineOp::Step => {
+                EngineOp::Poll => {
                     if let Some(plan) = engine.poll_step(now) {
-                        now = plan.finish_at();
+                        finish_at = Some(plan.finish_at());
+                    }
+                    let _ = engine.take_pending_events();
+                }
+                EngineOp::Complete => {
+                    if let Some(t) = finish_at.take() {
+                        now = t;
                         engine.complete_step(now);
                     }
                     let _ = engine.take_finished();
@@ -173,6 +184,22 @@ proptest! {
                 }
                 EngineOp::Drain(id) => {
                     let _ = engine.request_drain(RequestId(id));
+                }
+                EngineOp::Undrain(i) => {
+                    let draining = engine.draining_ids();
+                    if !draining.is_empty() {
+                        engine.undrain(draining[i % draining.len()]);
+                    }
+                }
+                EngineOp::MigrateIn(i, j) => {
+                    // A drained request leaves and lands again through a
+                    // live reservation, as a migration commit would.
+                    let draining = engine.draining_ids();
+                    if !draining.is_empty() && !reservations.is_empty() {
+                        let state = engine.finish_migration_out(draining[i % draining.len()]);
+                        let (r, _) = reservations.swap_remove(j % reservations.len());
+                        prop_assert!(engine.insert_migrated(state, r).is_ok());
+                    }
                 }
                 EngineOp::Reserve(blocks) => {
                     if let Ok(r) = engine.reserve_blocks(blocks) {
@@ -214,6 +241,20 @@ proptest! {
                 engine.total_blocks() - allocated - reserved,
                 "op {:?}", op
             );
+            let (resident_blocks, resident_high) = engine
+                .running_ids()
+                .iter()
+                .chain(engine.prefill_pending_ids())
+                .map(|&id| engine.state(id).expect("resident request has state"))
+                .fold((0u32, 0usize), |(blocks, high), s| {
+                    (
+                        blocks + s.blocks_held,
+                        high + usize::from(s.meta.priority.execution == Priority::High),
+                    )
+                });
+            prop_assert_eq!(engine.resident_blocks(), resident_blocks, "op {:?}", op);
+            prop_assert_eq!(engine.resident_high(), resident_high, "op {:?}", op);
+            prop_assert_eq!(engine.step_in_flight(), finish_at.is_some());
             prop_assert!(engine.check_invariants(), "op {:?}", op);
         }
     }
@@ -224,12 +265,19 @@ proptest! {
 enum EngineOp {
     /// Enqueue a request (input tokens, output tokens, high priority).
     Add(u32, u32, bool),
-    /// Run one step to completion, if one is runnable.
-    Step,
+    /// Plan a step, if none is in flight and one is runnable.
+    Poll,
+    /// Complete the in-flight step, if any.
+    Complete,
     /// Abort a request by id.
     Abort(u64),
     /// Ask a running request to drain out.
     Drain(u64),
+    /// Return the `i`-th drained request (modulo the count) to the batch.
+    Undrain(usize),
+    /// Migrate the `i`-th drained request out and back in through the
+    /// `j`-th live reservation (both modulo their counts).
+    MigrateIn(usize, usize),
     /// Reserve blocks for an incoming migration.
     Reserve(u32),
     /// Grow the `i`-th live reservation (modulo the count).
@@ -242,11 +290,14 @@ fn engine_op() -> impl Strategy<Value = EngineOp> {
     prop_oneof![
         (1u32..400, 1u32..60, any::<bool>()).prop_map(|(i, o, h)| EngineOp::Add(i, o, h)),
         (1u32..400, 1u32..60, any::<bool>()).prop_map(|(i, o, h)| EngineOp::Add(i, o, h)),
-        Just(EngineOp::Step),
-        Just(EngineOp::Step),
-        Just(EngineOp::Step),
+        Just(EngineOp::Poll),
+        Just(EngineOp::Poll),
+        Just(EngineOp::Complete),
+        Just(EngineOp::Complete),
         (0u64..40).prop_map(EngineOp::Abort),
         (0u64..40).prop_map(EngineOp::Drain),
+        any::<usize>().prop_map(EngineOp::Undrain),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| EngineOp::MigrateIn(i, j)),
         (1u32..24).prop_map(EngineOp::Reserve),
         (any::<usize>(), 1u32..8).prop_map(|(i, n)| EngineOp::GrowReservation(i, n)),
         any::<usize>().prop_map(EngineOp::ReleaseReservation),

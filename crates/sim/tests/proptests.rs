@@ -67,37 +67,45 @@ proptest! {
         }
     }
 
-    /// Routing any subset of pushes through the coalesced calendar tier never
-    /// changes the pop sequence: a mixed queue and a plain heap-only queue fed
-    /// the same (time, payload) stream, with interleaved pops, stay in
-    /// lockstep. Times are drawn from a tiny range so buckets really coalesce.
+    /// The queue against a sort-based reference: a list kept stably sorted
+    /// by time, where `push` appends and `push_below_pending` prepends before
+    /// sorting, and `pop` takes the front. After every operation the length
+    /// and next firing time agree; every pop agrees; and a clone taken
+    /// mid-stream pops exactly the reference's remainder. Times come from a
+    /// tiny range so that same-instant ties dominate.
     #[test]
-    fn coalesced_tier_is_pop_order_transparent(
-        ops in prop::collection::vec((0u64..16, any::<bool>(), any::<bool>()), 1..400)
+    fn queue_matches_a_stable_sort_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..4), 1..400)
     ) {
-        let mut mixed = EventQueue::new();
-        let mut plain = EventQueue::new();
-        for (i, &(t, coalesce, pop_after)) in ops.iter().enumerate() {
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(SimTime, usize)> = Vec::new();
+        for (i, &(op, t)) in ops.iter().enumerate() {
             let at = SimTime::from_micros(t);
-            if coalesce {
-                mixed.push_coalesced(at, i);
-            } else {
-                mixed.push(at, i);
+            match op {
+                0..=2 => {
+                    q.push(at, i);
+                    reference.push((at, i));
+                    reference.sort_by_key(|&(at, _)| at);
+                }
+                3 => {
+                    q.push_below_pending(at, i);
+                    reference.insert(0, (at, i));
+                    reference.sort_by_key(|&(at, _)| at);
+                }
+                4..=6 => {
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(q.pop(), want, "op {}", i);
+                }
+                _ => {
+                    let mut clone = q.clone();
+                    let rest: Vec<_> = std::iter::from_fn(|| clone.pop()).collect();
+                    prop_assert_eq!(&rest, &reference, "clone at op {}", i);
+                }
             }
-            plain.push(at, i);
-            prop_assert_eq!(mixed.len(), plain.len());
-            prop_assert_eq!(mixed.peek_time(), plain.peek_time());
-            if pop_after {
-                prop_assert_eq!(mixed.pop(), plain.pop());
-            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.first().map(|&(at, _)| at));
         }
-        loop {
-            let (a, b) = (mixed.pop(), plain.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(rest, reference);
     }
-
 }

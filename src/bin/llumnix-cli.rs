@@ -80,11 +80,27 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of `--key`, or `default` when the flag is absent. A value that
+/// does not parse is an error, never the default.
+fn get<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("invalid value `{v}` for --{key}")),
+    }
+}
+
+/// `--instances`, default 16; a fleet needs at least one instance.
+fn instances(flags: &HashMap<String, String>) -> Result<u32, String> {
+    match get(flags, "instances", 16)? {
+        0 => Err("--instances must be at least 1".into()),
+        n => Ok(n),
+    }
 }
 
 fn scheduler_by_name(name: &str) -> Result<SchedulerKind, String> {
@@ -106,19 +122,19 @@ fn build_trace_from_flags(flags: &HashMap<String, String>) -> Result<Trace, Stri
     let preset = flags
         .get("preset")
         .ok_or("need --preset <NAME> or --trace <FILE>")?;
-    let rate: f64 = get(flags, "rate", 0.0);
+    let rate: f64 = get(flags, "rate", 0.0)?;
     if rate <= 0.0 {
         return Err("need --rate <R> with --preset".into());
     }
-    let n: usize = get(flags, "requests", 10_000);
-    let cv: f64 = get(flags, "cv", 0.0);
+    let n: usize = get(flags, "requests", 10_000)?;
+    let cv: f64 = get(flags, "cv", 0.0)?;
     let arrivals = if cv > 0.0 {
         Arrivals::gamma(rate, cv)
     } else {
         Arrivals::poisson(rate)
     };
-    let high: f64 = get(flags, "high-frac", 0.0);
-    let seed: u64 = get(flags, "seed", 20240710);
+    let high: f64 = get(flags, "high-frac", 0.0)?;
+    let seed: u64 = get(flags, "seed", 20240710)?;
     let spec = trace_presets::by_name(preset, n, arrivals)
         .ok_or_else(|| format!("unknown preset `{preset}`"))?
         .with_high_priority_fraction(high);
@@ -179,6 +195,7 @@ fn report_table(label: &str, report: &LatencyReport, out: &ServingOutput) -> Tab
 }
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+    let instances = instances(flags)?;
     let trace = build_trace_from_flags(flags)?;
     let kind = scheduler_by_name(
         flags
@@ -186,9 +203,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("llumnix"),
     )?;
-    let instances: u32 = get(flags, "instances", 16);
     let mut config = ServingConfig::new(kind, instances);
-    let autoscale_max: u32 = get(flags, "autoscale", 0);
+    let autoscale_max: u32 = get(flags, "autoscale", 0)?;
     if autoscale_max > 0 {
         config = config.with_autoscale(AutoScaleConfig::paper_default(autoscale_max));
     }
@@ -226,8 +242,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
+    let instances = instances(flags)?;
     let trace = build_trace_from_flags(flags)?;
-    let instances: u32 = get(flags, "instances", 16);
     let mut table = Table::new(
         format!(
             "scheduler comparison: {} requests on {instances} instances",
@@ -265,18 +281,18 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let preset = flags.get("preset").ok_or("need --preset <NAME>")?;
-    let rates: Vec<f64> = flags
+    let rates = flags
         .get("rates")
         .ok_or("need --rates <R1,R2,...>")?
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    if rates.is_empty() {
-        return Err("no parsable rates in --rates".into());
-    }
-    let n: usize = get(flags, "requests", 10_000);
-    let instances: u32 = get(flags, "instances", 16);
-    let seed: u64 = get(flags, "seed", 20240710);
+        .map(|r| match r.trim().parse::<f64>() {
+            Ok(rate) if rate > 0.0 => Ok(rate),
+            _ => Err(format!("invalid rate `{r}` in --rates")),
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
+    let n: usize = get(flags, "requests", 10_000)?;
+    let instances = instances(flags)?;
+    let seed: u64 = get(flags, "seed", 20240710)?;
     let mut table = Table::new(
         format!("rate sweep: {preset}, {n} requests, {instances} instances"),
         &[
