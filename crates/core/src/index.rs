@@ -4,17 +4,18 @@
 //! source/destination pairing, termination-victim selection — were all
 //! argmin/argmax scans over a freshly built `Vec<LoadReport>`, O(N) per
 //! arrival. This module keeps those orderings *incrementally*: a persistent
-//! per-instance [`LoadReport`] buffer plus ordered sets keyed by an
-//! order-preserving integer encoding of the relevant load signal, updated
-//! only for instances whose engine saw an event since the last decision
-//! (the dirty set maintained by [`crate::store::InstanceStore`]).
+//! per-instance [`LoadReport`] buffer plus one tournament tree per ordering,
+//! keyed by an order-preserving integer encoding of the relevant load
+//! signal, updated only for instances whose engine saw an event since the
+//! last decision (the dirty set maintained by
+//! [`crate::store::InstanceStore`]).
 //!
 //! # Determinism contract
 //!
 //! Every selection is **bit-for-bit identical** to the scan it replaces:
 //!
-//! * the set key is [`order_key`], a *lossless* monotone `f64 → u64` map, so
-//!   set order equals `partial_cmp` order on the raw freeness — no real
+//! * the tree key is [`order_key`], a *lossless* monotone `f64 → u64` map,
+//!   so key order equals `partial_cmp` order on the raw freeness — no real
 //!   quantization error is introduced;
 //! * ties are broken by `InstanceId` exactly as the scans did: dispatch
 //!   takes the smallest id among maximal freeness, INFaaS++ the smallest id
@@ -27,9 +28,6 @@
 //! The serving simulator cross-checks all of this in debug builds against a
 //! from-scratch rescan, and `crates/core/tests/proptests.rs` drives the
 //! index through arbitrary event sequences with the same assertion.
-
-use std::collections::BTreeSet;
-use std::ops::Bound;
 
 use llumnix_engine::InstanceId;
 
@@ -48,9 +46,9 @@ pub fn order_key(f: f64) -> u64 {
     }
 }
 
-/// Which orderings the index maintains. Unused orderings cost two B-tree
-/// operations per load change, so each run enables only what its scheduler
-/// can consult.
+/// Which orderings the index maintains. Each tracked ordering costs a leaf
+/// rewrite and a walk toward its tree's root per load change, so each run
+/// enables only what its scheduler can consult.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPolicy {
     /// Freeness ordering (Llumnix/Centralized dispatch, migration pairing).
@@ -122,35 +120,101 @@ struct Entry {
     state: Membership,
 }
 
-/// Which of a serving instance's ordering keys an operation touches. A
-/// report update re-keys only the keys that moved, removing them all before
-/// inserting any: on a small fleet that is measurably cheaper than
-/// removing and re-inserting one ordering at a time.
-#[derive(Debug, Clone, Copy)]
-struct Keys {
-    freeness: bool,
-    physical: bool,
-    memory: bool,
-    running: bool,
+/// The leaf of an instance that is not serving. It loses every match.
+const EMPTY: u128 = u128::MAX;
+
+/// A tournament-tree entry: `(key, id)` packed so that `u128` order is key
+/// order, then id order. The top 32 bits stay clear, so every entry orders
+/// below [`EMPTY`].
+fn pack(key: u64, id: u32) -> u128 {
+    (u128::from(key) << 32) | u128::from(id)
 }
 
-impl Keys {
-    const ALL: Keys = Keys {
-        freeness: true,
-        physical: true,
-        memory: true,
-        running: true,
-    };
+/// The instance an entry names: its low 32 bits.
+fn unpack(entry: u128) -> InstanceId {
+    InstanceId(entry as u32)
+}
 
-    /// The keys that differ between two reports of one instance.
-    fn moved(old: &LoadReport, new: &LoadReport) -> Keys {
-        Keys {
-            freeness: order_key(old.freeness) != order_key(new.freeness),
-            physical: order_key(old.freeness_physical) != order_key(new.freeness_physical),
-            memory: order_key(old.memory_load) != order_key(new.memory_load),
-            running: old.num_running as u32 != new.num_running as u32,
+/// An array-backed tournament tree over instance ids. Leaf `i` holds
+/// instance `i`'s packed entry, and every inner node holds the smaller of
+/// its two children, so the root is the fleet's minimum: the smallest key,
+/// then the smallest id. A maximum ordering stores `!key`.
+#[derive(Debug, Clone, Default)]
+struct Tournament {
+    /// `nodes[1]` is the root and node `n`'s children are `2n` and `2n + 1`;
+    /// the second half holds the leaves and `nodes[0]` is unused. Empty
+    /// until the first entry arrives.
+    nodes: Vec<u128>,
+}
+
+impl Tournament {
+    /// Leaf capacity: a power of two, or 0 before the first entry.
+    fn leaves(&self) -> usize {
+        self.nodes.len() / 2
+    }
+
+    /// The winner, or `None` when every leaf is empty.
+    fn winner(&self) -> Option<InstanceId> {
+        let root = *self.nodes.get(1)?;
+        (root != EMPTY).then(|| unpack(root))
+    }
+
+    /// Rewrites leaf `id` and replays the matches on its path to the root,
+    /// stopping at the first node whose winner does not change.
+    fn set(&mut self, id: u32, entry: u128) {
+        let leaf = id as usize;
+        if leaf >= self.leaves() {
+            if entry == EMPTY {
+                return;
+            }
+            self.grow(leaf + 1);
+        }
+        let mut pos = self.leaves() + leaf;
+        let mut winner = entry;
+        loop {
+            let node = self
+                .nodes
+                .get_mut(pos)
+                .expect("the tree covers the leaf's path");
+            if *node == winner {
+                return;
+            }
+            *node = winner;
+            if pos == 1 {
+                return;
+            }
+            let sibling = self
+                .nodes
+                .get(pos ^ 1)
+                .expect("a non-root node has a sibling");
+            winner = winner.min(*sibling);
+            pos /= 2;
         }
     }
+
+    /// Doubles the leaf capacity until it holds `min_leaves`, then re-enters
+    /// every leaf.
+    fn grow(&mut self, min_leaves: usize) {
+        let old = std::mem::replace(
+            &mut self.nodes,
+            vec![EMPTY; 2 * min_leaves.next_power_of_two()],
+        );
+        let old_leaves = old.get(old.len() / 2..).unwrap_or_default();
+        for (id, &entry) in (0u32..).zip(old_leaves) {
+            self.set(id, entry);
+        }
+    }
+}
+
+/// Keeps the `n` smallest entries of `entries`, in ascending order.
+fn keep_smallest(entries: &mut Vec<u128>, n: usize) {
+    if n < entries.len() {
+        if let Some(last) = n.checked_sub(1) {
+            entries.select_nth_unstable(last);
+        }
+        entries.truncate(n);
+    }
+    entries.sort_unstable();
 }
 
 /// Outcome of [`DispatchIndex::update`], used by the caller to schedule the
@@ -163,26 +227,23 @@ pub struct UpdateOutcome {
 
 /// The incremental dispatch/pairing/termination index.
 ///
-/// `Clone` supports the sim-level snapshot/fork capability (all orderings are
-/// plain `BTreeSet`s/`Vec`s, so a clone is an independent, identical index).
+/// `Clone` supports the sim-level snapshot/fork capability (every ordering
+/// is a plain `Vec`, so a clone is an independent, identical index).
 #[derive(Clone)]
 pub struct DispatchIndex {
     policy: IndexPolicy,
     /// `InstanceId.0 → last applied report` — the persistent report buffer.
     entries: Vec<Option<Entry>>,
-    /// Serving instances by `(order_key(freeness), id)`.
-    by_freeness: BTreeSet<(u64, u32)>,
-    /// Serving instances by `(order_key(freeness_physical), id)`.
-    by_physical: BTreeSet<(u64, u32)>,
-    /// Serving instances by `(order_key(memory_load), id)`.
-    by_memory: BTreeSet<(u64, u32)>,
-    /// Serving instances by `(num_running, id)`.
-    by_running: BTreeSet<(u32, u32)>,
+    /// Serving instances by freeness: the root is the freest.
+    by_freeness: Tournament,
+    /// Serving instances by headroom-free freeness: the root is the freest.
+    by_physical: Tournament,
+    /// Serving instances by memory load: the root is the least loaded.
+    by_memory: Tournament,
+    /// Serving instances by running requests: the root runs the fewest.
+    by_running: Tournament,
     /// Serving instances in fleet insertion order (round-robin dispatch).
     serving_order: Vec<InstanceId>,
-    /// Terminating instances, ascending id (their freeness is uniformly
-    /// `-∞`, so id order *is* their source-sort order).
-    terminating: Vec<u32>,
     /// `serving_order` needs rebuilding from the store's order walk.
     order_dirty: bool,
 }
@@ -193,12 +254,11 @@ impl DispatchIndex {
         DispatchIndex {
             policy,
             entries: Vec::new(),
-            by_freeness: BTreeSet::new(),
-            by_physical: BTreeSet::new(),
-            by_memory: BTreeSet::new(),
-            by_running: BTreeSet::new(),
+            by_freeness: Tournament::default(),
+            by_physical: Tournament::default(),
+            by_memory: Tournament::default(),
+            by_running: Tournament::default(),
             serving_order: Vec::new(),
-            terminating: Vec::new(),
             order_dirty: false,
         }
     }
@@ -208,8 +268,8 @@ impl DispatchIndex {
         self.entries.get(id.0 as usize)?.as_ref().map(|e| &e.report)
     }
 
-    /// Applies a fresh report, diffing against the stored entry and touching
-    /// only the orderings whose key actually moved.
+    /// Applies a fresh report: rewrites the instance's leaf in every tracked
+    /// ordering, which replays only the matches whose winner changes.
     pub fn update(&mut self, report: &LoadReport) -> UpdateOutcome {
         let idx = report.id.0 as usize;
         if self.entries.len() <= idx {
@@ -217,26 +277,12 @@ impl DispatchIndex {
         }
         let new_state = membership(report);
         let old = self.entries[idx];
-        match old {
-            Some(old) if old.report == *report => {
-                return UpdateOutcome {
-                    became_starting: false,
-                };
-            }
-            // Same membership: only a serving instance sits in keyed sets.
-            Some(old) if old.state == new_state => {
-                if new_state == Membership::Serving {
-                    let moved = Keys::moved(&old.report, report);
-                    self.remove_keys(&old.report, moved);
-                    self.insert_keys(report, moved);
-                }
-            }
-            Some(old) => {
-                self.detach(&old);
-                self.attach(report, new_state);
-            }
-            None => self.attach(report, new_state),
+        if old.is_some_and(|old| old.report == *report) {
+            return UpdateOutcome {
+                became_starting: false,
+            };
         }
+        self.set_leaves(report, new_state == Membership::Serving);
         self.entries[idx] = Some(Entry {
             report: *report,
             state: new_state,
@@ -258,74 +304,31 @@ impl DispatchIndex {
         let Some(Some(old)) = self.entries.get(idx).copied() else {
             return;
         };
-        self.detach(&old);
         self.entries[idx] = None;
         if old.state == Membership::Serving {
+            self.set_leaves(&old.report, false);
             self.order_dirty = true;
         }
     }
 
-    fn detach(&mut self, old: &Entry) {
-        let id = old.report.id.0;
-        match old.state {
-            Membership::Serving => self.remove_keys(&old.report, Keys::ALL),
-            Membership::Terminating => {
-                if let Ok(pos) = self.terminating.binary_search(&id) {
-                    self.terminating.remove(pos);
-                }
-            }
-            Membership::Starting => {}
-        }
-    }
-
-    fn attach(&mut self, report: &LoadReport, state: Membership) {
-        let id = report.id.0;
-        match state {
-            Membership::Serving => self.insert_keys(report, Keys::ALL),
-            Membership::Terminating => {
-                if let Err(pos) = self.terminating.binary_search(&id) {
-                    self.terminating.insert(pos, id);
-                }
-            }
-            Membership::Starting => {}
-        }
-    }
-
-    /// Removes a serving instance's `keys` from the tracked orderings.
-    fn remove_keys(&mut self, r: &LoadReport, keys: Keys) {
+    /// Rewrites the instance's leaf in every tracked ordering: its keys
+    /// while it serves, empty otherwise.
+    fn set_leaves(&mut self, r: &LoadReport, serving: bool) {
         let id = r.id.0;
+        let leaf = |key: u64| if serving { pack(key, id) } else { EMPTY };
         let track = self.policy;
-        if keys.freeness && track.track_freeness {
-            self.by_freeness.remove(&(order_key(r.freeness), id));
+        if track.track_freeness {
+            self.by_freeness.set(id, leaf(!order_key(r.freeness)));
         }
-        if keys.physical && track.track_physical {
+        if track.track_physical {
             self.by_physical
-                .remove(&(order_key(r.freeness_physical), id));
+                .set(id, leaf(!order_key(r.freeness_physical)));
         }
-        if keys.memory && track.track_memory {
-            self.by_memory.remove(&(order_key(r.memory_load), id));
+        if track.track_memory {
+            self.by_memory.set(id, leaf(order_key(r.memory_load)));
         }
-        if keys.running && track.track_running {
-            self.by_running.remove(&(r.num_running as u32, id));
-        }
-    }
-
-    /// Inserts a serving instance's `keys` into the tracked orderings.
-    fn insert_keys(&mut self, r: &LoadReport, keys: Keys) {
-        let id = r.id.0;
-        let track = self.policy;
-        if keys.freeness && track.track_freeness {
-            self.by_freeness.insert((order_key(r.freeness), id));
-        }
-        if keys.physical && track.track_physical {
-            self.by_physical
-                .insert((order_key(r.freeness_physical), id));
-        }
-        if keys.memory && track.track_memory {
-            self.by_memory.insert((order_key(r.memory_load), id));
-        }
-        if keys.running && track.track_running {
-            self.by_running.insert((r.num_running as u32, id));
+        if track.track_running {
+            self.by_running.set(id, leaf(r.num_running as u64));
         }
     }
 
@@ -361,84 +364,80 @@ impl DispatchIndex {
     /// The freest serving instance: maximal freeness (headroom-free when
     /// `physical`), smallest id among ties — the Llumnix dispatch rule.
     pub fn freest(&self, physical: bool) -> Option<InstanceId> {
-        let set = if physical {
+        if physical {
             debug_assert!(self.policy.track_physical);
-            &self.by_physical
+            self.by_physical.winner()
         } else {
             debug_assert!(self.policy.track_freeness);
-            &self.by_freeness
-        };
-        let &(max_key, _) = set.iter().next_back()?;
-        let &(_, id) = set.range((max_key, 0)..).next()?;
-        Some(InstanceId(id))
+            self.by_freeness.winner()
+        }
     }
 
     /// The serving instance with the lowest memory load, smallest id among
     /// ties — the INFaaS++ dispatch rule.
     pub fn least_memory_load(&self) -> Option<InstanceId> {
         debug_assert!(self.policy.track_memory);
-        self.by_memory.iter().next().map(|&(_, id)| InstanceId(id))
+        self.by_memory.winner()
     }
 
     /// The serving instance with the fewest running requests, smallest id
     /// among ties — the termination-victim rule.
     pub fn drain_victim(&self) -> Option<InstanceId> {
         debug_assert!(self.policy.track_running);
-        self.by_running.iter().next().map(|&(_, id)| InstanceId(id))
+        self.by_running.winner()
     }
 
-    /// Migration pairing (§4.4.3) straight off the index: sources are
-    /// terminating instances (ascending id; they all report `-∞` freeness,
-    /// and terminating instances still inside their startup delay count too)
-    /// followed by serving instances strictly below the source threshold in
-    /// ascending `(freeness, id)` order; destinations are serving instances
-    /// strictly above the destination threshold in descending freeness,
-    /// ascending id among ties. Lowest is matched with highest, repeatedly —
-    /// identical to [`crate::policy::pair_migrations`] over fresh reports.
-    ///
-    /// Destinations come off a reverse walk of `by_freeness` that stops when
-    /// the sources run out. That walk meets tied keys in descending id
-    /// order, so a run of equal keys is read ascending through its own range
-    /// lookup, and the walk resumes below it. Nothing is sorted or buffered.
+    /// Migration pairing (§4.4.3) from one scan of the indexed instances:
+    /// sources are terminating instances (ascending id; they all report `-∞`
+    /// freeness, and terminating instances still inside their startup delay
+    /// count too) followed by serving instances strictly below the source
+    /// threshold in ascending `(freeness, id)` order; destinations are
+    /// serving instances strictly above the destination threshold in
+    /// descending freeness, ascending id among ties. Lowest is matched with
+    /// highest, repeatedly — identical to [`crate::policy::pair_migrations`]
+    /// over fresh reports. Only the pairs' members are sorted: each side
+    /// keeps its first `min(sources, destinations)` by a selection.
     pub fn pair(&self, thresholds: MigrationThresholds) -> Vec<(InstanceId, InstanceId)> {
         debug_assert!(self.policy.track_freeness);
-        let src_bound = (order_key(thresholds.source_below), 0u32);
-        let mut sources = self
-            .terminating
-            .iter()
-            .copied()
-            .chain(self.by_freeness.range(..src_bound).map(|&(_, id)| id));
-        // Freeness strictly above the threshold: past every id at its key.
-        let above = Bound::Excluded((order_key(thresholds.destination_above), u32::MAX));
-        let mut walk = self.by_freeness.range((above, Bound::Unbounded)).rev();
-        let mut pairs = Vec::new();
-        let mut next = walk.next();
-        while let Some(&(key, id)) = next {
-            next = walk.next();
-            if next.is_none_or(|&(k, _)| k != key) {
-                let Some(src) = sources.next() else { break };
-                pairs.push((InstanceId(src), InstanceId(id)));
-                continue;
+        let source_below = order_key(thresholds.source_below);
+        let destination_above = order_key(thresholds.destination_above);
+        let mut sources = Vec::with_capacity(self.entries.len());
+        let mut destinations = Vec::with_capacity(self.entries.len());
+        for e in self.entries.iter().flatten() {
+            let id = e.report.id.0;
+            match e.state {
+                // Key 0 is below the key of every float, so terminating
+                // instances lead, in id order.
+                Membership::Terminating => sources.push(pack(0, id)),
+                Membership::Serving => {
+                    let key = order_key(e.report.freeness);
+                    if key < source_below {
+                        sources.push(pack(key, id));
+                    }
+                    if key > destination_above {
+                        destinations.push(pack(!key, id));
+                    }
+                }
+                Membership::Starting => {}
             }
-            for &(_, tied) in self.by_freeness.range((key, 0)..=(key, u32::MAX)) {
-                let Some(src) = sources.next() else {
-                    return pairs;
-                };
-                pairs.push((InstanceId(src), InstanceId(tied)));
-            }
-            walk = self
-                .by_freeness
-                .range((above, Bound::Excluded((key, 0))))
-                .rev();
-            next = walk.next();
         }
-        pairs
+        let n = sources.len().min(destinations.len());
+        keep_smallest(&mut sources, n);
+        keep_smallest(&mut destinations, n);
+        sources
+            .into_iter()
+            .zip(destinations)
+            .map(|(s, d)| (unpack(s), unpack(d)))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::policy::{pair_migrations, Dispatcher};
 
     fn report(id: u32, freeness: f64, load: f64) -> LoadReport {
         LoadReport {
@@ -640,6 +639,94 @@ mod tests {
         // It is not dispatch-eligible.
         ix.sync_order(&[InstanceId(1), InstanceId(3)]);
         assert_eq!(ix.serving_len(), 1);
+    }
+
+    fn full(id: u32, freeness: f64, physical: f64, load: f64, running: usize) -> LoadReport {
+        LoadReport {
+            freeness_physical: physical,
+            num_running: running,
+            ..report(id, freeness, load)
+        }
+    }
+
+    /// Applies `r` to the index and to the rescan's reports, then checks
+    /// every selection the index makes against the rescan.
+    fn apply(ix: &mut DispatchIndex, reports: &mut BTreeMap<u32, LoadReport>, r: LoadReport) {
+        ix.update(&r);
+        reports.insert(r.id.0, r);
+        assert_matches_rescan(ix, reports);
+    }
+
+    fn assert_matches_rescan(ix: &DispatchIndex, reports: &BTreeMap<u32, LoadReport>) {
+        let reports: Vec<LoadReport> = reports.values().copied().collect();
+        let dispatch = |kind, high| Dispatcher::new().dispatch_for(kind, &reports, high);
+        assert_eq!(ix.freest(false), dispatch(SchedulerKind::Llumnix, false));
+        assert_eq!(ix.freest(true), dispatch(SchedulerKind::Llumnix, true));
+        assert_eq!(
+            ix.least_memory_load(),
+            dispatch(SchedulerKind::InfaasPlusPlus, false)
+        );
+        let fewest_running = reports
+            .iter()
+            .filter(|r| !r.terminating && !r.starting)
+            .min_by_key(|r| (r.num_running, r.id))
+            .map(|r| r.id);
+        assert_eq!(ix.drain_victim(), fewest_running);
+        let thresholds = MigrationThresholds::default();
+        assert_eq!(ix.pair(thresholds), pair_migrations(&reports, thresholds));
+    }
+
+    #[test]
+    fn trees_match_the_rescan_as_they_double() {
+        let mut ix = DispatchIndex::new(IndexPolicy::all());
+        let mut reports = BTreeMap::new();
+        // Ids 0, 5, 8, 100 and 1 000 each outgrow the tree: 1, 8, 16, 128
+        // and 1 024 leaves. Instance 5 ties 0 on every key and 100 ties 9.
+        apply(&mut ix, &mut reports, full(0, 80.0, 90.0, 0.3, 2));
+        apply(&mut ix, &mut reports, full(5, 80.0, 90.0, 0.3, 2));
+        apply(&mut ix, &mut reports, full(8, 10.0, 12.0, 0.9, 4));
+        apply(&mut ix, &mut reports, full(9, 100.0, 100.0, 0.1, 1));
+        apply(&mut ix, &mut reports, full(100, 100.0, 100.0, 0.1, 1));
+        apply(&mut ix, &mut reports, full(1000, -5.0, -5.0, 0.95, 6));
+        assert_eq!(ix.by_freeness.leaves(), 1024);
+        assert_eq!(ix.freest(false), Some(InstanceId(9)));
+        assert_eq!(
+            ix.pair(MigrationThresholds::default()),
+            vec![
+                (InstanceId(1000), InstanceId(9)),
+                (InstanceId(8), InstanceId(100)),
+            ]
+        );
+        // The winner of every tree leaves; its tie partner takes over.
+        ix.remove(InstanceId(9));
+        reports.remove(&9);
+        assert_matches_rescan(&ix, &reports);
+        assert_eq!(ix.freest(false), Some(InstanceId(100)));
+        // A terminating instance leads the sources; a starting one is in no
+        // ordering.
+        let mut terminating = full(5, f64::NEG_INFINITY, f64::NEG_INFINITY, 0.3, 2);
+        terminating.terminating = true;
+        apply(&mut ix, &mut reports, terminating);
+        let mut starting = full(8, 100.0, 100.0, 0.9, 0);
+        starting.starting = true;
+        apply(&mut ix, &mut reports, starting);
+        assert_eq!(ix.drain_victim(), Some(InstanceId(100)));
+        apply(&mut ix, &mut reports, full(2, 70.0, 75.0, 0.3, 1));
+        // Online again, it ties 100 and wins on its smaller id.
+        starting.starting = false;
+        apply(&mut ix, &mut reports, starting);
+        assert_eq!(ix.freest(false), Some(InstanceId(8)));
+        apply(&mut ix, &mut reports, full(100, 20.0, 20.0, 0.5, 3));
+        ix.remove(InstanceId(1000));
+        reports.remove(&1000);
+        assert_matches_rescan(&ix, &reports);
+        assert_eq!(
+            ix.pair(MigrationThresholds::default()),
+            vec![
+                (InstanceId(5), InstanceId(8)),
+                (InstanceId(100), InstanceId(0)),
+            ]
+        );
     }
 
     #[test]

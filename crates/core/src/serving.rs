@@ -243,7 +243,7 @@ pub struct ServingSim {
 /// A deterministic snapshot of a running [`ServingSim`].
 ///
 /// Structurally a deep copy of every piece of simulation state: the event
-/// queue (both tiers plus the sequence counter), the instance store with
+/// queue (its heap plus the sequence counter), the instance store with
 /// every engine's batches and block ledgers, the dispatch index, the
 /// migration coordinator's reservations and handshake stages, the fault
 /// maps, and all metric accumulators. There is no hidden ambient state to
@@ -1079,7 +1079,7 @@ impl ServingSim {
             // prefill, so its batch is exactly the engine's residents.
             if plan.kind == llumnix_engine::StepKind::Decode && llumlet.engine.resident_high() > 0 {
                 self.high_batch_acc
-                    .observe(llumlet.engine.in_flight_ids().len() as f64);
+                    .observe(llumlet.engine.in_flight_len() as f64);
             }
             let mut finish = plan.finish_at();
             if self.config.scheduler.has_central_stalls() {

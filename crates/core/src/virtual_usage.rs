@@ -162,12 +162,7 @@ impl InstanceView {
     pub fn from_engine(engine: &InstanceEngine, terminating: bool, now: SimTime) -> Self {
         let geometry = engine.spec().geometry;
         let mut requests = Vec::new();
-        for &id in engine
-            .running_ids()
-            .iter()
-            .chain(engine.prefill_pending_ids())
-        {
-            let s = engine.state(id).expect("resident request has state");
+        for s in engine.residents() {
             requests.push(RequestView {
                 physical_tokens: s.blocks_held * geometry.block_tokens,
                 demand_tokens: s.required_tokens(),
@@ -192,12 +187,7 @@ impl InstanceView {
         // Blocks held by draining (mid-migration) requests and by incoming
         // migration reservations are real memory pressure too; account for
         // them as one anonymous normal-priority resident usage.
-        let accounted: u32 = engine
-            .running_ids()
-            .iter()
-            .chain(engine.prefill_pending_ids())
-            .map(|&id| engine.state(id).expect("resident").blocks_held)
-            .sum();
+        let accounted: u32 = engine.residents().map(|s| s.blocks_held).sum();
         let used = engine.total_blocks() - engine.free_blocks();
         let other = used.saturating_sub(accounted);
         if other > 0 {
@@ -322,12 +312,7 @@ pub fn engine_freeness(
         // The shares are not whole numbers, so the sum keeps batch order.
         let share = headroom / high as f64;
         used_virtual = 0.0;
-        for &id in engine
-            .running_ids()
-            .iter()
-            .chain(engine.prefill_pending_ids())
-        {
-            let s = engine.state(id).expect("resident request has state");
+        for s in engine.residents() {
             let tokens = (s.blocks_held * geometry.block_tokens) as f64;
             used_virtual += if s.meta.priority.execution == Priority::High {
                 tokens + share

@@ -165,20 +165,24 @@ pub struct InstanceEngine {
     /// step with `waiting`, so [`InstanceEngine::queued_demand_blocks`] is
     /// O(1). [`InstanceEngine::check_invariants`] re-walks the queue.
     queued_demand: u32,
-    prefill_pending: Vec<RequestId>,
-    /// The running batch. Exactly the requests in [`Phase::Running`].
-    running: Vec<RequestId>,
+    /// Admitted requests awaiting prefill, as slots of `states`.
+    prefill_pending: Vec<u32>,
+    /// The running batch, as slots of `states`. Exactly the requests in
+    /// [`Phase::Running`].
+    running: Vec<u32>,
     /// The residents, `running ∪ prefill_pending`, as a running ledger kept
     /// in step with both lists, so a load report reads it in O(1).
     /// [`InstanceEngine::check_invariants`] re-walks the lists.
     residents: Residents,
-    /// Per-request state. Hot lookups keep it a hash map; every iteration
-    /// over it must either be order-insensitive or sort before use.
-    states: HashMap<RequestId, SeqState, IdHashing>,
+    /// Per-request state, in a slab indexed by slot.
+    states: Slab,
     in_flight: Option<StepPlan>,
-    /// The in-flight step's requests in batch order, empty when idle. One
-    /// buffer reused by every step, so planning a step allocates nothing.
-    step_ids: Vec<RequestId>,
+    /// The in-flight step's requests in batch order as `(slot, id)`, empty
+    /// when idle. One buffer reused by every step, so planning a step
+    /// allocates nothing. An abort mid-step frees a slot that a later
+    /// request can take before the step completes, so completion skips an
+    /// entry whose slot no longer holds its id.
+    step: Vec<(u32, RequestId)>,
     /// Drains deferred to the step boundary. A `BTreeSet` so the boundary
     /// flush emits `Drained` events in id order, not hasher order.
     drain_requested: BTreeSet<RequestId>,
@@ -205,9 +209,9 @@ impl InstanceEngine {
             prefill_pending: Vec::new(),
             running: Vec::new(),
             residents: Residents::default(),
-            states: HashMap::default(),
+            states: Slab::default(),
             in_flight: None,
-            step_ids: Vec::new(),
+            step: Vec::new(),
             drain_requested: BTreeSet::new(),
             active_migrations: 0,
             finished: Vec::new(),
@@ -244,7 +248,7 @@ impl InstanceEngine {
     /// Enqueues a newly dispatched request.
     pub fn add_request(&mut self, meta: RequestMeta, now: SimTime) {
         self.touch();
-        debug_assert!(!self.states.contains_key(&meta.id), "duplicate {}", meta.id);
+        debug_assert!(self.states.slot(meta.id).is_none(), "duplicate {}", meta.id);
         let state = SeqState::new(meta, now);
         self.queued_demand += self.demand_blocks(&state);
         self.waiting.insert_with_demand(
@@ -253,28 +257,28 @@ impl InstanceEngine {
             meta.arrival,
             state.required_tokens(),
         );
-        self.states.insert(meta.id, state);
+        self.states.insert(state);
     }
 
     /// Aborts a request wherever it is (failure injection / cancellations).
     /// Returns its state if it was known.
     pub fn abort_request(&mut self, id: RequestId) -> Option<SeqState> {
         self.touch();
-        if self.waiting.remove(id) {
-            let state = self.states.get(&id).expect("queued request has state");
-            self.queued_demand -= self.demand_blocks(state);
-        }
-        let resident = remove_id(&mut self.prefill_pending, id) | remove_id(&mut self.running, id);
         self.drain_requested.remove(&id);
         if self.blocks.blocks_of(id) > 0 {
             let _ = self.blocks.release(id);
         }
-        let state = self.states.remove(&id);
-        if resident {
-            let s = state.as_ref().expect("resident request has state");
-            self.residents.remove(s);
+        let slot = self.states.slot(id)?;
+        if self.waiting.remove(id) {
+            self.queued_demand -= self.demand_blocks(self.states.get(slot));
         }
-        state
+        let resident =
+            remove_slot(&mut self.prefill_pending, slot) | remove_slot(&mut self.running, slot);
+        let state = self.states.remove(slot);
+        if resident {
+            self.residents.remove(&state);
+        }
+        Some(state)
     }
 
     // ---- step loop -------------------------------------------------------
@@ -300,7 +304,7 @@ impl InstanceEngine {
         if self.in_flight.is_some() {
             return None;
         }
-        debug_assert!(self.step_ids.is_empty(), "idle engine with step ids");
+        debug_assert!(self.step.is_empty(), "idle engine with step entries");
         self.touch();
         self.admit(now);
         let plan = if !self.prefill_pending.is_empty() {
@@ -319,14 +323,14 @@ impl InstanceEngine {
             if self.running.len() + self.prefill_pending.len() >= self.config.max_batch_size {
                 break;
             }
-            let state = self.states.get(&head).expect("queued request has state");
-            let needed = self.demand_blocks(state);
+            let slot = self.states.slot(head).expect("queued request has state");
+            let needed = self.demand_blocks(self.states.get(slot));
             let watermark = self.config.admission_watermark_blocks;
             if needed.saturating_add(watermark) > self.blocks.total_blocks() {
                 // Can never fit on this instance: abort rather than deadlock.
                 self.waiting.pop_head();
                 self.queued_demand -= needed;
-                let mut state = self.states.remove(&head).expect("present");
+                let mut state = self.states.remove(slot);
                 state.finished_at = Some(now);
                 state.aborted = true;
                 self.finished.push(state);
@@ -340,11 +344,11 @@ impl InstanceEngine {
                 Ok(()) => {
                     self.waiting.pop_head();
                     self.queued_demand -= needed;
-                    let state = self.states.get_mut(&head).expect("present");
+                    let state = self.states.get_mut(slot);
                     state.phase = Phase::Prefilling;
                     state.blocks_held = needed;
                     self.residents.add(state);
-                    self.prefill_pending.push(head);
+                    self.prefill_pending.push(slot);
                 }
                 Err(BlockError::OutOfBlocks { .. }) => break,
                 Err(e) => unreachable!("admission allocate: {e}"),
@@ -367,11 +371,11 @@ impl InstanceEngine {
         let budget = self.config.max_prefill_tokens_per_step as u64;
         let mut kept = 0;
         for i in 0..self.prefill_pending.len() {
-            let id = self.prefill_pending[i];
-            let s = &self.states[&id];
+            let slot = self.prefill_pending[i];
+            let s = self.states.get(slot);
             let tokens = s.required_tokens() as u64;
-            if !self.step_ids.is_empty() && total + tokens > budget {
-                self.prefill_pending[kept] = id;
+            if !self.step.is_empty() && total + tokens > budget {
+                self.prefill_pending[kept] = slot;
                 kept += 1;
                 continue;
             }
@@ -383,7 +387,7 @@ impl InstanceEngine {
                 max = max.max(tokens);
             }
             self.residents.remove(s);
-            self.step_ids.push(id);
+            self.step.push((slot, s.meta.id));
         }
         self.prefill_pending.truncate(kept);
         let compute = self.spec.cost.prefill_step(PrefillBatch {
@@ -392,7 +396,7 @@ impl InstanceEngine {
             max_tokens: max,
         });
         let swap_in = self.swap_in_time(swap_tokens);
-        let duration = (compute + swap_in).mul_f64(self.overhead_factor());
+        let duration = self.with_overhead(compute + swap_in);
         self.stats.prefill_steps += 1;
         StepPlan {
             kind: StepKind::Prefill,
@@ -417,10 +421,16 @@ impl InstanceEngine {
         // Victims are chosen lowest-execution-priority first, then latest
         // arrival (vLLM preempts the most recent request).
         let geometry = self.spec.geometry;
+        // Most steps append into a block the sequence already holds, so the
+        // division runs only when the new token crosses a block boundary.
         let growth = |s: &SeqState| {
-            geometry
-                .blocks_for_tokens(s.cached_tokens + 1)
-                .saturating_sub(s.blocks_held)
+            if s.cached_tokens < s.blocks_held * geometry.block_tokens {
+                0
+            } else {
+                geometry
+                    .blocks_for_tokens(s.cached_tokens + 1)
+                    .saturating_sub(s.blocks_held)
+            }
         };
         let total_tokens = loop {
             if self.running.is_empty() {
@@ -428,17 +438,17 @@ impl InstanceEngine {
             }
             // One pass sums the growth and the batch's tokens; growing
             // changes no request's length.
-            let (needed, tokens) = self.running.iter().fold((0u32, 0u64), |(n, t), id| {
-                let s = &self.states[id];
+            let (needed, tokens) = self.running.iter().fold((0u32, 0u64), |(n, t), &slot| {
+                let s = self.states.get(slot);
                 (n + growth(s), t + s.total_len() as u64)
             });
             if needed <= self.blocks.free_blocks() {
                 if needed > 0 {
-                    for &id in &self.running {
-                        let s = self.states.get_mut(&id).expect("running");
+                    for &slot in &self.running {
+                        let s = self.states.get_mut(slot);
                         let extra = growth(s);
                         if extra > 0 {
-                            self.blocks.grow(id, extra).expect("checked total");
+                            self.blocks.grow(s.meta.id, extra).expect("checked total");
                             s.blocks_held += extra;
                         }
                     }
@@ -450,25 +460,28 @@ impl InstanceEngine {
                 // Only one request left and it still cannot grow: it can
                 // never proceed here. Preempt it too; admission will abort
                 // it if it cannot ever fit.
-                if let Some(&id) = self.running.first() {
-                    self.preempt(id, now);
+                if let Some(&slot) = self.running.first() {
+                    self.preempt(slot, now);
                     continue;
                 }
                 return None;
             }
         };
-        let duration = self
-            .decode_memo
-            .decode_step(
-                &self.spec.cost,
-                DecodeBatch {
-                    num_seqs: self.running.len() as u32,
-                    total_tokens,
-                },
-            )
-            .mul_f64(self.overhead_factor());
+        let compute = self.decode_memo.decode_step(
+            &self.spec.cost,
+            DecodeBatch {
+                num_seqs: self.running.len() as u32,
+                total_tokens,
+            },
+        );
+        let duration = self.with_overhead(compute);
         self.stats.decode_steps += 1;
-        self.step_ids.extend_from_slice(&self.running);
+        let states = &self.states;
+        self.step.extend(
+            self.running
+                .iter()
+                .map(|&slot| (slot, states.get(slot).meta.id)),
+        );
         Some(StepPlan {
             kind: StepKind::Decode,
             started: now,
@@ -486,8 +499,8 @@ impl InstanceEngine {
             .running
             .iter()
             .copied()
-            .min_by_key(|id| {
-                let s = &self.states[id];
+            .min_by_key(|&slot| {
+                let s = self.states.get(slot);
                 // Lowest execution priority first; break ties by latest
                 // arrival (newest request loses).
                 (
@@ -501,13 +514,15 @@ impl InstanceEngine {
         true
     }
 
-    /// Preempts `id`: releases its blocks and re-queues it for recompute or
-    /// swap-in, per the configured [`PreemptionMode`].
-    fn preempt(&mut self, id: RequestId, now: SimTime) {
-        remove_id(&mut self.running, id);
-        let _ = self.blocks.release(id);
+    /// Preempts the running request in `slot`: releases its blocks and
+    /// re-queues it for recompute or swap-in, per the configured
+    /// [`PreemptionMode`].
+    fn preempt(&mut self, slot: u32, now: SimTime) {
+        remove_slot(&mut self.running, slot);
         let mode = self.config.preemption_mode;
-        let s = self.states.get_mut(&id).expect("running request has state");
+        let s = self.states.get_mut(slot);
+        let id = s.meta.id;
+        let _ = self.blocks.release(id);
         self.residents.remove(s);
         s.phase = Phase::Waiting;
         s.cached_tokens = 0;
@@ -545,12 +560,13 @@ impl InstanceEngine {
         let plan = self.in_flight.take().expect("complete_step without a step");
         self.stats.busy_time += plan.duration;
         let mut events = std::mem::take(&mut self.pending_events);
-        let mut ids = std::mem::take(&mut self.step_ids);
+        let mut step = std::mem::take(&mut self.step);
         match plan.kind {
             StepKind::Prefill => {
-                for &id in &ids {
-                    // The request may have been aborted mid-step.
-                    let Some(s) = self.states.get_mut(&id) else {
+                for &(slot, id) in &step {
+                    // The request may have been aborted mid-step, and its
+                    // slot taken by a later request.
+                    let Some(s) = self.states.get_live_mut(slot, id) else {
                         continue;
                     };
                     s.cached_tokens = s.required_tokens();
@@ -562,7 +578,7 @@ impl InstanceEngine {
                         }
                         s.phase = Phase::Running;
                         self.residents.add(s);
-                        self.running.push(id);
+                        self.running.push(slot);
                         continue;
                     }
                     s.generated += 1;
@@ -578,21 +594,22 @@ impl InstanceEngine {
                     }
                     if s.is_complete() {
                         events.push(EngineEvent::Finished(id));
-                        self.finish(id, now);
+                        self.finish(slot, now);
                     } else {
                         s.phase = Phase::Running;
                         self.residents.add(s);
-                        self.running.push(id);
+                        self.running.push(slot);
                     }
                 }
             }
             StepKind::Decode => {
-                for &id in &ids {
-                    // Skip requests that left the batch mid-step (aborted);
-                    // the Running phase is exactly membership of `running`.
+                for &(slot, id) in &step {
+                    // Skip requests that left the batch mid-step (aborted,
+                    // their slot empty or taken by a later request); the
+                    // Running phase is exactly membership of `running`.
                     let Some(s) = self
                         .states
-                        .get_mut(&id)
+                        .get_live_mut(slot, id)
                         .filter(|s| s.phase == Phase::Running)
                     else {
                         continue;
@@ -604,32 +621,33 @@ impl InstanceEngine {
                     if s.is_complete() {
                         events.push(EngineEvent::Finished(id));
                         self.residents.remove(s);
-                        remove_id(&mut self.running, id);
+                        remove_slot(&mut self.running, slot);
                         self.drain_requested.remove(&id);
-                        self.finish(id, now);
+                        self.finish(slot, now);
                     }
                 }
             }
         }
-        ids.clear();
-        self.step_ids = ids;
+        step.clear();
+        self.step = step;
+        if self.drain_requested.is_empty() {
+            return events;
+        }
         // Apply drains requested while the step was in flight, in id order.
-        let pending: Vec<RequestId> = std::mem::take(&mut self.drain_requested)
-            .into_iter()
-            .collect();
-        for id in pending {
-            if self.running.contains(&id) {
-                self.do_drain(id);
+        for id in std::mem::take(&mut self.drain_requested) {
+            if let Some(slot) = self.running_slot(id) {
+                self.do_drain(slot);
                 events.push(EngineEvent::Drained(id));
             }
         }
         events
     }
 
-    /// Marks `id` finished and parks its state for collection.
-    fn finish(&mut self, id: RequestId, now: SimTime) {
-        let _ = self.blocks.release(id);
-        let mut s = self.states.remove(&id).expect("finishing request");
+    /// Marks the request in `slot` finished and parks its state for
+    /// collection.
+    fn finish(&mut self, slot: u32, now: SimTime) {
+        let mut s = self.states.remove(slot);
+        let _ = self.blocks.release(s.meta.id);
         s.phase = Phase::Finished;
         s.finished_at = Some(now);
         s.blocks_held = 0;
@@ -650,20 +668,28 @@ impl InstanceEngine {
     /// migration stage.
     pub fn request_drain(&mut self, id: RequestId) -> DrainOutcome {
         self.touch();
-        if !self.running.contains(&id) {
+        let Some(slot) = self.running_slot(id) else {
             return DrainOutcome::NotRunning;
-        }
+        };
         if self.in_flight.is_some() {
             self.drain_requested.insert(id);
             return DrainOutcome::Pending;
         }
-        self.do_drain(id);
+        self.do_drain(slot);
         DrainOutcome::Drained
     }
 
-    fn do_drain(&mut self, id: RequestId) {
-        remove_id(&mut self.running, id);
-        let s = self.states.get_mut(&id).expect("draining request");
+    /// The slot of `id` if it is in the running batch. The batch is exactly
+    /// the requests in [`Phase::Running`], so no walk of it is needed.
+    fn running_slot(&self, id: RequestId) -> Option<u32> {
+        self.states
+            .slot(id)
+            .filter(|&slot| self.states.get(slot).phase == Phase::Running)
+    }
+
+    fn do_drain(&mut self, slot: u32) {
+        remove_slot(&mut self.running, slot);
+        let s = self.states.get_mut(slot);
         s.phase = Phase::Draining;
         self.residents.remove(s);
     }
@@ -679,16 +705,17 @@ impl InstanceEngine {
     /// the drain, e.g. destination failure).
     pub fn undrain(&mut self, id: RequestId) {
         self.touch();
-        let s = self.states.get_mut(&id).expect("undrain unknown request");
+        let slot = self.states.slot(id).expect("undrain unknown request");
+        let s = self.states.get_mut(slot);
         assert_eq!(s.phase, Phase::Draining, "undrain of non-draining {id}");
         s.phase = Phase::Running;
         self.residents.add(s);
-        self.running.push(id);
+        self.running.push(slot);
     }
 
     /// Read-only state of a resident request.
     pub fn state(&self, id: RequestId) -> Option<&SeqState> {
-        self.states.get(&id)
+        Some(self.states.get(self.states.slot(id)?))
     }
 
     /// Mutable state access for the migration coordinator's accounting. The
@@ -696,7 +723,7 @@ impl InstanceEngine {
     /// of a running or admitted request alone.
     pub fn state_mut(&mut self, id: RequestId) -> Option<&mut SeqState> {
         self.touch();
-        self.states.get_mut(&id)
+        Some(self.states.get_mut(self.states.slot(id)?))
     }
 
     /// Running requests eligible to migrate out (decoding, not already
@@ -704,11 +731,9 @@ impl InstanceEngine {
     pub fn migratable_requests(&self) -> Vec<(RequestId, crate::request::Priority, u32)> {
         self.running
             .iter()
-            .filter(|id| !self.drain_requested.contains(id))
-            .map(|id| {
-                let s = &self.states[id];
-                (*id, s.meta.priority.execution, s.total_len())
-            })
+            .map(|&slot| self.states.get(slot))
+            .filter(|s| !self.drain_requested.contains(&s.meta.id))
+            .map(|s| (s.meta.id, s.meta.priority.execution, s.total_len()))
             .collect()
     }
 
@@ -717,10 +742,8 @@ impl InstanceEngine {
     pub fn finish_migration_out(&mut self, id: RequestId) -> SeqState {
         self.touch();
         let _ = self.blocks.release(id);
-        let mut s = self
-            .states
-            .remove(&id)
-            .expect("migrating request has state");
+        let slot = self.states.slot(id).expect("migrating request has state");
+        let mut s = self.states.remove(slot);
         s.blocks_held = 0;
         s
     }
@@ -739,8 +762,8 @@ impl InstanceEngine {
         state.blocks_held = blocks;
         state.phase = Phase::Running;
         self.residents.add(&state);
-        self.running.push(id);
-        self.states.insert(id, state);
+        let slot = self.states.insert(state);
+        self.running.push(slot);
         Ok(())
     }
 
@@ -775,11 +798,15 @@ impl InstanceEngine {
         self.active_migrations = self.active_migrations.saturating_sub(1);
     }
 
-    fn overhead_factor(&self) -> f64 {
+    /// Stretches a step by the migration overhead while a migration
+    /// touches this instance. Otherwise the step is returned as is, which is
+    /// what `mul_f64(1.0)` returns for every duration below 2^50 µs, without
+    /// its float round trip.
+    fn with_overhead(&self, duration: SimDuration) -> SimDuration {
         if self.active_migrations > 0 {
-            self.config.migration_overhead_factor
+            duration.mul_f64(self.config.migration_overhead_factor)
         } else {
-            1.0
+            duration
         }
     }
 
@@ -808,7 +835,7 @@ impl InstanceEngine {
             total_tokens: self
                 .running
                 .iter()
-                .map(|id| self.states[id].total_len() as u64)
+                .map(|&slot| self.states.get(slot).total_len() as u64)
                 .sum(),
         }
     }
@@ -823,20 +850,41 @@ impl InstanceEngine {
         self.waiting.len()
     }
 
-    /// Ids in the running batch.
-    pub fn running_ids(&self) -> &[RequestId] {
-        &self.running
+    /// Ids in the running batch, in batch order.
+    pub fn running_ids(&self) -> Vec<RequestId> {
+        self.ids_of(&self.running)
     }
 
-    /// Ids admitted and awaiting prefill.
-    pub fn prefill_pending_ids(&self) -> &[RequestId] {
-        &self.prefill_pending
+    /// Ids admitted and awaiting prefill, in admission order.
+    pub fn prefill_pending_ids(&self) -> Vec<RequestId> {
+        self.ids_of(&self.prefill_pending)
+    }
+
+    fn ids_of(&self, slots: &[u32]) -> Vec<RequestId> {
+        slots
+            .iter()
+            .map(|&slot| self.states.get(slot).meta.id)
+            .collect()
     }
 
     /// Ids in the in-flight step, in batch order; empty when no step is in
     /// flight. A decode step's ids are the running batch as planned.
-    pub fn in_flight_ids(&self) -> &[RequestId] {
-        &self.step_ids
+    pub fn in_flight_ids(&self) -> Vec<RequestId> {
+        self.step.iter().map(|&(_, id)| id).collect()
+    }
+
+    /// Number of requests in the in-flight step, 0 when none is in flight.
+    pub fn in_flight_len(&self) -> usize {
+        self.step.len()
+    }
+
+    /// The residents' states: the running batch in batch order, then the
+    /// admitted requests awaiting prefill.
+    pub fn residents(&self) -> impl Iterator<Item = &SeqState> + '_ {
+        self.running
+            .iter()
+            .chain(&self.prefill_pending)
+            .map(|&slot| self.states.get(slot))
     }
 
     /// Blocks held by the residents, the running batch and the admitted
@@ -867,13 +915,11 @@ impl InstanceEngine {
     /// Covers exactly the [`tracked_requests`](Self::tracked_requests) set —
     /// the roster a failure handler must account for when the instance dies.
     pub fn tracked_ids(&self) -> Vec<RequestId> {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let mut out: Vec<RequestId> = Vec::with_capacity(self.states.len());
         for id in self
-            .running
-            .iter()
-            .chain(self.prefill_pending.iter())
-            .copied()
+            .residents()
+            .map(|s| s.meta.id)
             .chain(self.waiting.iter())
         {
             if seen.insert(id) {
@@ -882,9 +928,9 @@ impl InstanceEngine {
         }
         let mut rest: Vec<RequestId> = self
             .states
-            .keys()
+            .iter()
+            .map(|s| s.meta.id)
             .filter(|id| !seen.contains(id))
-            .copied()
             .collect();
         rest.sort_unstable();
         out.extend(rest);
@@ -898,8 +944,8 @@ impl InstanceEngine {
         let mut ids: Vec<RequestId> = self
             .states
             .iter()
-            .filter(|(_, s)| s.phase == Phase::Draining)
-            .map(|(&id, _)| id)
+            .filter(|s| s.phase == Phase::Draining)
+            .map(|s| s.meta.id)
             .collect();
         ids.sort_unstable();
         ids
@@ -908,7 +954,7 @@ impl InstanceEngine {
     /// The head-of-line queued request and its block demand, if any.
     pub fn head_of_line_demand(&self) -> Option<(RequestId, u32)> {
         self.waiting.head().map(|id| {
-            let s = &self.states[&id];
+            let s = self.state(id).expect("queued request has state");
             (
                 id,
                 self.spec.geometry.blocks_for_tokens(s.required_tokens()),
@@ -927,39 +973,143 @@ impl InstanceEngine {
         self.spec.geometry.blocks_for_tokens(s.required_tokens())
     }
 
-    /// Verifies internal invariants (tests and debug assertions): per-request
-    /// block counts match the block ledger, the queued-demand and resident
-    /// ledgers match walks of the queue and of the residents, and the running
-    /// batch is exactly the requests in [`Phase::Running`].
+    /// Verifies internal invariants (tests and debug assertions): the id map
+    /// and the live slots match one to one, per-request block counts match
+    /// the block ledger, the queued-demand and resident ledgers match walks
+    /// of the queue and of the residents, and the running batch is exactly
+    /// the requests in [`Phase::Running`].
     pub fn check_invariants(&self) -> bool {
-        let block_sum: u32 = self.states.values().map(|s| s.blocks_held).sum();
-        let queued: u32 = self
+        if !self.states.is_consistent() {
+            return false;
+        }
+        let block_sum: u32 = self.states.iter().map(|s| s.blocks_held).sum();
+        let queued: Option<u32> = self
             .waiting
             .iter()
-            .map(|id| self.demand_blocks(&self.states[&id]))
+            .map(|id| self.state(id).map(|s| self.demand_blocks(s)))
             .sum();
         let residents = self.running.iter().chain(&self.prefill_pending).try_fold(
             Residents::default(),
-            |mut residents, id| {
-                residents.add(self.states.get(id)?);
+            |mut residents, &slot| {
+                residents.add(self.states.try_get(slot)?);
                 Some(residents)
             },
         );
         let running = self
             .states
-            .values()
+            .iter()
             .filter(|s| s.phase == Phase::Running)
             .count();
         block_sum == self.blocks.allocated_blocks()
             && self.blocks.check_invariants()
-            && queued == self.queued_demand
+            && queued == Some(self.queued_demand)
             && residents == Some(self.residents)
             && running == self.running.len()
-            && self.running.iter().all(|id| {
+            && self.running.iter().all(|&slot| {
                 self.states
-                    .get(id)
+                    .try_get(slot)
                     .is_some_and(|s| s.phase == Phase::Running)
             })
+    }
+}
+
+/// Per-request states in a slab. The running batch, the pending prefills and
+/// the in-flight step hold slots, so the per-step paths index a `Vec`; only
+/// the entry points that take an id probe `slot_of`. A freed slot goes on a
+/// LIFO free list for the next insert. Slot numbers depend on the history of
+/// inserts and removals, so no output may depend on them: every walk over
+/// the slab is order-insensitive or sorted.
+#[derive(Clone, Default)]
+struct Slab {
+    states: Vec<Option<SeqState>>,
+    free: Vec<u32>,
+    slot_of: HashMap<RequestId, u32, IdHashing>,
+}
+
+impl Slab {
+    /// Stores `state` and returns its slot.
+    fn insert(&mut self, state: SeqState) -> u32 {
+        let id = state.meta.id;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.states[slot as usize] = Some(state);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.states.len()).expect("fewer than 2^32 requests");
+                self.states.push(Some(state));
+                slot
+            }
+        };
+        self.slot_of.insert(id, slot);
+        slot
+    }
+
+    /// Takes the state out of a live slot and frees the slot.
+    fn remove(&mut self, slot: u32) -> SeqState {
+        let state = self.states[slot as usize]
+            .take()
+            .expect("removing a live slot");
+        self.slot_of.remove(&state.meta.id);
+        self.free.push(slot);
+        state
+    }
+
+    /// The slot holding `id`, if the engine tracks it.
+    fn slot(&self, id: RequestId) -> Option<u32> {
+        self.slot_of.get(&id).copied()
+    }
+
+    /// The state in a slot the caller holds as live.
+    fn get(&self, slot: u32) -> &SeqState {
+        self.try_get(slot).expect("slot held by a live request")
+    }
+
+    /// The state in a slot the caller holds as live.
+    fn get_mut(&mut self, slot: u32) -> &mut SeqState {
+        self.states
+            .get_mut(slot as usize)
+            .and_then(Option::as_mut)
+            .expect("slot held by a live request")
+    }
+
+    /// The state in `slot`, if the slot is live.
+    fn try_get(&self, slot: u32) -> Option<&SeqState> {
+        self.states.get(slot as usize)?.as_ref()
+    }
+
+    /// The state in `slot` if that slot still holds `id`.
+    fn get_live_mut(&mut self, slot: u32, id: RequestId) -> Option<&mut SeqState> {
+        self.states
+            .get_mut(slot as usize)?
+            .as_mut()
+            .filter(|s| s.meta.id == id)
+    }
+
+    /// Number of live requests.
+    fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// The live states, in slot order.
+    fn iter(&self) -> impl Iterator<Item = &SeqState> + '_ {
+        self.states.iter().flatten()
+    }
+
+    /// Whether the id map and the live slots match one to one, and the free
+    /// list holds only empty slots.
+    fn is_consistent(&self) -> bool {
+        let live = self.iter().count();
+        live == self.slot_of.len()
+            && live + self.free.len() == self.states.len()
+            && (0u32..).zip(&self.states).all(|(slot, s)| {
+                s.as_ref()
+                    .is_none_or(|s| self.slot(s.meta.id) == Some(slot))
+            })
+            && self
+                .free
+                .iter()
+                .all(|&slot| self.states.get(slot as usize).is_some_and(Option::is_none))
     }
 }
 
@@ -983,12 +1133,13 @@ impl Residents {
     }
 }
 
-/// Removes `id` from `ids`, keeping the order; returns whether it was there.
-fn remove_id(ids: &mut Vec<RequestId>, id: RequestId) -> bool {
-    let Some(pos) = ids.iter().position(|&r| r == id) else {
+/// Removes `slot` from `slots`, keeping the order; returns whether it was
+/// there.
+fn remove_slot(slots: &mut Vec<u32>, slot: u32) -> bool {
+    let Some(pos) = slots.iter().position(|&s| s == slot) else {
         return false;
     };
-    ids.remove(pos);
+    slots.remove(pos);
     true
 }
 
@@ -1462,6 +1613,80 @@ mod tests {
         assert_eq!((e.resident_blocks(), e.resident_high()), (2, 0));
         e.undrain(RequestId(1));
         assert_eq!((e.resident_blocks(), e.resident_high()), (5, 1));
+        assert!(e.check_invariants());
+    }
+
+    #[test]
+    fn check_invariants_covers_the_slab() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 8, 0), SimTime::ZERO);
+        e.add_request(meta(2, 32, 8, 0), SimTime::ZERO);
+        assert!(e.check_invariants());
+        let mut aliased = e.clone();
+        let slot = aliased.states.slot(RequestId(2)).expect("r2 tracked");
+        aliased.states.slot_of.insert(RequestId(1), slot);
+        assert!(!aliased.check_invariants(), "two ids map to one slot");
+        let mut freed = e.clone();
+        freed.states.free.push(slot);
+        assert!(!freed.check_invariants(), "a live slot on the free list");
+    }
+
+    /// Aborts r1 while a step over r1 and r2 is in flight, then adds r3,
+    /// which takes r1's freed slot.
+    fn abort_and_reuse_slot(e: &mut InstanceEngine, now: SimTime) {
+        let slot = e.states.slot(RequestId(1)).expect("r1 tracked");
+        assert!(e.abort_request(RequestId(1)).is_some());
+        e.add_request(meta(3, 32, 50, 0), now);
+        assert_eq!(
+            e.states.slot(RequestId(3)),
+            Some(slot),
+            "r3 reuses the slot"
+        );
+        assert_eq!(e.in_flight_ids(), &[RequestId(1), RequestId(2)]);
+    }
+
+    fn assert_still_queued(e: &InstanceEngine, id: RequestId) {
+        let s = e.state(id).expect("queued request tracked");
+        assert_eq!(
+            (s.phase, s.generated, s.cached_tokens),
+            (Phase::Waiting, 0, 0)
+        );
+        assert_eq!(e.waiting_ids(), vec![id]);
+    }
+
+    #[test]
+    fn a_slot_reused_mid_decode_step_is_not_advanced() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 50, 0), SimTime::ZERO);
+        e.add_request(meta(2, 32, 50, 0), SimTime::ZERO);
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        let t = p.finish_at();
+        e.complete_step(t);
+        let d = e.poll_step(t).expect("decode");
+        assert_eq!(d.kind, StepKind::Decode);
+        let before = e.state(RequestId(2)).expect("r2").generated;
+        abort_and_reuse_slot(&mut e, t);
+        let events = e.complete_step(d.finish_at());
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(e.state(RequestId(2)).expect("r2").generated, before + 1);
+        assert_still_queued(&e, RequestId(3));
+        assert_eq!(e.running_ids(), vec![RequestId(2)]);
+        assert!(e.check_invariants());
+    }
+
+    #[test]
+    fn a_slot_reused_mid_prefill_step_is_not_prefilled() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 50, 0), SimTime::ZERO);
+        e.add_request(meta(2, 32, 50, 0), SimTime::ZERO);
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        assert_eq!(p.kind, StepKind::Prefill);
+        abort_and_reuse_slot(&mut e, SimTime::ZERO);
+        let events = e.complete_step(p.finish_at());
+        assert_eq!(events, vec![EngineEvent::FirstToken(RequestId(2))]);
+        assert_eq!(e.state(RequestId(2)).expect("r2").generated, 1);
+        assert_still_queued(&e, RequestId(3));
+        assert_eq!(e.running_ids(), vec![RequestId(2)]);
         assert!(e.check_invariants());
     }
 }

@@ -243,9 +243,9 @@ proptest! {
             );
             let (resident_blocks, resident_high) = engine
                 .running_ids()
-                .iter()
+                .into_iter()
                 .chain(engine.prefill_pending_ids())
-                .map(|&id| engine.state(id).expect("resident request has state"))
+                .map(|id| engine.state(id).expect("resident request has state"))
                 .fold((0u32, 0usize), |(blocks, high), s| {
                     (
                         blocks + s.blocks_held,

@@ -43,6 +43,20 @@ proptest! {
         prop_assert_eq!(later - t, d);
     }
 
+    /// Scaling by exactly 1.0 returns the duration unchanged up to 2^50 µs
+    /// (about 35 years), so an engine may skip the float round trip when no
+    /// migration overhead applies. Each case checks a run of 1 000
+    /// consecutive durations; half the runs start below one second.
+    #[test]
+    fn mul_by_one_is_the_identity(
+        start in prop_oneof![0u64..1_000_000, 0u64..(1 << 50) + 1],
+    ) {
+        for micros in start..(start + 1_000).min((1 << 50) + 1) {
+            let d = SimDuration::from_micros(micros);
+            prop_assert_eq!(d.mul_f64(1.0), d);
+        }
+    }
+
     /// Split RNG streams are stable: the same label yields the same stream
     /// regardless of other draws, and different labels differ.
     #[test]
