@@ -668,7 +668,9 @@ impl ServingSim {
             return; // Instance failed mid-step.
         };
         let events = llumlet.engine.complete_step(self.now);
-        self.collect_finished(id);
+        if needs_collect(llumlet) {
+            self.collect_finished(id);
+        }
         self.route_engine_events(id, events);
         self.kick(id);
     }
@@ -1099,18 +1101,16 @@ impl ServingSim {
             }
             self.queue.push(finish, Event::StepDone(id));
         }
-        let pending = self
-            .store
-            .get_mut(id)
-            .expect("still present")
-            .engine
-            .take_pending_events();
-        if !pending.is_empty() {
+        let pending = llumlet.engine.take_pending_events();
+        if !pending.is_empty() || needs_collect(llumlet) {
             self.route_engine_events(id, pending);
+            self.collect_finished(id);
         }
-        self.collect_finished(id);
     }
 
+    /// Records the instance's finished requests and removes it if it is
+    /// terminating and done. Callers skip it when [`needs_collect`] says it
+    /// would do nothing.
     fn collect_finished(&mut self, id: InstanceId) {
         let Some(llumlet) = self.store.get_mut(id) else {
             return;
@@ -1370,6 +1370,14 @@ impl ServingSim {
                 !e.has_work() && !e.step_in_flight()
             })
     }
+}
+
+/// Whether [`ServingSim::collect_finished`] has work on this instance:
+/// finished states to record, or a termination that may now complete.
+/// Otherwise it would take an empty list and `maybe_finish_termination`
+/// would return at once, so the step path skips the call.
+fn needs_collect(llumlet: &Llumlet) -> bool {
+    llumlet.engine.has_finished() || llumlet.terminating
 }
 
 /// The headroom config a run actually schedules with: the configured one for

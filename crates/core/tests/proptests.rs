@@ -47,6 +47,9 @@ enum Op {
     GrowReservation(usize, u32),
     /// Release the `i`-th live reservation (modulo the count).
     ReleaseReservation(usize),
+    /// Take the finished states and the pending events, as serving does
+    /// after each step. An empty take leaves the engine's version alone.
+    Take,
 }
 
 /// Every (scheduling, execution) priority combination.
@@ -82,6 +85,7 @@ fn op() -> impl Strategy<Value = Op> {
         (1u32..64).prop_map(Op::Reserve),
         (any::<usize>(), 1u32..16).prop_map(|(i, n)| Op::GrowReservation(i, n)),
         any::<usize>().prop_map(Op::ReleaseReservation),
+        Just(Op::Take),
     ]
 }
 
@@ -160,6 +164,10 @@ proptest! {
                         let r = reservations.swap_remove(i % reservations.len());
                         prop_assert!(llumlet.engine.release_reservation(r).is_ok());
                     }
+                }
+                Op::Take => {
+                    let _ = llumlet.engine.take_finished();
+                    let _ = llumlet.engine.take_pending_events();
                 }
             }
             let view = InstanceView::from_engine(&llumlet.engine, llumlet.terminating, now);

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use llumnix_model::{CostModel, DecodeBatch, DecodeCostMemo, InstanceSpec, PrefillBatch};
+use llumnix_model::{CostModel, DecodeBatch, InstanceSpec, PrefillBatch};
 use llumnix_sim::{SimDuration, SimTime};
 
 use crate::block::{BlockError, BlockManager, ReservationId};
@@ -191,7 +191,6 @@ pub struct InstanceEngine {
     pending_events: Vec<EngineEvent>,
     stats: EngineStats,
     version: u64,
-    decode_memo: DecodeCostMemo,
 }
 
 impl InstanceEngine {
@@ -218,7 +217,6 @@ impl InstanceEngine {
             pending_events: Vec::new(),
             stats: EngineStats::default(),
             version: 0,
-            decode_memo: DecodeCostMemo::new(),
         }
     }
 
@@ -235,6 +233,11 @@ impl InstanceEngine {
     /// A counter bumped by every mutating call, so load reports derived from
     /// this engine can be cached and invalidated without tracking which
     /// mutation touched which signal.
+    ///
+    /// The one exception is a take that returns nothing:
+    /// [`InstanceEngine::take_finished`] and
+    /// [`InstanceEngine::take_pending_events`] change no state then, so they
+    /// leave the counter alone. (No load report reads either list.)
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -467,13 +470,11 @@ impl InstanceEngine {
                 return None;
             }
         };
-        let compute = self.decode_memo.decode_step(
-            &self.spec.cost,
-            DecodeBatch {
-                num_seqs: self.running.len() as u32,
-                total_tokens,
-            },
-        );
+        let batch = DecodeBatch {
+            num_seqs: self.running.len() as u32,
+            total_tokens,
+        };
+        let compute = self.spec.cost.decode_step(batch.bucket_floor());
         let duration = self.with_overhead(compute);
         self.stats.decode_steps += 1;
         let states = &self.states;
@@ -544,8 +545,12 @@ impl InstanceEngine {
 
     /// Drains events produced outside `complete_step` (preemptions during
     /// step planning, admission-time aborts). Callers should collect these
-    /// after every [`InstanceEngine::poll_step`].
+    /// after every [`InstanceEngine::poll_step`]. An empty take leaves
+    /// [`InstanceEngine::version`] alone.
     pub fn take_pending_events(&mut self) -> Vec<EngineEvent> {
+        if self.pending_events.is_empty() {
+            return Vec::new();
+        }
         self.touch();
         std::mem::take(&mut self.pending_events)
     }
@@ -656,10 +661,19 @@ impl InstanceEngine {
     }
 
     /// Takes the states of requests that finished (or were aborted at
-    /// admission) since the last call.
+    /// admission) since the last call. An empty take leaves
+    /// [`InstanceEngine::version`] alone.
     pub fn take_finished(&mut self) -> Vec<SeqState> {
+        if self.finished.is_empty() {
+            return Vec::new();
+        }
         self.touch();
         std::mem::take(&mut self.finished)
+    }
+
+    /// Whether [`InstanceEngine::take_finished`] would return anything.
+    pub fn has_finished(&self) -> bool {
+        !self.finished.is_empty()
     }
 
     // ---- migration hooks -------------------------------------------------
@@ -1201,6 +1215,37 @@ mod tests {
         assert!(fin[0].first_token_at.is_some());
         assert_eq!(e.free_blocks(), e.total_blocks());
         assert!(!e.has_work());
+    }
+
+    #[test]
+    fn empty_takes_leave_the_version_alone() {
+        let mut e = engine(4096);
+        e.add_request(meta(1, 32, 8, 0), SimTime::ZERO);
+        let prefill = e.poll_step(SimTime::ZERO).expect("prefill");
+        e.complete_step(prefill.finish_at());
+        let decode = e.poll_step(prefill.finish_at()).expect("decode");
+        assert_eq!(decode.kind, StepKind::Decode);
+        let now = decode.finish_at();
+        assert!(e.complete_step(now).is_empty(), "the step finishes nothing");
+        assert!(!e.has_finished());
+        let version = e.version();
+        assert!(e.take_finished().is_empty());
+        assert!(e.take_pending_events().is_empty());
+        assert_eq!(e.version(), version, "an empty take is not a mutation");
+        // A request that can never fit is aborted at admission, which fills
+        // both lists; a take that returns something bumps the version.
+        e.add_request(meta(2, 100_000, 1, 0), now);
+        e.poll_step(now).expect("decode");
+        assert!(e.has_finished());
+        let version = e.version();
+        assert_eq!(
+            e.take_pending_events(),
+            [EngineEvent::Aborted(RequestId(2))]
+        );
+        assert_ne!(e.version(), version);
+        let version = e.version();
+        assert_eq!(e.take_finished().len(), 1);
+        assert_ne!(e.version(), version);
     }
 
     #[test]

@@ -161,55 +161,42 @@ impl CalibratedCostModel {
     }
 }
 
-/// Memoized decode-step latencies, quantized to token buckets.
-///
-/// Decode steps dominate the simulator's cost-model calls, and the batches
-/// they describe recur constantly across instances and experiment arms once
-/// total tokens are bucketed. The memo evaluates the underlying model at the
-/// bucket floor (`bucket * DECODE_MEMO_BUCKET_TOKENS`) so every lookup that
-/// lands in a bucket sees the same duration regardless of call order — the
-/// memoized simulation stays deterministic and run-to-run identical.
-///
-/// The table is a lazily grown dense `Vec` per batch size (bounded by the
-/// engine's `max_batch_size`), with 0 as the "unset" sentinel; durations are
-/// stored as microseconds + 1.
-#[derive(Debug, Clone, Default)]
-pub struct DecodeCostMemo {
-    rows: Vec<Vec<u64>>,
-}
-
-/// Token-bucket width of [`DecodeCostMemo`].
+/// Token-bucket width of decode-step costs: see [`DecodeBatch::bucket_floor`].
 pub const DECODE_MEMO_BUCKET_TOKENS: u64 = 16;
 
+impl DecodeBatch {
+    /// The batch a decode step is priced at: `total_tokens` floored to a
+    /// multiple of [`DECODE_MEMO_BUCKET_TOKENS`]. Every engine step costs
+    /// [`CostModel::decode_step`] of this batch, so a step's duration depends
+    /// on its batch size and token bucket only.
+    pub fn bucket_floor(self) -> DecodeBatch {
+        DecodeBatch {
+            num_seqs: self.num_seqs,
+            total_tokens: self.total_tokens / DECODE_MEMO_BUCKET_TOKENS * DECODE_MEMO_BUCKET_TOKENS,
+        }
+    }
+}
+
+/// A stateless forward to [`CostModel::decode_step`] at
+/// [`DecodeBatch::bucket_floor`], kept only until its remaining callers
+/// evaluate that directly.
+///
+/// It holds no table of the model's values: the floor rule alone makes a
+/// step's cost repeat exactly, the affine model is a few multiply-adds,
+/// and a table per engine cost about 35 KB each at 1 024 instances
+/// (DESIGN.md §7.2).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DecodeCostMemo;
+
 impl DecodeCostMemo {
-    /// Creates an empty memo.
+    /// Creates the forward.
     pub fn new() -> Self {
-        Self::default()
+        DecodeCostMemo
     }
 
-    /// Memoized [`CostModel::decode_step`]: the batch's total tokens are
-    /// quantized down to the bucket floor before evaluation.
+    /// Exactly `model.decode_step(batch.bucket_floor())`.
     pub fn decode_step(&mut self, model: &dyn CostModel, batch: DecodeBatch) -> SimDuration {
-        if batch.num_seqs == 0 {
-            return SimDuration::ZERO;
-        }
-        let n = batch.num_seqs as usize;
-        let b = (batch.total_tokens / DECODE_MEMO_BUCKET_TOKENS) as usize;
-        if self.rows.len() <= n {
-            self.rows.resize_with(n + 1, Vec::new);
-        }
-        let row = &mut self.rows[n];
-        if row.len() <= b {
-            row.resize(b + 1, 0);
-        }
-        if row[b] == 0 {
-            let d = model.decode_step(DecodeBatch {
-                num_seqs: batch.num_seqs,
-                total_tokens: b as u64 * DECODE_MEMO_BUCKET_TOKENS,
-            });
-            row[b] = d.as_micros().saturating_add(1);
-        }
-        SimDuration::from_micros(row[b] - 1)
+        model.decode_step(batch.bucket_floor())
     }
 }
 

@@ -95,6 +95,25 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// A float flag: `default` when absent, otherwise a finite value for which
+/// `valid` holds. Anything else is an error naming the flag and `expected`.
+fn get_f64(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: f64,
+    valid: fn(f64) -> bool,
+    expected: &str,
+) -> Result<f64, String> {
+    let v: f64 = get(flags, key, default)?;
+    if v.is_finite() && valid(v) {
+        Ok(v)
+    } else {
+        Err(format!(
+            "--{key} must be a finite number {expected}, got `{v}`"
+        ))
+    }
+}
+
 /// `--instances`, default 16; a fleet needs at least one instance.
 fn instances(flags: &HashMap<String, String>) -> Result<u32, String> {
     match get(flags, "instances", 16)? {
@@ -122,18 +141,24 @@ fn build_trace_from_flags(flags: &HashMap<String, String>) -> Result<Trace, Stri
     let preset = flags
         .get("preset")
         .ok_or("need --preset <NAME> or --trace <FILE>")?;
-    let rate: f64 = get(flags, "rate", 0.0)?;
-    if rate <= 0.0 {
+    if !flags.contains_key("rate") {
         return Err("need --rate <R> with --preset".into());
     }
+    let rate = get_f64(flags, "rate", 0.0, |r| r > 0.0, "above 0")?;
     let n: usize = get(flags, "requests", 10_000)?;
-    let cv: f64 = get(flags, "cv", 0.0)?;
+    let cv = get_f64(flags, "cv", 0.0, |cv| cv >= 0.0, "of at least 0")?;
     let arrivals = if cv > 0.0 {
         Arrivals::gamma(rate, cv)
     } else {
         Arrivals::poisson(rate)
     };
-    let high: f64 = get(flags, "high-frac", 0.0)?;
+    let high = get_f64(
+        flags,
+        "high-frac",
+        0.0,
+        |f| (0.0..=1.0).contains(&f),
+        "from 0 to 1",
+    )?;
     let seed: u64 = get(flags, "seed", 20240710)?;
     let spec = trace_presets::by_name(preset, n, arrivals)
         .ok_or_else(|| format!("unknown preset `{preset}`"))?
@@ -286,7 +311,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or("need --rates <R1,R2,...>")?
         .split(',')
         .map(|r| match r.trim().parse::<f64>() {
-            Ok(rate) if rate > 0.0 => Ok(rate),
+            Ok(rate) if rate.is_finite() && rate > 0.0 => Ok(rate),
             _ => Err(format!("invalid rate `{r}` in --rates")),
         })
         .collect::<Result<Vec<f64>, String>>()?;

@@ -1,6 +1,7 @@
 //! Input validation of `llumnix-cli`: a malformed or out-of-range flag value
-//! in `run`, `compare` or `sweep` prints `error: …` and exits 1 before any
-//! simulation starts, instead of panicking or running with the default.
+//! in `trace-gen`, `run`, `compare` or `sweep` prints `error: …` and exits 1
+//! before any simulation starts, instead of panicking or running with the
+//! default.
 
 use std::process::{Command, Output};
 
@@ -45,4 +46,36 @@ fn unparsable_values_exit_1() {
         let sweep = ["sweep", "--preset", "S-S", "--requests", "20"];
         assert_rejected(&[&sweep[..], &["--rates", rates]].concat(), "--rates");
     }
+}
+
+#[test]
+fn non_finite_or_out_of_range_floats_exit_1() {
+    let preset = ["--preset", "S-S", "--requests", "20"];
+    for command in ["trace-gen", "run", "compare"] {
+        for rate in ["nan", "inf", "-inf", "0", "-1"] {
+            let args = [&[command][..], &preset, &["--rate", rate]].concat();
+            assert_rejected(&args, "--rate");
+        }
+    }
+    for (flag, values) in [
+        ("--cv", &["inf", "nan", "-1"][..]),
+        ("--high-frac", &["2", "nan", "-0.5", "inf"][..]),
+    ] {
+        for &value in values {
+            let args = [&["run"][..], &TRACE, &[flag, value]].concat();
+            assert_rejected(&args, flag);
+        }
+    }
+    for rates in ["inf", "2,inf", "nan"] {
+        let sweep = ["sweep", "--preset", "S-S", "--requests", "20"];
+        assert_rejected(&[&sweep[..], &["--rates", rates]].concat(), "--rates");
+    }
+}
+
+#[test]
+fn in_range_floats_still_run() {
+    let args = [&["run"][..], &TRACE, &["--cv", "0", "--high-frac", "1"]].concat();
+    let out = cli(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: stderr: {stderr}");
 }
