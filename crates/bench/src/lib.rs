@@ -6,8 +6,6 @@
 //! series, and (with `--json <path>`) dumps machine-readable rows.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -11,8 +11,6 @@
 //!   experiment runs on.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 mod central;
 pub mod index;

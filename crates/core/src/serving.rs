@@ -170,6 +170,12 @@ enum Event {
 }
 
 /// The running simulation.
+///
+/// `Clone` is derived: a clone is a structural copy of every field, the
+/// basis of [`ServingSim::snapshot`]. The audit rejects a hand-written
+/// `Clone` in the simulation crates, so a field added later cannot be left
+/// out of a snapshot.
+#[derive(Clone)]
 pub struct ServingSim {
     config: ServingConfig,
     trace: Trace,
@@ -248,8 +254,8 @@ pub struct ServingSim {
 /// migration coordinator's reservations and handshake stages, the fault
 /// maps, and all metric accumulators. There is no hidden ambient state to
 /// miss: the deterministic crates ban wall-clock reads and unordered
-/// iteration statically (`xtask lint`), and all randomness (trace, fault
-/// plans) is expanded before t = 0.
+/// iteration statically (clippy, DESIGN.md §8), and all randomness (trace,
+/// fault plans) is expanded before t = 0.
 ///
 /// The resume invariant: for any point `t` between two events,
 /// `snapshot` → [`ServingSim::resume`] → run-to-completion produces the
@@ -258,58 +264,6 @@ pub struct ServingSim {
 #[derive(Clone)]
 pub struct SimSnapshot {
     state: Box<ServingSim>,
-}
-
-impl Clone for ServingSim {
-    /// A structural deep copy of the full simulation state — the basis of
-    /// [`ServingSim::snapshot`]. Every field is a plain ordered container or
-    /// scalar.
-    fn clone(&self) -> Self {
-        ServingSim {
-            config: self.config.clone(),
-            trace: self.trace.clone(),
-            high_ids: self.high_ids.clone(),
-            queue: self.queue.clone(),
-            now: self.now,
-            store: self.store.clone(),
-            index: self.index.clone(),
-            headroom: self.headroom,
-            refresh_all: self.refresh_all,
-            starting_queue: self.starting_queue.clone(),
-            dirty_scratch: self.dirty_scratch.clone(),
-            next_instance: self.next_instance,
-            dispatcher: self.dispatcher.clone(),
-            bypass_dispatcher: self.bypass_dispatcher.clone(),
-            coordinator: self.coordinator.clone(),
-            pairs: self.pairs.clone(),
-            scaler: self.scaler.clone(),
-            central: self.central.clone(),
-            scheduler_down_until: self.scheduler_down_until,
-            undispatched: self.undispatched.clone(),
-            records: self.records.clone(),
-            aborted: self.aborted,
-            stalls_acc: self.stalls_acc.clone(),
-            fragmentation: self.fragmentation.clone(),
-            free_blocks: self.free_blocks.clone(),
-            hol_satisfiable: self.hol_satisfiable.clone(),
-            queued: self.queued.clone(),
-            instances_ts: self.instances_ts.clone(),
-            arrivals_done: self.arrivals_done,
-            makespan: self.makespan,
-            fault_stats: self.fault_stats.clone(),
-            recovery_acc: self.recovery_acc.clone(),
-            crash_lost_at: self.crash_lost_at.clone(),
-            link_down_until: self.link_down_until.clone(),
-            slow_until: self.slow_until.clone(),
-            high_batch_acc: self.high_batch_acc.clone(),
-            order_scratch: self.order_scratch.clone(),
-            events_processed: self.events_processed,
-            sample_interval: self.sample_interval,
-            migration_interval: self.migration_interval,
-            seeded: self.seeded,
-            halted: self.halted,
-        }
-    }
 }
 
 /// Coarsening factor for the periodic sampling and migration ticks.

@@ -6,9 +6,7 @@
 //! (paper Figure 7's pre-allocate handshake) hold blocks on a destination
 //! instance before any data moves, so a stage can never land without space.
 
-use std::collections::HashMap;
-
-use crate::id_hash::IdHashing;
+use crate::id_hash::IdMap;
 use crate::request::RequestId;
 
 /// Identifier for a migration reservation on a destination instance.
@@ -72,8 +70,8 @@ pub struct BlockManager {
     /// in step with the two maps, so [`BlockManager::free_blocks`] is O(1).
     /// [`BlockManager::check_invariants`] re-sums the maps against it.
     used: u32,
-    allocations: HashMap<RequestId, u32, IdHashing>,
-    reservations: HashMap<ReservationId, u32, IdHashing>,
+    allocations: IdMap<RequestId, u32>,
+    reservations: IdMap<ReservationId, u32>,
     next_reservation: u64,
 }
 
@@ -83,8 +81,8 @@ impl BlockManager {
         BlockManager {
             total,
             used: 0,
-            allocations: HashMap::default(),
-            reservations: HashMap::default(),
+            allocations: IdMap::default(),
+            reservations: IdMap::default(),
             next_reservation: 0,
         }
     }
@@ -96,11 +94,19 @@ impl BlockManager {
 
     /// Blocks currently allocated to requests (a full re-sum; the hot paths
     /// read the running ledger through [`BlockManager::free_blocks`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum does not depend on visit order"
+    )]
     pub fn allocated_blocks(&self) -> u32 {
         self.allocations.values().sum()
     }
 
     /// Blocks held by migration reservations (a full re-sum).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum does not depend on visit order"
+    )]
     pub fn reserved_blocks(&self) -> u32 {
         self.reservations.values().sum()
     }

@@ -1,4 +1,5 @@
-//! A fixed hasher for the engine's id-keyed maps.
+//! A fixed hasher for the engine's id-keyed maps, and [`IdMap`], the one
+//! alias they are declared through.
 //!
 //! The keys are simulator-assigned integer ids ([`crate::RequestId`],
 //! [`crate::ReservationId`]), never external input, so there is nothing for
@@ -12,8 +13,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IdHasher(u64);
 
-/// The hasher every engine map is declared with.
-pub(crate) type IdHashing = BuildHasherDefault<IdHasher>;
+/// An id-keyed map with the fixed hasher: the one hash container the
+/// engine declares. Its iteration order still depends on the insert and
+/// remove history, so the audit bans iterating it (DESIGN.md §8).
+#[expect(
+    clippy::disallowed_types,
+    reason = "point lookups by simulator-assigned id; nothing iterates these maps except the two order-insensitive ledger re-sums in block.rs"
+)]
+pub(crate) type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -11,13 +11,13 @@
 //! the destination, drain/snapshot/commit on the source, and a small
 //! decode-overhead factor while migrations are in flight (§6.2 measures ≈1%).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use llumnix_model::{CostModel, DecodeBatch, InstanceSpec, PrefillBatch};
 use llumnix_sim::{SimDuration, SimTime};
 
 use crate::block::{BlockError, BlockManager, ReservationId};
-use crate::id_hash::IdHashing;
+use crate::id_hash::IdMap;
 use crate::queue::{QueueOrder, WaitQueue};
 use crate::request::{Phase, Priority, RequestId, RequestMeta, SeqState};
 
@@ -1037,7 +1037,7 @@ impl InstanceEngine {
 struct Slab {
     states: Vec<Option<SeqState>>,
     free: Vec<u32>,
-    slot_of: HashMap<RequestId, u32, IdHashing>,
+    slot_of: IdMap<RequestId, u32>,
 }
 
 impl Slab {

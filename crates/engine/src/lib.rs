@@ -7,8 +7,6 @@
 //! drain, snapshot, commit).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 mod block;
 mod id_hash;

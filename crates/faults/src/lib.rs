@@ -26,9 +26,6 @@
 //! Each fault class is an independent Poisson process: inter-arrival gaps are
 //! exponential with the configured fleet-wide rate, truncated at the horizon.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use llumnix_sim::{SimDuration, SimRng, SimTime};
 use llumnix_workload::exponential;
 use serde::Serialize;

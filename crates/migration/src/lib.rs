@@ -12,8 +12,6 @@
 //! copy) the paper compares against in Figure 10.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 mod baselines;
 mod coordinator;

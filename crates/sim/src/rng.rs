@@ -77,7 +77,9 @@ impl SimRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
             let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
+            for (byte, value) in chunk.iter_mut().zip(word) {
+                *byte = value;
+            }
         }
     }
 

@@ -7,8 +7,6 @@
 //! high-priority tagging (§6.4).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 mod arrivals;
 mod diurnal;

@@ -8,7 +8,7 @@
 //! llumnix-cli info
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use llumnix::metrics::{fmt_secs, sparkline_annotated, to_csv, LatencyReport, Table};
@@ -21,19 +21,18 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
-    let result = match command.as_str() {
-        "trace-gen" => cmd_trace_gen(&flags),
-        "run" => cmd_run(&flags),
-        "compare" => cmd_compare(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "info" => cmd_info(),
+    let result = Flags::parse(&args[1..]).and_then(|mut flags| match command.as_str() {
+        "trace-gen" => cmd_trace_gen(&mut flags),
+        "run" => cmd_run(&mut flags),
+        "compare" => cmd_compare(&mut flags),
+        "sweep" => cmd_sweep(&mut flags),
+        "info" => cmd_info(&flags),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -47,46 +46,75 @@ const USAGE: &str = "\
 llumnix-cli — Llumnix serving experiments
 
 USAGE:
-  llumnix-cli trace-gen --preset <NAME> --requests <N> --rate <R> [--cv <CV>]
+  llumnix-cli trace-gen --preset <NAME> --rate <R> [--requests <N>] [--cv <CV>]
                         [--high-frac <F>] [--seed <S>] --out <FILE>
   llumnix-cli run       (--preset <NAME> --rate <R> [--requests <N>] [--cv <CV>]
-                         [--high-frac <F>] | --trace <FILE>)
+                         [--high-frac <F>] [--seed <S>] | --trace <FILE>)
                         [--scheduler <KIND>] [--instances <N>] [--autoscale <MAX>]
-                        [--seed <S>] [--json <FILE>]
-  llumnix-cli compare   --preset <NAME> --rate <R> [--requests <N>] [--instances <N>]
+                        [--json <FILE>] [--csv <FILE>]
+  llumnix-cli compare   (--preset <NAME> --rate <R> [--requests <N>] [--cv <CV>]
+                         [--high-frac <F>] [--seed <S>] | --trace <FILE>)
+                        [--instances <N>]
   llumnix-cli sweep     --preset <NAME> --rates <R1,R2,...> [--requests <N>]
-                        [--instances <N>] [--csv <FILE>]
+                        [--instances <N>] [--seed <S>] [--csv <FILE>]
   llumnix-cli info
+
+Every flag takes a value. A flag the command does not read is an error.
 
 PRESETS:    S-S M-M L-L S-L L-S ShareGPT BurstGPT
 SCHEDULERS: round-robin infaas++ llumnix-base llumnix centralized";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), String::from("true"));
-                i += 1;
+/// A command's `--flag value` pairs. A command reads its flags through
+/// [`Flags::get`], then calls [`Flags::finish`] before it simulates or
+/// writes anything, which rejects every flag it did not read: a typo or a
+/// flag meant for another command is an error, never silently ignored.
+struct Flags {
+    values: BTreeMap<String, String>,
+    read: BTreeSet<String>,
+}
+
+impl Flags {
+    /// Every argument must be a `--flag` followed by its value.
+    fn parse(args: &[String]) -> Result<Flags, String> {
+        let mut values = BTreeMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            let Some(value) = args.next().filter(|v| !v.starts_with("--")) else {
+                return Err(format!("--{key} needs a value"));
+            };
+            if values.insert(key.to_string(), value.clone()).is_some() {
+                return Err(format!("--{key} is given twice"));
             }
-        } else {
-            i += 1;
+        }
+        Ok(Flags {
+            values,
+            read: BTreeSet::new(),
+        })
+    }
+
+    /// The value of `--key`, if given; marks the flag as read.
+    fn get(&mut self, key: &str) -> Option<String> {
+        self.read.insert(key.to_string());
+        self.values.get(key).cloned()
+    }
+
+    /// Rejects the first flag the command did not read.
+    fn finish(&self) -> Result<(), String> {
+        match self.values.keys().find(|k| !self.read.contains(*k)) {
+            Some(key) => Err(format!(
+                "unknown flag --{key} for this command (see `llumnix-cli help`)"
+            )),
+            None => Ok(()),
         }
     }
-    flags
 }
 
 /// The value of `--key`, or `default` when the flag is absent. A value that
 /// does not parse is an error, never the default.
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn get<T: std::str::FromStr>(flags: &mut Flags, key: &str, default: T) -> Result<T, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -98,7 +126,7 @@ fn get<T: std::str::FromStr>(
 /// A float flag: `default` when absent, otherwise a finite value for which
 /// `valid` holds. Anything else is an error naming the flag and `expected`.
 fn get_f64(
-    flags: &HashMap<String, String>,
+    flags: &mut Flags,
     key: &str,
     default: f64,
     valid: fn(f64) -> bool,
@@ -115,9 +143,17 @@ fn get_f64(
 }
 
 /// `--instances`, default 16; a fleet needs at least one instance.
-fn instances(flags: &HashMap<String, String>) -> Result<u32, String> {
+fn instances(flags: &mut Flags) -> Result<u32, String> {
     match get(flags, "instances", 16)? {
         0 => Err("--instances must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
+/// `--requests`, default 10 000; an empty trace measures nothing.
+fn requests(flags: &mut Flags) -> Result<usize, String> {
+    match get(flags, "requests", 10_000)? {
+        0 => Err("--requests must be at least 1".into()),
         n => Ok(n),
     }
 }
@@ -133,19 +169,26 @@ fn scheduler_by_name(name: &str) -> Result<SchedulerKind, String> {
     })
 }
 
-fn build_trace_from_flags(flags: &HashMap<String, String>) -> Result<Trace, String> {
+/// The trace `run` and `compare` serve: `--trace <FILE>`, or a preset.
+fn build_trace_from_flags(flags: &mut Flags) -> Result<Trace, String> {
     if let Some(path) = flags.get("trace") {
-        let body = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        let body = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
         return serde_json::from_str(&body).map_err(|e| format!("parse {path}: {e}"));
     }
+    preset_trace(flags)
+}
+
+/// A preset trace: `--preset` and `--rate`, with `--requests`, `--cv`,
+/// `--high-frac` and `--seed`.
+fn preset_trace(flags: &mut Flags) -> Result<Trace, String> {
     let preset = flags
         .get("preset")
         .ok_or("need --preset <NAME> or --trace <FILE>")?;
-    if !flags.contains_key("rate") {
+    if flags.get("rate").is_none() {
         return Err("need --rate <R> with --preset".into());
     }
     let rate = get_f64(flags, "rate", 0.0, |r| r > 0.0, "above 0")?;
-    let n: usize = get(flags, "requests", 10_000)?;
+    let n = requests(flags)?;
     let cv = get_f64(flags, "cv", 0.0, |cv| cv >= 0.0, "of at least 0")?;
     let arrivals = if cv > 0.0 {
         Arrivals::gamma(rate, cv)
@@ -160,17 +203,18 @@ fn build_trace_from_flags(flags: &HashMap<String, String>) -> Result<Trace, Stri
         "from 0 to 1",
     )?;
     let seed: u64 = get(flags, "seed", 20240710)?;
-    let spec = trace_presets::by_name(preset, n, arrivals)
+    let spec = trace_presets::by_name(&preset, n, arrivals)
         .ok_or_else(|| format!("unknown preset `{preset}`"))?
         .with_high_priority_fraction(high);
     Ok(spec.generate(&SimRng::new(seed)))
 }
 
-fn cmd_trace_gen(flags: &HashMap<String, String>) -> Result<(), String> {
-    let trace = build_trace_from_flags(flags)?;
+fn cmd_trace_gen(flags: &mut Flags) -> Result<(), String> {
+    let trace = preset_trace(flags)?;
     let out = flags.get("out").ok_or("need --out <FILE>")?;
+    flags.finish()?;
     let body = serde_json::to_string(&trace).map_err(|e| e.to_string())?;
-    std::fs::write(out, body).map_err(|e| format!("write {out}: {e}"))?;
+    std::fs::write(&out, body).map_err(|e| format!("write {out}: {e}"))?;
     println!(
         "wrote {} requests ({:.0}s span, mean in/out {:.0}/{:.0} tokens) to {out}",
         trace.len(),
@@ -219,17 +263,15 @@ fn report_table(label: &str, report: &LatencyReport, out: &ServingOutput) -> Tab
     t
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_run(flags: &mut Flags) -> Result<(), String> {
     let instances = instances(flags)?;
     let trace = build_trace_from_flags(flags)?;
-    let kind = scheduler_by_name(
-        flags
-            .get("scheduler")
-            .map(String::as_str)
-            .unwrap_or("llumnix"),
-    )?;
-    let mut config = ServingConfig::new(kind, instances);
+    let kind = scheduler_by_name(flags.get("scheduler").as_deref().unwrap_or("llumnix"))?;
     let autoscale_max: u32 = get(flags, "autoscale", 0)?;
+    let csv_path = flags.get("csv");
+    let json_path = flags.get("json");
+    flags.finish()?;
+    let mut config = ServingConfig::new(kind, instances);
     if autoscale_max > 0 {
         config = config.with_autoscale(AutoScaleConfig::paper_default(autoscale_max));
     }
@@ -248,27 +290,28 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     if out.aborted > 0 {
         println!("warning: {} requests aborted", out.aborted);
     }
-    if let Some(path) = flags.get("csv") {
+    if let Some(path) = csv_path {
         let csv = to_csv(&[
             &out.instances,
             &out.queued,
             &out.fragmentation,
             &out.free_blocks,
         ]);
-        std::fs::write(path, csv).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(&path, csv).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote timeline CSV to {path}");
     }
-    if let Some(path) = flags.get("json") {
+    if let Some(path) = json_path {
         let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(path, body).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(&path, body).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote JSON report to {path}");
     }
     Ok(())
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_compare(flags: &mut Flags) -> Result<(), String> {
     let instances = instances(flags)?;
     let trace = build_trace_from_flags(flags)?;
+    flags.finish()?;
     let mut table = Table::new(
         format!(
             "scheduler comparison: {} requests on {instances} instances",
@@ -304,7 +347,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(flags: &mut Flags) -> Result<(), String> {
     let preset = flags.get("preset").ok_or("need --preset <NAME>")?;
     let rates = flags
         .get("rates")
@@ -315,9 +358,11 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             _ => Err(format!("invalid rate `{r}` in --rates")),
         })
         .collect::<Result<Vec<f64>, String>>()?;
-    let n: usize = get(flags, "requests", 10_000)?;
+    let n = requests(flags)?;
     let instances = instances(flags)?;
     let seed: u64 = get(flags, "seed", 20240710)?;
+    let csv_path = flags.get("csv");
+    flags.finish()?;
     let mut table = Table::new(
         format!("rate sweep: {preset}, {n} requests, {instances} instances"),
         &[
@@ -334,7 +379,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         "rate,scheduler,e2e_mean,e2e_p99,prefill_mean,prefill_p99,decode_mean,decode_p99,preemptions,migrations\n",
     );
     for &rate in &rates {
-        let spec = trace_presets::by_name(preset, n, Arrivals::poisson(rate))
+        let spec = trace_presets::by_name(&preset, n, Arrivals::poisson(rate))
             .ok_or_else(|| format!("unknown preset `{preset}`"))?;
         let trace = spec.generate(&SimRng::new(seed));
         for kind in [SchedulerKind::InfaasPlusPlus, SchedulerKind::Llumnix] {
@@ -364,14 +409,15 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     println!("{}", table.render());
-    if let Some(path) = flags.get("csv") {
-        std::fs::write(path, csv).map_err(|e| format!("write {path}: {e}"))?;
+    if let Some(path) = csv_path {
+        std::fs::write(&path, csv).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote sweep CSV to {path}");
     }
     Ok(())
 }
 
-fn cmd_info() -> Result<(), String> {
+fn cmd_info(flags: &Flags) -> Result<(), String> {
+    flags.finish()?;
     let mut t = Table::new(
         "instance types",
         &[

@@ -46,9 +46,6 @@
 //! | [`workload`] | Table 1 length distributions, arrivals, traces |
 //! | [`metrics`] | records, percentiles, timelines, reports |
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub use llumnix_core as core;
 pub use llumnix_engine as engine;
 pub use llumnix_faults as faults;

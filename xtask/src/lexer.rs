@@ -67,7 +67,10 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 out.comments.push((
                     line,
-                    src[start..i].trim_start_matches('/').trim().to_string(),
+                    text(src, start, i)
+                        .trim_start_matches('/')
+                        .trim()
+                        .to_string(),
                 ));
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
@@ -90,34 +93,25 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 out.comments
-                    .push((start_line, src[start..i.min(b.len())].to_string()));
+                    .push((start_line, text(src, start, i).to_string()));
             }
             b'"' => {
                 let (start, start_line) = (i, line);
                 i = skip_string(b, i + 1, &mut line);
-                out.tokens.push(tok(
-                    TokenKind::Literal,
-                    &src[start..i.min(b.len())],
-                    start_line,
-                ));
+                out.tokens
+                    .push(tok(TokenKind::Literal, text(src, start, i), start_line));
             }
             b'r' | b'b' if is_raw_string_start(b, i) => {
                 let (start, start_line) = (i, line);
                 i = skip_raw_string(b, i, &mut line);
-                out.tokens.push(tok(
-                    TokenKind::Literal,
-                    &src[start..i.min(b.len())],
-                    start_line,
-                ));
+                out.tokens
+                    .push(tok(TokenKind::Literal, text(src, start, i), start_line));
             }
             b'b' if b.get(i + 1) == Some(&b'"') => {
                 let (start, start_line) = (i, line);
                 i = skip_string(b, i + 2, &mut line);
-                out.tokens.push(tok(
-                    TokenKind::Literal,
-                    &src[start..i.min(b.len())],
-                    start_line,
-                ));
+                out.tokens
+                    .push(tok(TokenKind::Literal, text(src, start, i), start_line));
             }
             b'\'' => {
                 // Char literal or lifetime. `'\x'`-style escapes and `'c'`
@@ -130,11 +124,11 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     i += 1;
                     out.tokens
-                        .push(tok(TokenKind::Literal, &src[start..i.min(b.len())], line));
+                        .push(tok(TokenKind::Literal, text(src, start, i), line));
                 } else if char_lit_len(src, i) > 0 {
                     let len = char_lit_len(src, i);
                     out.tokens
-                        .push(tok(TokenKind::Literal, &src[i..i + len], line));
+                        .push(tok(TokenKind::Literal, text(src, i, i + len), line));
                     i += len;
                 } else {
                     let start = i;
@@ -143,7 +137,7 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                     out.tokens
-                        .push(tok(TokenKind::Lifetime, &src[start..i], line));
+                        .push(tok(TokenKind::Lifetime, text(src, start, i), line));
                 }
             }
             c if c == b'_' || c.is_ascii_alphabetic() => {
@@ -151,7 +145,8 @@ pub fn lex(src: &str) -> Lexed {
                 while i < b.len() && (b[i] == b'_' || b[i].is_ascii_alphanumeric()) {
                     i += 1;
                 }
-                out.tokens.push(tok(TokenKind::Ident, &src[start..i], line));
+                out.tokens
+                    .push(tok(TokenKind::Ident, text(src, start, i), line));
             }
             c if c.is_ascii_digit() => {
                 // Numbers: digits, underscores, type suffixes, hex/exponent
@@ -170,20 +165,29 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 out.tokens
-                    .push(tok(TokenKind::Literal, &src[start..i], line));
+                    .push(tok(TokenKind::Literal, text(src, start, i), line));
             }
             _ => {
                 // Consume one whole char: non-ASCII bytes (e.g. `▁` in a doc
                 // comment that the comment arms didn't catch, or in idents)
                 // must not be split mid-codepoint.
-                let ch_len = src[i..].chars().next().map_or(1, char::len_utf8);
+                let ch_len = text(src, i, src.len())
+                    .chars()
+                    .next()
+                    .map_or(1, char::len_utf8);
                 out.tokens
-                    .push(tok(TokenKind::Punct, &src[i..i + ch_len], line));
+                    .push(tok(TokenKind::Punct, text(src, i, i + ch_len), line));
                 i += ch_len;
             }
         }
     }
     out
+}
+
+/// `src[start..end]`, clamped to the source: an unterminated construct
+/// runs to the end of the file instead of panicking.
+fn text(src: &str, start: usize, end: usize) -> &str {
+    src.get(start..end.min(src.len())).unwrap_or("")
 }
 
 fn tok(kind: TokenKind, text: &str, line: u32) -> Token {
@@ -199,7 +203,7 @@ fn tok(kind: TokenKind, text: &str, line: u32) -> Token {
 /// construct is not one — `''` (empty, which Rust rejects anyway) and
 /// `'ident` lifetimes both return 0.
 fn char_lit_len(src: &str, i: usize) -> usize {
-    let rest = &src[i + 1..];
+    let rest = text(src, i + 1, src.len());
     let c = match rest.chars().next() {
         Some(c) if c != '\'' && c != '\n' => c,
         _ => return 0,

@@ -1,70 +1,19 @@
-//! `cargo xtask` — workspace automation. The only subcommand today is
-//! `lint`, the determinism audit (see lib.rs for the rules).
+//! `cargo xtask` — workspace automation. The only subcommand is `lint`,
+//! the token pass of the determinism audit (see lib.rs for its rules and
+//! DESIGN.md §8 for the compiler's half).
 //!
-//! `lint` prints human-readable findings by default; `lint --format json`
-//! emits one machine-readable document for CI (schema below), which the
-//! workflow uploads as an artifact and feeds through a GitHub problem
-//! matcher for inline annotations:
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "clean": false,
-//!   "findings": [
-//!     {
-//!       "rule": "unordered-iter",
-//!       "path": "crates/core/src/foo.rs",
-//!       "line": 42,
-//!       "message": "...",
-//!       "snippet": "    for id in self.live.keys() {",
-//!       "allow_candidate": "// lint: allow(unordered-iter) — <reason>"
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! The schema is stable: fields are only ever added, and `version` bumps if
-//! a field's meaning changes. `allow_candidate` is `null` for rules with no
-//! escape hatch (`unsafe-code`, `missing-forbid`) and for the meta-rules.
-
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+//! `lint` prints one `path:line: [rule-id] message` line per finding, which
+//! CI's problem matcher turns into inline annotations, and exits nonzero
+//! when there is any.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn repo_root() -> PathBuf {
-    // xtask lives at <root>/xtask, so the workspace root is one up from
-    // this crate's manifest.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("xtask has a parent directory")
-        .to_path_buf()
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => {
-            let mut format = Format::Human;
-            let rest: Vec<String> = args.collect();
-            let mut i = 0usize;
-            while let Some(a) = rest.get(i) {
-                match a.as_str() {
-                    "--format" => {
-                        let val = rest.get(i.saturating_add(1)).map(String::as_str);
-                        match val {
-                            Some("human") => format = Format::Human,
-                            Some("json") => format = Format::Json,
-                            _ => return usage("lint --format takes `human` or `json`"),
-                        }
-                        i = i.saturating_add(2);
-                    }
-                    other => return usage(&format!("unknown lint flag `{other}`")),
-                }
-            }
-            lint(format)
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("lint") if args.len() == 1 => lint(),
+        Some("lint") => usage("`lint` takes no arguments"),
         Some(other) => usage(&format!("unknown xtask subcommand `{other}`")),
         None => usage("missing subcommand"),
     }
@@ -72,42 +21,27 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
-    eprintln!("usage: cargo xtask lint [--format human|json]");
+    eprintln!("usage: cargo xtask lint");
     ExitCode::from(2)
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Human,
-    Json,
-}
-
-fn lint(format: Format) -> ExitCode {
-    let root = repo_root();
-    let findings = xtask::run_lint(&root);
-    match format {
-        Format::Human => {
-            if findings.is_empty() {
-                println!("xtask lint: determinism audit clean");
-                return ExitCode::SUCCESS;
-            }
-            for f in &findings {
-                println!("{f}");
-            }
-            println!(
-                "xtask lint: {} violation{} of the byte-identical-schedule contract (DESIGN.md §8)",
-                findings.len(),
-                if findings.len() == 1 { "" } else { "s" }
-            );
-            ExitCode::FAILURE
-        }
-        Format::Json => {
-            println!("{}", xtask::render_json(&root, &findings));
-            if findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+fn lint() -> ExitCode {
+    // xtask lives at <root>/xtask, so the workspace root is one up from this
+    // crate's manifest.
+    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest.parent().unwrap_or(&manifest);
+    let findings = xtask::run_lint(root);
+    if findings.is_empty() {
+        println!("xtask lint: determinism audit clean");
+        return ExitCode::SUCCESS;
     }
+    for f in &findings {
+        println!("{f}");
+    }
+    println!(
+        "xtask lint: {} violation{} of the byte-identical-schedule contract (DESIGN.md §8)",
+        findings.len(),
+        if findings.len() == 1 { "" } else { "s" }
+    );
+    ExitCode::FAILURE
 }

@@ -1,38 +1,11 @@
-// Fixture: manual Clone impls that must NOT trip `clone-exhaustive` —
-// every field mentioned (even when handled rather than cloned), a derived
-// Clone, a fieldless struct, and test-only code. Not compiled — consumed
-// by lint_rules.rs.
-
-struct Snapshot {
-    now: u64,
-    queue: Vec<u64>,
-    pool: Option<u32>,
-}
-
-impl Clone for Snapshot {
-    fn clone(&self) -> Self {
-        Snapshot {
-            now: self.now,
-            queue: self.queue.clone(),
-            // Deliberately reset, not cloned: mentioning the field is the
-            // contract; judging the expression is the reviewer's job.
-            pool: None,
-        }
-    }
-}
+// Fixture: a derived Clone and test-only code pass `clone-exhaustive`. Not
+// compiled — lint_rules.rs runs the token pass over it; a `fires:` comment
+// names each rule expected on its line.
 
 #[derive(Clone)]
 struct Derived {
     a: u64,
     b: Vec<u64>,
-}
-
-struct Marker;
-
-impl Clone for Marker {
-    fn clone(&self) -> Self {
-        Marker
-    }
 }
 
 #[cfg(test)]
@@ -55,5 +28,33 @@ mod tests {
 
     fn zeroed() -> Probe {
         Probe { hits: 0, misses: 0 }
+    }
+}
+
+// Stricter than the rule this replaced, which passed a hand-written clone
+// that mentions every field, and one of a fieldless struct: any
+// hand-written clone now fires.
+
+struct Snapshot {
+    now: u64,
+    queue: Vec<u64>,
+    pool: Option<u32>,
+}
+
+impl Clone for Snapshot { // fires: clone-exhaustive
+    fn clone(&self) -> Self {
+        Snapshot {
+            now: self.now,
+            queue: self.queue.clone(),
+            pool: None,
+        }
+    }
+}
+
+struct Marker;
+
+impl Clone for Marker { // fires: clone-exhaustive
+    fn clone(&self) -> Self {
+        Marker
     }
 }

@@ -1,5 +1,7 @@
-// Fixture: a manual `impl Clone` that skips a declared field must trip
-// `clone-exhaustive`. Not compiled — consumed by lint_rules.rs.
+// Fixture: a hand-written `impl Clone` in a deterministic crate must trip
+// `clone-exhaustive`, whether or not it skips a field. Not compiled —
+// lint_rules.rs runs the token pass over it; a `fires:` comment names each
+// rule expected on its line.
 
 #[derive(Default)]
 struct Snapshot {
@@ -8,7 +10,7 @@ struct Snapshot {
     rng_state: u128,
 }
 
-impl Clone for Snapshot {
+impl Clone for Snapshot { // fires: clone-exhaustive
     fn clone(&self) -> Self {
         // `rng_state` is never mentioned: the rest-filler defaults it, so a
         // fork through this clone silently diverges from its donor.
@@ -25,9 +27,9 @@ struct Reset {
     seen: Vec<u64>,
 }
 
-impl Clone for Reset {
+impl Clone for Reset { // fires: clone-exhaustive
     fn clone(&self) -> Self {
-        // Neither field is mentioned — both must be reported.
+        // Neither field is mentioned.
         Reset::fresh()
     }
 }
@@ -37,6 +39,20 @@ impl Reset {
         Reset {
             epoch: 0,
             seen: Vec::new(),
+        }
+    }
+}
+
+struct Pair<T> {
+    a: T,
+    b: T,
+}
+
+impl<T: Clone> Clone for Pair<T> { // fires: clone-exhaustive
+    fn clone(&self) -> Self {
+        Pair {
+            a: self.a.clone(),
+            b: self.b.clone(),
         }
     }
 }

@@ -1,6 +1,7 @@
-// Fixture: ordering through the blessed `order_key` encoding, a trait
-// *definition* of partial_cmp, and a justified annotation must NOT trip
-// `float-ord`. Not compiled — consumed by lint_rules.rs.
+// Fixture: ordering through the `order_key` encoding, a trait *definition*
+// of partial_cmp, test code and a justified annotation pass `float-ord`.
+// Not compiled — lint_rules.rs runs the token pass over it; a `fires:`
+// comment names each rule expected on its line.
 
 fn order_key(x: f64) -> u64 {
     let bits = x.to_bits();
@@ -28,15 +29,23 @@ fn sort_for_display(xs: &mut [f64]) {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("display values are finite"));
 }
 
+#[cfg(test)]
+mod tests {
+    fn sorted(mut xs: Vec<f64>) -> Vec<f64> {
+        xs.sort_by(|a, b| a.total_cmp(b));
+        xs
+    }
+}
+
 struct Lamport {
     tick: u64,
 }
 
 impl Lamport {
     fn cmp_to(&self, other: &Lamport) -> Option<std::cmp::Ordering> {
-        // A known non-float receiver (u64 field): `partial_cmp` here is a
-        // total order, so the type-aware rule stays silent without any
-        // annotation — the lexer-era pass needed one.
-        self.tick.partial_cmp(&other.tick)
+        // Stricter than the type-approximating rule this replaced, which
+        // knew `tick` is a u64: without types every call fires. Write
+        // `Some(self.tick.cmp(&other.tick))` instead.
+        self.tick.partial_cmp(&other.tick) // fires: float-ord
     }
 }

@@ -1,40 +1,43 @@
-// Fixture: justified panic handling that must NOT trip `panic-path` —
-// expect with a real message, plain loop indexing, get-based access, the
-// modulo-length idiom, debug_assert operands, test code, and an annotated
-// unwrap. Not compiled — consumed by lint_rules.rs.
+// Fixture: justified panic handling passes the audit — expect with a real
+// message, plain indexing, get-based access, the modulo-length idiom, test
+// code and an unwrap under `#[expect]`. lint_rules.rs runs clippy and the
+// token pass; a `fires:` comment names each lint expected on its line.
+use std::collections::BTreeMap;
 
-struct Calendar {
-    buckets: Vec<u64>,
-    labels: std::collections::BTreeMap<u64, String>,
+pub struct Calendar {
+    pub buckets: Vec<u64>,
+    pub labels: BTreeMap<u64, String>,
 }
 
-fn head(c: &Calendar) -> u64 {
+pub fn head(c: &Calendar) -> u64 {
     // The expect message is the in-language proof obligation.
     *c.buckets.first().expect("calendar is never empty after init")
 }
 
-fn nth(c: &Calendar, i: usize) -> u64 {
-    // Plain loop-style indexing: the bound is adjacent to the use.
+pub fn nth(c: &Calendar, i: usize) -> u64 {
+    // Plain indexing: the bound is adjacent to the use.
     c.buckets[i]
 }
 
-fn neighbor(c: &Calendar, i: usize) -> u64 {
+pub fn neighbor(c: &Calendar, i: usize) -> u64 {
     *c.buckets
         .get(i + 1)
         .expect("caller checked i against len - 1")
 }
 
-fn wrapped(c: &Calendar, seed: u64) -> u64 {
+pub fn wrapped(c: &Calendar, seed: u64) -> u64 {
     // Modulo-of-length is in range by construction.
     c.buckets[seed as usize % c.buckets.len()]
 }
 
-fn check(c: &Calendar) {
-    debug_assert_eq!(c.buckets.first().unwrap(), &0, "calendar must start at 0");
+pub fn check(c: &Calendar) {
+    // The token pass skips debug_assert operands, which run in no release
+    // build; clippy's unwrap_used does not (stricter than the old rule).
+    debug_assert_eq!(c.buckets.first().unwrap(), &0, "calendar must start at 0"); // fires: clippy::unwrap_used
 }
 
-fn blessed(c: &Calendar) -> u64 {
-    // lint: allow(panic-path) — fixture demonstrating the escape hatch
+#[expect(clippy::unwrap_used, reason = "fixture demonstrating the escape hatch")]
+pub fn blessed(c: &Calendar) -> u64 {
     *c.buckets.first().unwrap()
 }
 
@@ -42,8 +45,14 @@ fn blessed(c: &Calendar) -> u64 {
 mod tests {
     use super::*;
 
-    fn probe(c: &Calendar) -> u64 {
-        // Test code unwraps freely.
-        c.labels.get(&0).unwrap().len() as u64 + c.buckets[0 + 1]
+    #[test]
+    fn probe() {
+        // Test code unwraps and indexes freely.
+        let c = Calendar {
+            buckets: vec![0, 1],
+            labels: BTreeMap::new(),
+        };
+        assert_eq!(c.labels.get(&0).map(String::len), None);
+        assert_eq!(*c.buckets.first().unwrap() + c.buckets[0 + 1], 1);
     }
 }

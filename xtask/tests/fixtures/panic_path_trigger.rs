@@ -1,24 +1,25 @@
-// Fixture: unjustified panic sites in deterministic code must trip
-// `panic-path` — a bare unwrap, a vacuous expect message, and a computed
-// index into a known Vec. Not compiled — consumed by lint_rules.rs.
+// Fixture: unjustified panic sites must fail the audit in deterministic
+// code — a bare unwrap (clippy), a vacuous expect message and computed
+// indexes into a Vec (the token pass). lint_rules.rs runs both; a `fires:`
+// comment names each lint or rule expected on its line.
 
-struct Calendar {
-    buckets: Vec<u64>,
+pub struct Calendar {
+    pub buckets: Vec<u64>,
 }
 
-fn head(c: &Calendar) -> u64 {
-    *c.buckets.first().unwrap()
+pub fn head(c: &Calendar) -> u64 {
+    *c.buckets.first().unwrap() // fires: clippy::unwrap_used
 }
 
-fn tail(c: &Calendar) -> u64 {
-    *c.buckets.last().expect("ok")
+pub fn tail(c: &Calendar) -> u64 {
+    *c.buckets.last().expect("ok") // fires: panic-path
 }
 
-fn neighbor(c: &Calendar, i: usize) -> u64 {
-    c.buckets[i + 1]
+pub fn neighbor(c: &Calendar, i: usize) -> u64 {
+    c.buckets[i + 1] // fires: panic-path
 }
 
-fn scaled(c: &Calendar, i: usize) -> u64 {
+pub fn scaled(c: &Calendar, i: usize) -> u64 {
     let stride: usize = 4;
-    c.buckets[i * stride]
+    c.buckets[i * stride] // fires: panic-path
 }

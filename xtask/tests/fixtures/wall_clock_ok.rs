@@ -1,14 +1,15 @@
-// Fixture: virtual time and string/comment mentions must NOT trip
-// `wall-clock`. Not compiled — consumed by lint_rules.rs.
+// Fixture: virtual time, and wall-clock names in comments and strings,
+// pass the audit. lint_rules.rs compiles it under the repository's
+// workspace lints and crates/clippy.toml.
 
 // Instant::now() in a comment is fine.
 
-struct SimTime(u64);
+pub struct SimTime(pub u64);
 
-fn advance(t: SimTime, dt: u64) -> SimTime {
+pub fn advance(t: SimTime, dt: u64) -> SimTime {
     SimTime(t.0 + dt)
 }
 
-fn describe() -> &'static str {
+pub fn describe() -> &'static str {
     "never calls Instant::now() or SystemTime::now()"
 }

@@ -1,113 +1,361 @@
-//! Fixture-driven tests for the determinism audit: every rule has a
-//! trigger fixture (must produce findings with the right rule id and
-//! line) and a no-trigger fixture (must stay silent), plus the
-//! allow-annotation escape hatch and the allowlist file format.
+//! Fixture-driven tests for both halves of the determinism audit: the token
+//! pass (`xtask::lint_source`) and the compiler's, clippy under the
+//! repository's own `[workspace.lints]` and clippy.toml files. A fixture
+//! names what it must produce with a `// fires: ..` (or `/* fires: .. */`)
+//! comment on each offending line: kebab-case rule ids for the token pass,
+//! lint names or error codes for the compiler. The tests compare those with
+//! what each half reports.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
 
-use xtask::{lint_source, run_lint, work_items, Allowlist, FileClass, Rule};
+use serde::{Deserialize, Value};
+use xtask::{lint_manifest, lint_source, run_lint, FileClass, Rule};
+
+/// `(line, rule id or lint name)` pairs.
+type Hits = BTreeSet<(u32, String)>;
+
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("xtask sits in the workspace root")
+        .to_path_buf()
+}
+
+fn fixture_path(file: &str) -> PathBuf {
+    root().join("xtask/tests/fixtures").join(file)
+}
+
+fn fixture(file: &str) -> String {
+    std::fs::read_to_string(fixture_path(file)).expect("fixture exists")
+}
 
 fn det() -> FileClass {
     FileClass {
         deterministic: true,
-        ..Default::default()
+        xtask: false,
     }
 }
 
-fn nondet() -> FileClass {
-    FileClass::default()
+/// A fixture's `fires:` markers: `(token-pass rules, compiler lints)`.
+fn markers(file: &str) -> (Hits, Hits) {
+    let (mut rules, mut lints) = (Hits::new(), Hits::new());
+    for (line, text) in (1u32..).zip(fixture(file).lines()) {
+        let Some((_, names)) = text
+            .split_once("// fires:")
+            .or_else(|| text.split_once("/* fires:"))
+        else {
+            continue;
+        };
+        let names = names.split("*/").next().unwrap_or_default();
+        for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+            let hit = (line, name.to_string());
+            if name.contains('-') {
+                rules.insert(hit);
+            } else {
+                lints.insert(hit);
+            }
+        }
+    }
+    (rules, lints)
 }
 
-fn rules_of(findings: &[xtask::Finding]) -> Vec<Rule> {
-    findings.iter().map(|f| f.rule).collect()
+fn token_pass(file: &str, class: FileClass) -> Hits {
+    lint_source(file, &fixture(file), &class)
+        .into_iter()
+        .map(|f| (f.line, f.rule.id().to_string()))
+        .collect()
+}
+
+/// A clippy.toml the compiled fixtures are checked under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Conf {
+    /// crates/clippy.toml: the simulation crates.
+    Det,
+    /// crates/bench/clippy.toml: a crate outside the simulation.
+    Bench,
+    /// xtask/clippy.toml: the audit's own code.
+    Xtask,
+}
+
+impl Conf {
+    fn dir(self) -> &'static str {
+        match self {
+            Conf::Det => "det",
+            Conf::Bench => "bench",
+            Conf::Xtask => "xtask",
+        }
+    }
+
+    fn source(self) -> &'static str {
+        match self {
+            Conf::Det => "crates/clippy.toml",
+            Conf::Bench => "crates/bench/clippy.toml",
+            Conf::Xtask => "xtask/clippy.toml",
+        }
+    }
+}
+
+/// Every fixture crate the compiler checks, and the configuration it is
+/// checked under.
+const COMPILED: &[(Conf, &str)] = &[
+    (Conf::Det, "unordered_iter_trigger"),
+    (Conf::Det, "unordered_iter_ok"),
+    (Conf::Det, "wall_clock_trigger"),
+    (Conf::Det, "wall_clock_ok"),
+    (Conf::Det, "panic_path_trigger"),
+    (Conf::Det, "panic_path_ok"),
+    (Conf::Det, "bare_allow_trigger"),
+    (Conf::Det, "unsafe_trigger"),
+    (Conf::Bench, "unsafe_trigger"),
+    (Conf::Bench, "serialized_hash_trigger"),
+    (Conf::Bench, "serialized_hash_ok"),
+    (Conf::Bench, "unordered_iter_trigger"),
+    (Conf::Bench, "wall_clock_trigger"),
+    (Conf::Xtask, "unordered_iter_trigger"),
+    (Conf::Xtask, "panic_path_trigger"),
+];
+
+fn crate_name(conf: Conf, fixture: &str) -> String {
+    format!("{}_{fixture}", conf.dir())
+}
+
+/// Writes `text` to `path` unless it already holds it, so an unchanged
+/// fixture crate stays fresh for cargo.
+fn write_if_changed(path: &Path, text: &str) {
+    if std::fs::read_to_string(path).is_ok_and(|old| old == text) {
+        return;
+    }
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("fixture directory can be created");
+    }
+    std::fs::write(path, text).expect("fixture file can be written");
+}
+
+/// One JSON record of cargo's `--message-format=json` stream.
+struct Json(Value);
+
+impl Deserialize for Json {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        Ok(Json(value.clone()))
+    }
+}
+
+fn str_at<'a>(value: &'a Value, path: &[&str]) -> Option<&'a str> {
+    let mut v = value;
+    for key in path {
+        v = v.get(key)?;
+    }
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The primary span's first line.
+fn primary_line(diagnostic: &Value) -> Option<u32> {
+    let Some(Value::Arr(spans)) = diagnostic.get("spans") else {
+        return None;
+    };
+    let span = spans
+        .iter()
+        .find(|s| s.get("is_primary") == Some(&Value::Bool(true)))?;
+    match span.get("line_start")? {
+        Value::U64(n) => u32::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// Builds one workspace holding every fixture crate in [`COMPILED`] and
+/// runs clippy over it once. The workspace copies the repository's
+/// `[workspace.lints]` tables and clippy.toml files when it is generated,
+/// so the fixtures are checked under exactly the configuration the tree
+/// is. Returns each crate's error-level diagnostics: every audit lint is
+/// denied, so an error is exactly an audit finding or a failed build.
+fn check_fixtures() -> BTreeMap<String, Hits> {
+    let root = root();
+    let work = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint-fixtures");
+    let manifest =
+        std::fs::read_to_string(root.join("Cargo.toml")).expect("the root manifest is readable");
+    let mut lints = String::new();
+    let mut keep = false;
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            keep = line.starts_with("[workspace.lints");
+        }
+        if keep {
+            lints.push_str(line);
+            lints.push('\n');
+        }
+    }
+    assert!(
+        lints.contains("[workspace.lints.rust]") && lints.contains("[workspace.lints.clippy]"),
+        "the root manifest declares the audit's workspace lints"
+    );
+    for conf in [Conf::Det, Conf::Bench, Conf::Xtask] {
+        let toml = std::fs::read_to_string(root.join(conf.source())).expect("clippy.toml exists");
+        write_if_changed(&work.join(conf.dir()).join("clippy.toml"), &toml);
+    }
+    let mut members = Vec::new();
+    let mut found = BTreeMap::new();
+    for &(conf, fixture) in COMPILED {
+        let name = crate_name(conf, fixture);
+        let package = format!(
+            "[package]\nname = \"{name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
+             publish = false\n\n[lib]\npath = \"{}\"\n\n[dependencies]\n\
+             serde = {{ path = \"{}\" }}\n\n[lints]\nworkspace = true\n",
+            fixture_path(&format!("{fixture}.rs")).display(),
+            root.join("vendor/serde").display(),
+        );
+        write_if_changed(
+            &work.join(conf.dir()).join(fixture).join("Cargo.toml"),
+            &package,
+        );
+        members.push(format!("\"{}/{fixture}\"", conf.dir()));
+        found.insert(name, Hits::new());
+    }
+    let workspace = format!(
+        "[workspace]\nmembers = [{}]\nresolver = \"2\"\n\n{lints}",
+        members.join(", ")
+    );
+    write_if_changed(&work.join("Cargo.toml"), &workspace);
+
+    let output = Command::new(env!("CARGO"))
+        .args([
+            "clippy",
+            "--offline",
+            "--quiet",
+            "--workspace",
+            "--all-targets",
+        ])
+        .args(["--keep-going", "--message-format=json", "--manifest-path"])
+        .arg(work.join("Cargo.toml"))
+        // A target dir of its own: the outer `cargo test` may hold the lock
+        // on the workspace's.
+        .env("CARGO_TARGET_DIR", work.join("target"))
+        .env_remove("CLIPPY_CONF_DIR")
+        .output()
+        .expect("cargo can be started");
+    let mut seen = BTreeSet::new();
+    for line in String::from_utf8_lossy(&output.stdout).lines() {
+        let Ok(Json(record)) = serde_json::from_str::<Json>(line) else {
+            continue;
+        };
+        let Some(target) = str_at(&record, &["target", "name"]) else {
+            continue;
+        };
+        seen.insert(target.to_string());
+        let Some(diagnostic) = record.get("message") else {
+            continue;
+        };
+        if str_at(diagnostic, &["level"]) != Some("error") {
+            continue;
+        }
+        let (Some(code), Some(line)) = (
+            str_at(diagnostic, &["code", "code"]),
+            primary_line(diagnostic),
+        ) else {
+            continue;
+        };
+        if let Some(hits) = found.get_mut(target) {
+            hits.insert((line, code.to_string()));
+        }
+    }
+    let missing: Vec<&String> = found.keys().filter(|k| !seen.contains(*k)).collect();
+    assert!(
+        missing.is_empty(),
+        "clippy reported nothing for {missing:?}; is the clippy component installed?\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    found
+}
+
+/// The compiler's errors for one fixture crate.
+fn compiled(conf: Conf, fixture: &str) -> Hits {
+    static RUN: OnceLock<BTreeMap<String, Hits>> = OnceLock::new();
+    RUN.get_or_init(check_fixtures)
+        .get(&crate_name(conf, fixture))
+        .cloned()
+        .expect("the fixture is listed in COMPILED")
+}
+
+/// Checks both halves against the fixture's markers: the token pass under
+/// `class`, and the compiler under `conf` when given.
+fn assert_fires(file: &str, class: FileClass, conf: Option<Conf>) {
+    let (rules, lints) = markers(file);
+    assert_eq!(token_pass(file, class), rules, "token pass on {file}");
+    if let Some(conf) = conf {
+        let stem = file.trim_end_matches(".rs");
+        assert_eq!(compiled(conf, stem), lints, "compiler on {file} ({conf:?})");
+    } else {
+        assert!(lints.is_empty(), "{file} is not compiled");
+    }
 }
 
 #[test]
 fn unordered_iter_triggers() {
-    let src = include_str!("fixtures/unordered_iter_trigger.rs");
-    let findings = lint_source("fixtures/unordered_iter_trigger.rs", src, &det());
-    let unordered: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::UnorderedIter)
+    assert_fires("unordered_iter_trigger.rs", det(), Some(Conf::Det));
+    let (_, lints) = markers("unordered_iter_trigger.rs");
+    for lint in [
+        "clippy::iter_over_hash_type",
+        "clippy::disallowed_methods",
+        "clippy::disallowed_types",
+    ] {
+        assert!(lints.iter().any(|(_, l)| l == lint), "{lint} is exercised");
+    }
+}
+
+#[test]
+fn unordered_iter_spares_btrees_and_expected_sites() {
+    // The sites that now fire are the fixture's marked "stricter" section.
+    assert_fires("unordered_iter_ok.rs", det(), Some(Conf::Det));
+}
+
+#[test]
+fn only_for_loops_over_hash_types_fail_outside_deterministic_crates() {
+    // `iter_over_hash_type` is a workspace lint, so it holds in every crate;
+    // the method and type bans live in crates/clippy.toml, which bench and
+    // metrics replace with their own.
+    let (_, lints) = markers("unordered_iter_trigger.rs");
+    let loops: Hits = lints
+        .into_iter()
+        .filter(|(_, l)| l == "clippy::iter_over_hash_type")
         .collect();
-    // for-loop over a HashSet, .iter() on a HashMap, .keys() on an
-    // alias-typed HashMap, and .retain() — all four sites.
-    assert_eq!(unordered.len(), 4, "{findings:?}");
-    assert!(unordered.iter().all(|f| f.line > 0));
-    // Reported lines land on the iterating construct, in source order.
-    let lines: Vec<u32> = unordered.iter().map(|f| f.line).collect();
-    let mut sorted = lines.clone();
-    sorted.sort_unstable();
-    assert_eq!(lines, sorted);
-}
-
-#[test]
-fn unordered_iter_spares_btrees_sinks_and_annotated_sites() {
-    let src = include_str!("fixtures/unordered_iter_ok.rs");
-    let findings = lint_source("fixtures/unordered_iter_ok.rs", src, &det());
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn unordered_iter_is_off_outside_deterministic_crates() {
-    let src = include_str!("fixtures/unordered_iter_trigger.rs");
-    let findings = lint_source("fixtures/unordered_iter_trigger.rs", src, &nondet());
-    assert!(findings.is_empty(), "{findings:?}");
+    assert!(!loops.is_empty());
+    assert_eq!(compiled(Conf::Bench, "unordered_iter_trigger"), loops);
+    assert_eq!(compiled(Conf::Bench, "wall_clock_trigger"), Hits::new());
 }
 
 #[test]
 fn wall_clock_triggers() {
-    let src = include_str!("fixtures/wall_clock_trigger.rs");
-    let findings = lint_source("fixtures/wall_clock_trigger.rs", src, &det());
-    assert!(
-        findings.iter().any(|f| f.rule == Rule::WallClock),
-        "{findings:?}"
-    );
-    assert!(findings
-        .iter()
-        .all(|f| f.rule == Rule::WallClock && f.line > 0));
+    assert_fires("wall_clock_trigger.rs", det(), Some(Conf::Det));
 }
 
 #[test]
 fn wall_clock_ignores_comments_strings_and_virtual_time() {
-    let src = include_str!("fixtures/wall_clock_ok.rs");
-    let findings = lint_source("fixtures/wall_clock_ok.rs", src, &det());
-    assert!(findings.is_empty(), "{findings:?}");
+    assert_fires("wall_clock_ok.rs", det(), Some(Conf::Det));
 }
 
 #[test]
 fn float_ord_triggers_on_partial_and_total_cmp() {
-    let src = include_str!("fixtures/float_ord_trigger.rs");
-    let findings = lint_source("fixtures/float_ord_trigger.rs", src, &det());
-    // Unknown-receiver partial_cmp, closure-param total_cmp, and the
-    // field-resolved f64 receiver.
-    assert_eq!(
-        rules_of(&findings),
-        vec![Rule::FloatOrd, Rule::FloatOrd, Rule::FloatOrd]
-    );
+    assert_fires("float_ord_trigger.rs", det(), None);
+    assert_eq!(markers("float_ord_trigger.rs").0.len(), 3);
 }
 
 #[test]
 fn float_ord_spares_order_key_definitions_and_annotations() {
-    // Includes the known-non-float receiver (`u64` field), which the
-    // lexer-era pass could only silence with an annotation or the
-    // whole-file carve-out.
-    let src = include_str!("fixtures/float_ord_ok.rs");
-    let findings = lint_source("fixtures/float_ord_ok.rs", src, &det());
-    assert!(findings.is_empty(), "{findings:?}");
+    // The one site that fires is the non-float receiver the old
+    // type-approximating rule let through.
+    assert_fires("float_ord_ok.rs", det(), None);
 }
 
 #[test]
 fn the_order_key_file_passes_without_a_carve_out() {
-    // PR 4 exempted crates/core/src/index.rs wholesale (BLESSED_FLOAT_FILE)
-    // because the lexer could not tell bit-pattern comparisons from float
-    // comparisons. The type-aware pass audits it like any other file.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("workspace root")
-        .to_path_buf();
-    let src = std::fs::read_to_string(root.join("crates/core/src/index.rs"))
+    // `order_key` compares bit patterns (`to_bits`), not floats, so the
+    // file that defines it needs neither a carve-out nor an annotation.
+    let src = std::fs::read_to_string(root().join("crates/core/src/index.rs"))
         .expect("index.rs is part of the audited tree");
     let findings = lint_source("crates/core/src/index.rs", &src, &det());
     assert!(findings.is_empty(), "{findings:?}");
@@ -115,314 +363,173 @@ fn the_order_key_file_passes_without_a_carve_out() {
 
 #[test]
 fn unsafe_triggers_everywhere_and_cannot_be_allowed() {
-    let src = include_str!("fixtures/unsafe_trigger.rs");
-    for class in [det(), nondet()] {
-        let findings = lint_source("fixtures/unsafe_trigger.rs", src, &class);
-        assert!(
-            findings.iter().any(|f| f.rule == Rule::UnsafeCode),
-            "{findings:?}"
-        );
-        // The fixture's allow-annotation must be rejected as bare.
-        assert!(
-            findings.iter().any(|f| f.rule == Rule::BareAllow),
-            "{findings:?}"
-        );
-    }
+    // `unsafe_code = "forbid"` fails the build in any crate, an `#[expect]`
+    // of a forbidden lint is itself an error (E0453), and the token pass
+    // rejects an annotation for it.
+    assert_fires("unsafe_trigger.rs", det(), Some(Conf::Det));
+    assert_fires("unsafe_trigger.rs", FileClass::default(), Some(Conf::Bench));
 }
 
 #[test]
 fn serialized_hash_triggers_in_any_crate() {
-    let src = include_str!("fixtures/serialized_hash_trigger.rs");
-    let findings = lint_source("fixtures/serialized_hash_trigger.rs", src, &nondet());
-    // HashMap field in the struct and HashSet payload in the enum.
-    assert_eq!(
-        rules_of(&findings),
-        vec![Rule::SerializedHash, Rule::SerializedHash]
+    // Checked under bench's configuration, which bans no hash container:
+    // the build fails because the vendored serde serializes no hash type.
+    assert_fires(
+        "serialized_hash_trigger.rs",
+        FileClass::default(),
+        Some(Conf::Bench),
     );
+    assert!(!markers("serialized_hash_trigger.rs").1.is_empty());
 }
 
 #[test]
 fn serialized_hash_spares_btrees_and_unserialized_types() {
-    let src = include_str!("fixtures/serialized_hash_ok.rs");
-    let findings = lint_source("fixtures/serialized_hash_ok.rs", src, &nondet());
-    assert!(findings.is_empty(), "{findings:?}");
+    assert_fires(
+        "serialized_hash_ok.rs",
+        FileClass::default(),
+        Some(Conf::Bench),
+    );
 }
 
 #[test]
-fn missing_forbid_triggers_only_on_lib_roots() {
-    let trigger = include_str!("fixtures/missing_forbid_trigger.rs");
-    let ok = include_str!("fixtures/missing_forbid_ok.rs");
-    let root = FileClass {
-        lib_root: true,
-        ..Default::default()
-    };
-    let findings = lint_source("fixtures/missing_forbid_trigger.rs", trigger, &root);
-    assert_eq!(rules_of(&findings), vec![Rule::MissingForbid]);
-    assert_eq!(findings[0].line, 1);
-    let findings = lint_source("fixtures/missing_forbid_ok.rs", ok, &root);
-    assert!(findings.is_empty(), "{findings:?}");
-    // The same file as a non-root module is not required to carry it.
-    let findings = lint_source("fixtures/missing_forbid_trigger.rs", trigger, &nondet());
-    assert!(findings.is_empty(), "{findings:?}");
+fn lint_config_triggers_on_manifests_without_the_opt_in() {
+    let trigger = lint_manifest("demo/Cargo.toml", &fixture("lint_config_trigger.toml"));
+    assert_eq!(
+        trigger.iter().map(|f| (f.line, f.rule)).collect::<Vec<_>>(),
+        [(1, Rule::LintConfig)]
+    );
+    let ok = lint_manifest("demo/Cargo.toml", &fixture("lint_config_ok.toml"));
+    assert!(ok.is_empty(), "{ok:?}");
+    // Every real member manifest opts in, and so does the root package.
+    for manifest in ["Cargo.toml", "xtask/Cargo.toml", "crates/core/Cargo.toml"] {
+        let text = std::fs::read_to_string(root().join(manifest)).expect("manifest exists");
+        assert!(lint_manifest(manifest, &text).is_empty(), "{manifest}");
+    }
 }
 
 #[test]
 fn bare_allow_leaves_the_original_violation_standing() {
-    let src = include_str!("fixtures/bare_allow_trigger.rs");
-    let findings = lint_source("fixtures/bare_allow_trigger.rs", src, &det());
-    assert!(
-        findings.iter().any(|f| f.rule == Rule::UnorderedIter),
-        "{findings:?}"
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == Rule::BareAllow),
-        "{findings:?}"
-    );
+    // The reasonless `// lint: allow(unordered-iter)` is rejected, and the
+    // `.keys()` call below it still fails clippy.
+    assert_fires("bare_allow_trigger.rs", det(), Some(Conf::Det));
+    let (rules, lints) = markers("bare_allow_trigger.rs");
+    let annotation = rules
+        .iter()
+        .find(|(_, r)| r == "bare-allow")
+        .map(|(l, _)| *l)
+        .expect("the fixture holds a bare annotation");
+    assert!(lints.contains(&(annotation + 1, "clippy::disallowed_methods".to_string())));
 }
 
 #[test]
 fn findings_render_as_path_line_rule() {
-    let src = include_str!("fixtures/float_ord_trigger.rs");
-    let findings = lint_source("crates/demo/src/x.rs", src, &det());
-    let line = findings[0].to_string();
+    let findings = lint_source(
+        "crates/demo/src/x.rs",
+        &fixture("float_ord_trigger.rs"),
+        &det(),
+    );
+    let line = findings.first().expect("the fixture fires").to_string();
     assert!(
-        line.starts_with("crates/demo/src/x.rs:") && line.contains("[float-ord]"),
+        line.starts_with("crates/demo/src/x.rs:") && line.contains(": [float-ord] "),
         "{line}"
     );
 }
 
 #[test]
 fn allowlist_requires_justifications_and_flags_unused_entries() {
-    let text = "\
-# comment lines and blanks are fine
-
-unordered-iter crates/demo/src/a.rs values drained into a sorted vec
-float-ord crates/demo/src/b.rs
-unsafe-code crates/demo/src/c.rs reasons do not help here
-bogus-rule crates/demo/src/d.rs whatever
-";
-    let mut list = Allowlist::parse(text, "xtask/lint.allow");
-    // Three bad entries: missing reason, unallowable rule, unknown rule.
-    assert_eq!(list.parse_findings.len(), 3, "{:?}", list.parse_findings);
-    assert!(list
-        .parse_findings
-        .iter()
-        .all(|f| f.rule == Rule::BareAllow));
-    // The good entry silences its (rule, path) pair...
-    assert!(list.allows(Rule::UnorderedIter, "crates/demo/src/a.rs"));
-    // ...but not other paths or rules.
-    assert!(!list.allows(Rule::UnorderedIter, "crates/demo/src/z.rs"));
-    assert!(!list.allows(Rule::WallClock, "crates/demo/src/a.rs"));
-    // Used entries produce no unused-allow findings.
-    assert!(list.unused_findings("xtask/lint.allow").is_empty());
-
-    let mut stale = Allowlist::parse(
-        "wall-clock crates/demo/src/never.rs left over from a refactor\n",
-        "xtask/lint.allow",
-    );
-    assert!(!stale.allows(Rule::FloatOrd, "crates/demo/src/never.rs"));
-    let unused = stale.unused_findings("xtask/lint.allow");
-    assert_eq!(rules_of(&unused), vec![Rule::UnusedAllow]);
+    // The escape hatches of both halves need a reason and must silence
+    // something: `#[expect]` without a reason, an `#[allow]` (which cannot
+    // go stale visibly) and an unfulfilled `#[expect]` fail clippy; an
+    // unused `// lint: allow` fails the token pass.
+    let (rules, lints) = markers("bare_allow_trigger.rs");
+    for lint in [
+        "clippy::allow_attributes_without_reason",
+        "clippy::allow_attributes",
+        "unfulfilled_lint_expectations",
+    ] {
+        assert!(lints.iter().any(|(_, l)| l == lint), "{lint} is exercised");
+    }
+    assert!(rules.iter().any(|(_, r)| r == "unused-allow"));
+    assert_fires("bare_allow_trigger.rs", det(), Some(Conf::Det));
 }
 
 #[test]
 fn clone_exhaustive_triggers_on_skipped_fields() {
-    let src = include_str!("fixtures/clone_exhaustive_trigger.rs");
-    let findings = lint_source("fixtures/clone_exhaustive_trigger.rs", src, &det());
-    let hits: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::CloneExhaustive)
-        .collect();
-    assert_eq!(hits.len(), 2, "{findings:?}");
-    assert!(
-        hits[0].message.contains("rng_state"),
-        "the rest-filled clone names its skipped field: {}",
-        hits[0].message
-    );
-    assert!(
-        hits[1].message.contains("epoch") && hits[1].message.contains("seen"),
-        "the delegating clone names every skipped field: {}",
-        hits[1].message
-    );
+    assert_fires("clone_exhaustive_trigger.rs", det(), None);
+    assert_eq!(markers("clone_exhaustive_trigger.rs").0.len(), 3);
 }
 
 #[test]
-fn clone_exhaustive_spares_mentions_derives_and_tests() {
-    let src = include_str!("fixtures/clone_exhaustive_ok.rs");
-    let findings = lint_source("fixtures/clone_exhaustive_ok.rs", src, &det());
-    assert!(findings.is_empty(), "{findings:?}");
+fn clone_exhaustive_spares_derives_and_tests() {
+    // The two sites that fire are the fixture's marked "stricter" section.
+    assert_fires("clone_exhaustive_ok.rs", det(), None);
 }
 
 #[test]
 fn deleting_a_field_from_the_serving_sim_clone_fails_the_lint() {
-    // The acceptance check for the snapshot/fork contract: the lint — not
-    // just the compiler — must catch a field dropped from ServingSim's
-    // manual deep clone.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("workspace root")
-        .to_path_buf();
-    let src = std::fs::read_to_string(root.join("crates/core/src/serving.rs"))
+    // ServingSim's clone is derived, so it copies every field. Leaving one
+    // out takes a hand-written clone in its place, which the audit rejects.
+    let src = std::fs::read_to_string(root().join("crates/core/src/serving.rs"))
         .expect("serving.rs is part of the audited tree");
-    let sabotage = "crash_lost_at: self.crash_lost_at.clone(),";
-    assert!(
-        src.contains(sabotage),
-        "the clone line this test deletes must exist in serving.rs"
-    );
-    let broken = src.replacen(sabotage, "", 1);
+    let derive = "#[derive(Clone)]\npub struct ServingSim {";
+    assert!(src.contains(derive), "ServingSim derives Clone");
+    let broken = src.replacen(derive, "pub struct ServingSim {", 1)
+        + "\nimpl Clone for ServingSim {\n    fn clone(&self) -> Self {\n        \
+           let mut sim = ServingSim::new(self.config.clone(), self.trace.clone());\n        \
+           sim.now = self.now;\n        sim\n    }\n}\n";
     let findings = lint_source("crates/core/src/serving.rs", &broken, &det());
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == Rule::CloneExhaustive && f.message.contains("crash_lost_at")),
-        "dropping a clone line must trip clone-exhaustive: {findings:?}"
+            .any(|f| f.rule == Rule::CloneExhaustive && f.message.contains("ServingSim")),
+        "a hand-written ServingSim clone must trip clone-exhaustive: {findings:?}"
     );
-    // And the unmodified file passes, so the finding is the deletion's.
     let clean = lint_source("crates/core/src/serving.rs", &src, &det());
-    assert!(
-        !clean.iter().any(|f| f.rule == Rule::CloneExhaustive),
-        "{clean:?}"
-    );
+    assert!(clean.is_empty(), "{clean:?}");
 }
 
 #[test]
 fn panic_path_triggers_on_unjustified_sites() {
-    let src = include_str!("fixtures/panic_path_trigger.rs");
-    let findings = lint_source("fixtures/panic_path_trigger.rs", src, &det());
-    let hits: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicPath)
-        .collect();
-    // Bare unwrap, vacuous expect, and two computed Vec indexes.
-    assert_eq!(hits.len(), 4, "{findings:?}");
+    assert_fires("panic_path_trigger.rs", det(), Some(Conf::Det));
 }
 
 #[test]
 fn panic_path_spares_justified_sites() {
-    let src = include_str!("fixtures/panic_path_ok.rs");
-    let findings = lint_source("fixtures/panic_path_ok.rs", src, &det());
-    assert!(findings.is_empty(), "{findings:?}");
+    // The one site that fires is the unwrap inside a debug_assert, which
+    // the token pass skips and clippy does not.
+    assert_fires("panic_path_ok.rs", det(), Some(Conf::Det));
 }
 
 #[test]
 fn panic_path_and_unordered_iter_audit_xtask_itself() {
-    let class = FileClass {
+    // The token pass holds the audit's own code to `panic-path`, and the
+    // workspace lints plus xtask/clippy.toml hold it to `unwrap_used` and
+    // to no hash containers at all.
+    let xtask = FileClass {
+        deterministic: false,
         xtask: true,
-        ..Default::default()
     };
-    let src = "struct W { q: Vec<u64> }\n\
-               fn f(w: &W, i: usize) -> u64 { w.q[i + 1].max(w.q.first().copied().unwrap()) }\n";
-    let findings = lint_source("xtask/src/demo.rs", src, &class);
-    assert!(
-        findings.iter().any(|f| f.rule == Rule::PanicPath),
-        "{findings:?}"
-    );
-    // ...but the simulation-only rules stay off for the linter's own code.
+    let (rules, lints) = markers("panic_path_trigger.rs");
+    assert_eq!(token_pass("panic_path_trigger.rs", xtask), rules);
+    assert_eq!(compiled(Conf::Xtask, "panic_path_trigger"), lints);
+    let (_, lints) = markers("unordered_iter_trigger.rs");
+    let no_methods: Hits = lints
+        .into_iter()
+        .filter(|(_, l)| l != "clippy::disallowed_methods")
+        .collect();
+    assert_eq!(compiled(Conf::Xtask, "unordered_iter_trigger"), no_methods);
+    // ...but the simulation-only rules stay off for the audit's own code.
     let float = "fn g(a: f64, b: f64) { a.partial_cmp(&b); }";
-    let findings = lint_source("xtask/src/demo.rs", float, &class);
+    let findings = lint_source("xtask/src/demo.rs", float, &xtask);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
-fn hir_round_trips_every_audited_file() {
-    // The HIR item scan must never choke on real code: every audited file
-    // lexes, parses, and resolves without panicking, and files known to
-    // define items actually surface them (guarding against a parser that
-    // "succeeds" by finding nothing).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("workspace root")
-        .to_path_buf();
-    let items = work_items(&root);
-    assert!(items.len() >= 10, "suspiciously few audited files");
-    let mut fields = xtask::hir::FieldTable::default();
-    let mut parsed = Vec::new();
-    for item in &items {
-        let src = std::fs::read_to_string(&item.abs).expect("audited file is readable");
-        let lexed = xtask::lexer::lex(&src);
-        let hir = xtask::hir::parse(&lexed.tokens);
-        let has_fn = src.contains("fn ");
-        assert!(
-            !has_fn || !hir.fns.is_empty(),
-            "{}: source declares functions but the HIR found none",
-            item.rel
-        );
-        fields.add_file(&hir);
-        parsed.push((item.rel.clone(), lexed, hir));
-    }
-    for (_, lexed, hir) in &mut parsed {
-        xtask::hir::refine_bindings(&lexed.tokens, hir, &fields);
-    }
-    // Spot-check workspace resolution: ServingSim's hash-container field
-    // and the float load fields must be classified from their declarations.
-    assert!(
-        fields.may_be_hash("crash_lost_at")
-            || fields.lookup("crash_lost_at") != xtask::hir::TypeApprox::Unknown,
-        "serving.rs fields must reach the table"
-    );
-}
-
-#[test]
-fn json_report_carries_the_stable_schema() {
-    // CI consumes this document (artifact + problem matcher): rule id,
-    // path, line, message, snippet, allow-candidate, in that shape.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("workspace root")
-        .to_path_buf();
-    let findings = vec![
-        xtask::Finding {
-            path: "crates/core/src/serving.rs".to_string(),
-            line: 1,
-            rule: Rule::UnorderedIter,
-            message: "demo \"quoted\" message".to_string(),
-        },
-        xtask::Finding {
-            path: "crates/core/src/serving.rs".to_string(),
-            line: 0,
-            rule: Rule::UnsafeCode,
-            message: "no escape hatch".to_string(),
-        },
-    ];
-    let doc = xtask::render_json(&root, &findings);
-    assert!(doc.contains("\"version\": 1"), "{doc}");
-    assert!(doc.contains("\"clean\": false"), "{doc}");
-    assert!(doc.contains("\"rule\": \"unordered-iter\""), "{doc}");
-    assert!(
-        doc.contains("\"path\": \"crates/core/src/serving.rs\""),
-        "{doc}"
-    );
-    assert!(doc.contains("\"line\": 1"), "{doc}");
-    assert!(
-        doc.contains("demo \\\"quoted\\\" message"),
-        "quotes are escaped: {doc}"
-    );
-    // Line 1 of serving.rs is a doc comment — the snippet is re-read from
-    // the real file, not invented.
-    assert!(doc.contains("\"snippet\": \"//!"), "{doc}");
-    assert!(
-        doc.contains("\"allow_candidate\": \"// lint: allow(unordered-iter) — <reason>\""),
-        "{doc}"
-    );
-    // Unallowable rules and line-0 findings degrade to null, not garbage.
-    assert!(doc.contains("\"allow_candidate\": null"), "{doc}");
-    assert!(doc.contains("\"snippet\": null"), "{doc}");
-    // An empty report is explicit about being clean.
-    let clean = xtask::render_json(&root, &[]);
-    assert!(clean.contains("\"clean\": true"), "{clean}");
-    assert!(clean.contains("\"findings\": []"), "{clean}");
-}
-
-#[test]
 fn the_real_tree_is_clean() {
-    // The audit over the actual workspace must pass: this is the same
-    // check CI runs via `cargo xtask lint`, enforced here so plain
-    // `cargo test` catches a regression too.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("workspace root")
-        .to_path_buf();
-    let findings = run_lint(&root);
+    // The token pass over the actual workspace must pass: the same check CI
+    // runs as `cargo xtask lint`, here so plain `cargo test` catches a
+    // regression too. The compiler's half is clippy over the workspace.
+    let findings = run_lint(&root());
     assert!(
         findings.is_empty(),
         "determinism audit found violations:\n{}",
