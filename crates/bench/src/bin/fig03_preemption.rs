@@ -11,7 +11,7 @@
 //! (which is faster than the paper's A10 testbed) to hit the same ~62%
 //! memory-load operating point; pass `--rate` to override.
 
-use llumnix_bench::{build_trace, BenchOpts};
+use llumnix_bench::{build_trace, BenchOpts, Extra};
 use llumnix_core::{run_serving, SchedulerKind, ServingConfig};
 use llumnix_metrics::{percentile, Table};
 use llumnix_workload::Arrivals;
@@ -26,13 +26,8 @@ struct Row {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
-    let rate = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--rate")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(0.85);
+    let (opts, extras) = BenchOpts::from_args_with(&[Extra::Positive("--rate")]);
+    let rate = extras.positive("--rate").unwrap_or(0.85);
     let n = opts.scaled(2_000);
     let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);
     // A single instance and no migration: this is plain vLLM behaviour.

@@ -7,7 +7,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -34,82 +34,131 @@ pub struct BenchOpts {
     pub scale: f64,
 }
 
-/// Parses the value following a flag, exiting with a clear diagnostic when the
-/// value is missing or malformed (a silently substituted default would make an
-/// experiment lie about its parameters).
-fn parse_flag_value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    let Some(raw) = args.get(i + 1) else {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
-    };
-    match raw.parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: invalid value {raw:?} for {flag}: {e}");
-            std::process::exit(2);
+/// A flag one binary reads besides the common ones. The binary names its
+/// extra flags when it calls [`BenchOpts::from_args_with`], and every other
+/// argument is rejected.
+#[derive(Debug, Clone, Copy)]
+pub enum Extra {
+    /// A flag without a value, such as fig16's `--huge`.
+    Switch(&'static str),
+    /// A flag whose value is a positive number, such as fig03's `--rate`.
+    Positive(&'static str),
+}
+
+impl Extra {
+    fn name(self) -> &'static str {
+        match self {
+            Extra::Switch(flag) | Extra::Positive(flag) => flag,
         }
     }
 }
 
-impl BenchOpts {
-    /// Parses `--seed`, `--json`, `--scale`, `--threads`, and `--canonical`
-    /// from `std::env::args`. The last two take effect through
-    /// [`set_thread_override`] and [`set_canonical_output`].
-    ///
-    /// Malformed or missing values for these flags abort with exit code 2.
-    /// Unrecognized arguments are left alone — individual binaries consume
-    /// extra flags of their own (e.g. `fig03`'s `--rate`).
-    pub fn from_args() -> Self {
-        let mut opts = BenchOpts {
-            seed: DEFAULT_SEED,
-            json: None,
-            scale: 1.0,
-        };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    opts.seed = parse_flag_value(&args, i, "--seed");
-                    i += 2;
-                }
-                "--json" => {
-                    let Some(path) = args.get(i + 1) else {
-                        eprintln!("error: --json requires a path");
-                        std::process::exit(2);
-                    };
-                    opts.json = Some(path.clone());
-                    i += 2;
-                }
-                "--scale" => {
-                    let scale: f64 = parse_flag_value(&args, i, "--scale");
-                    if !scale.is_finite() || scale <= 0.0 {
-                        eprintln!("error: --scale must be a positive number, got {scale}");
-                        std::process::exit(2);
-                    }
-                    opts.scale = scale;
-                    i += 2;
-                }
-                "--threads" => {
-                    let threads: usize = parse_flag_value(&args, i, "--threads");
-                    if threads == 0 {
-                        eprintln!("error: --threads must be at least 1");
-                        std::process::exit(2);
-                    }
-                    set_thread_override(threads);
-                    i += 2;
-                }
-                "--canonical" => {
-                    set_canonical_output(true);
-                    i += 1;
-                }
-                _ => i += 1,
-            }
+/// The extra flags given on the command line: each switch given maps to
+/// `None`, each positive number to its value.
+#[derive(Debug, Clone, Default)]
+pub struct Extras(BTreeMap<&'static str, Option<f64>>);
+
+impl Extras {
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.0.contains_key(flag)
+    }
+
+    /// The value given for the positive-number flag `flag`, if any.
+    pub fn positive(&self, flag: &str) -> Option<f64> {
+        self.0.get(flag).copied().flatten()
+    }
+}
+
+/// Parses the value following `flag`. A following flag is not a value, so
+/// `--json --canonical` is an error rather than a file named `--canonical`,
+/// and a malformed value is an error rather than a silently substituted
+/// default, which would make an experiment lie about its parameters.
+fn value<'a, T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = &'a str>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = args
+        .next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .map_err(|e| format!("invalid value {raw:?} for {flag}: {e}"))
+}
+
+/// Parses the value following `flag` as a finite, positive number.
+fn positive<'a>(args: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<f64, String> {
+    let v: f64 = value(args, flag)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be a positive number, got {v}"))
+    }
+}
+
+/// Parses the arguments after the program name: the common flags plus
+/// `extra`. Any other argument, a flag given twice, a missing value and a
+/// malformed one are errors.
+fn parse_args(args: &[String], extra: &[Extra]) -> Result<(BenchOpts, Extras), String> {
+    let mut opts = BenchOpts {
+        seed: DEFAULT_SEED,
+        json: None,
+        scale: 1.0,
+    };
+    let mut extras = Extras::default();
+    let mut seen = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(flag) = args.next() {
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given twice"));
         }
-        opts
+        seen.push(flag);
+        match flag {
+            "--seed" => opts.seed = value(&mut args, flag)?,
+            "--json" => opts.json = Some(value(&mut args, flag)?),
+            "--scale" => opts.scale = positive(&mut args, flag)?,
+            "--threads" => match value(&mut args, flag)? {
+                0 => return Err("--threads must be at least 1".into()),
+                threads => set_thread_override(threads),
+            },
+            "--canonical" => set_canonical_output(true),
+            _ => match extra.iter().find(|e| e.name() == flag) {
+                Some(&Extra::Switch(f)) => {
+                    extras.0.insert(f, None);
+                }
+                Some(&Extra::Positive(f)) => {
+                    extras.0.insert(f, Some(positive(&mut args, flag)?));
+                }
+                None => return Err(format!("unknown argument {flag:?}")),
+            },
+        }
+    }
+    Ok((opts, extras))
+}
+
+impl BenchOpts {
+    /// Parses `--seed`, `--json`, `--scale`, `--threads` and `--canonical`
+    /// from `std::env::args`, rejecting every other argument. The last two
+    /// take effect through [`set_thread_override`] and
+    /// [`set_canonical_output`].
+    ///
+    /// An unknown argument, a flag given twice and a missing or malformed
+    /// value print `error: …` and exit with code 2.
+    pub fn from_args() -> Self {
+        Self::from_args_with(&[]).0
+    }
+
+    /// [`BenchOpts::from_args`] for a binary that also reads the flags in
+    /// `extra`; returns their values beside the common options.
+    pub fn from_args_with(extra: &[Extra]) -> (Self, Extras) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        parse_args(&args, extra).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Applies the scale factor to a request count.
@@ -593,6 +642,23 @@ mod tests {
         };
         assert_eq!(opts.scaled(10_000), 1_000);
         assert_eq!(opts.scaled(50), 10, "floor at 10");
+    }
+
+    #[test]
+    fn extra_flags_parse_only_where_declared() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let extra = [Extra::Switch("--huge"), Extra::Positive("--rate")];
+        let (opts, extras) = parse_args(&args(&["--rate", "2.5", "--huge", "--seed", "3"]), &extra)
+            .expect("declared flags parse");
+        assert!(extras.switch("--huge"));
+        assert_eq!(extras.positive("--rate"), Some(2.5));
+        assert_eq!(opts.seed, 3);
+        let (opts, extras) = parse_args(&[], &extra).expect("no flags parse");
+        assert!(!extras.switch("--huge"));
+        assert_eq!(extras.positive("--rate"), None);
+        assert_eq!(opts.seed, DEFAULT_SEED);
+        let err = parse_args(&args(&["--huge"]), &[]).expect_err("undeclared");
+        assert_eq!(err, r#"unknown argument "--huge""#);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Exit-code contract of the figure binaries, checked on `fig04_decode_latency`
-//! (it evaluates the cost model only, so it is instant even in debug): a
-//! malformed flag exits 2, and a `--json` file that cannot be written exits 1
-//! instead of leaving a stale result file in place.
+//! Exit-code contract of the figure binaries, checked mostly on
+//! `fig04_decode_latency` (it evaluates the cost model only, so it is instant
+//! even in debug): an argument the binary does not read, a flag given twice
+//! and a missing or malformed value exit 2, and a `--json` file that cannot
+//! be written exits 1 instead of leaving a stale result file in place.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
 fn fig04(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fig04_decode_latency"))
-        .args(args)
-        .output()
-        .expect("fig04_decode_latency runs")
+    run(env!("CARGO_BIN_EXE_fig04_decode_latency"), args)
 }
 
 #[test]
@@ -38,4 +40,54 @@ fn malformed_scale_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--scale"), "stderr: {stderr}");
+}
+
+/// Asserts that `out` is an exit-2 rejection naming `named`.
+fn assert_rejected(out: &Output, named: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{named}: stderr: {stderr}");
+    assert!(stderr.starts_with("error: "), "{named}: stderr: {stderr}");
+    assert!(stderr.contains(named), "{named}: stderr: {stderr}");
+}
+
+#[test]
+fn unread_arguments_exit_2() {
+    for (args, named) in [
+        // fig16 and fig17 read `--huge`; fig04 does not.
+        (&["--scale", "0.01", "--huge"][..], "--huge"),
+        (&["--scale", "0.01", "stray"], "stray"),
+        (&["--scale", "0.01", "--scale", "0.02"], "--scale"),
+        (
+            &["--scale", "0.01", "--canonical", "--jsn", "fig04.json"],
+            "--jsn",
+        ),
+    ] {
+        assert_rejected(&fig04(args), named);
+    }
+}
+
+#[test]
+fn a_flag_is_not_a_value() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("flag-as-value");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let _ = std::fs::remove_file(dir.join("--canonical"));
+    let out = Command::new(env!("CARGO_BIN_EXE_fig04_decode_latency"))
+        .args(["--scale", "0.01", "--json", "--canonical"])
+        .current_dir(&dir)
+        .output()
+        .expect("fig04_decode_latency runs");
+    assert_rejected(&out, "--json");
+    assert!(
+        !dir.join("--canonical").exists(),
+        "wrote a file named --canonical"
+    );
+}
+
+#[test]
+fn malformed_rate_exits_2() {
+    let fig03 = env!("CARGO_BIN_EXE_fig03_preemption");
+    let fig05 = env!("CARGO_BIN_EXE_fig05_fragmentation_motivation");
+    assert_rejected(&run(fig03, &["--scale", "0.01", "--rate", "abc"]), "--rate");
+    assert_rejected(&run(fig05, &["--scale", "0.01", "--rate", "0"]), "--rate");
+    assert_rejected(&run(fig05, &["--scale", "0.01", "--rate"]), "--rate");
 }

@@ -5,18 +5,15 @@
 //! reports to the global scheduler, and choosing which request to migrate
 //! when the global scheduler marks its instance as a migration source.
 
-use std::cell::Cell;
-
 use llumnix_engine::{InstanceEngine, InstanceId, RequestId};
 use llumnix_sim::SimTime;
 
 use crate::policy::{LoadReport, VictimPolicy};
-use crate::virtual_usage::{engine_freeness, infaas_memory_load, HeadroomConfig, QueuingRule};
+use crate::virtual_usage::{engine_freeness, infaas_memory_load, HeadroomConfig};
 
 /// One instance plus its local scheduler state.
 ///
-/// `Clone` supports the sim-level snapshot/fork capability; the memoized
-/// report cache is `Copy` inside a `Cell`, so the clone keeps the warm cache.
+/// `Clone` supports the sim-level snapshot/fork capability.
 #[derive(Clone)]
 pub struct Llumlet {
     /// The wrapped engine.
@@ -27,22 +24,6 @@ pub struct Llumlet {
     pub starting_until: Option<SimTime>,
     /// When this instance was launched (cost accounting).
     pub launched_at: SimTime,
-    report_cache: Cell<Option<CachedReport>>,
-}
-
-/// Key and value of the memoized load report. Everything a report depends on
-/// is in the key: the engine's mutation counter, the `terminating` flag
-/// (a public field serving can flip directly, so it cannot be invalidated
-/// through engine mutations), the headroom config in force, and — only when
-/// the report is time-sensitive — the query time. The `starting` flag is
-/// excluded: it feeds no load signal and is re-derived per call.
-#[derive(Clone, Copy)]
-struct CachedReport {
-    version: u64,
-    terminating: bool,
-    headroom: HeadroomConfig,
-    now: Option<SimTime>,
-    report: LoadReport,
 }
 
 impl Llumlet {
@@ -58,7 +39,6 @@ impl Llumlet {
             terminating: false,
             starting_until,
             launched_at,
-            report_cache: Cell::new(None),
         }
     }
 
@@ -75,46 +55,12 @@ impl Llumlet {
     /// Builds this instance's load report (§4.3: llumlets report
     /// instance-level metrics only, never per-request state).
     ///
-    /// Reports are cached per llumlet and recomputed only when the engine
-    /// mutated since the last query (its version counter moved), the
-    /// termination flag or headroom config changed, or — for time-sensitive
-    /// reports — time advanced. This keeps the global scheduler's
-    /// every-dispatch and every-tick sweeps over the whole fleet from
-    /// rescanning instances that saw no event in between.
-    pub fn report(&self, now: SimTime, headroom: &HeadroomConfig) -> LoadReport {
-        // Queuing demand under the `Gradual` rule ramps with waiting time, so
-        // such a report is only valid at the instant it was computed; every
-        // other configuration depends solely on engine state.
-        let time_sensitive = matches!(headroom.queuing_rule, QueuingRule::Gradual { .. })
-            && self.engine.waiting_len() > 0;
-        if let Some(cached) = self.report_cache.get() {
-            if cached.version == self.engine.version()
-                && cached.terminating == self.terminating
-                && cached.headroom == *headroom
-                && (!time_sensitive || cached.now == Some(now))
-            {
-                let mut report = cached.report;
-                report.starting = self.is_starting(now);
-                return report;
-            }
-        }
-        let report = self.report_fresh(now, headroom);
-        self.report_cache.set(Some(CachedReport {
-            version: self.engine.version(),
-            terminating: self.terminating,
-            headroom: *headroom,
-            now: time_sensitive.then_some(now),
-            report,
-        }));
-        report
-    }
-
-    /// Builds the load report from scratch, bypassing the cache (the cache's
-    /// reference semantics; property tests compare [`Llumlet::report`]
-    /// against this). Both freeness signals come from one allocation-free
-    /// pass, [`engine_freeness`]; debug builds check both, to the bit,
-    /// against Algorithm 1's [`freeness`](crate::freeness) over an
-    /// [`InstanceView`](crate::InstanceView).
+    /// Every call computes the report from the engine's current state; the
+    /// serving loop keeps its dispatch index current by asking only for the
+    /// instances its store marked dirty. Both freeness signals come from one
+    /// allocation-free pass, [`engine_freeness`]; debug builds check both,
+    /// to the bit, against Algorithm 1's [`freeness`](crate::freeness) over
+    /// an [`InstanceView`](crate::InstanceView).
     pub fn report_fresh(&self, now: SimTime, headroom: &HeadroomConfig) -> LoadReport {
         let (freeness, freeness_physical) =
             engine_freeness(&self.engine, self.terminating, now, headroom);
@@ -227,7 +173,7 @@ mod tests {
         l.starting_until = Some(SimTime::from_secs(30));
         assert!(l.is_starting(SimTime::from_secs(29)));
         assert!(!l.is_starting(SimTime::from_secs(30)));
-        let r = l.report(SimTime::from_secs(1), &HeadroomConfig::DISABLED);
+        let r = l.report_fresh(SimTime::from_secs(1), &HeadroomConfig::DISABLED);
         assert!(r.starting);
     }
 
@@ -235,7 +181,7 @@ mod tests {
     fn report_reflects_termination() {
         let mut l = llumlet(160);
         l.terminating = true;
-        let r = l.report(SimTime::ZERO, &HeadroomConfig::DISABLED);
+        let r = l.report_fresh(SimTime::ZERO, &HeadroomConfig::DISABLED);
         assert!(r.terminating);
         assert_eq!(r.freeness, f64::NEG_INFINITY);
     }
@@ -256,28 +202,6 @@ mod tests {
         assert_eq!(v, RequestId(1));
         // All busy → none.
         assert!(l.select_migration_victim(|_| true).is_none());
-    }
-
-    #[test]
-    fn cached_report_tracks_mutations() {
-        let mut l = llumlet(4096);
-        let h = HeadroomConfig::DISABLED;
-        let r1 = l.report(SimTime::ZERO, &h);
-        assert_eq!(r1, l.report(SimTime::ZERO, &h), "repeat query hits cache");
-        run_request(&mut l, 1, 100, 50, PriorityPair::NORMAL);
-        let r2 = l.report(SimTime::ZERO, &h);
-        assert_eq!(r2, l.report_fresh(SimTime::ZERO, &h));
-        assert_ne!(r1.freeness, r2.freeness, "engine mutation invalidates");
-        // The public terminating flag bypasses engine mutations entirely, so
-        // the cache must catch it through its key.
-        l.terminating = true;
-        assert_eq!(l.report(SimTime::ZERO, &h).freeness, f64::NEG_INFINITY);
-        // A different headroom config is a different report.
-        let r4 = l.report(SimTime::ZERO, &HeadroomConfig::paper_default());
-        assert_eq!(
-            r4,
-            l.report_fresh(SimTime::ZERO, &HeadroomConfig::paper_default())
-        );
     }
 
     #[test]

@@ -973,9 +973,9 @@ impl ServingSim {
     /// Brings the dispatch index up to date with every instance that could
     /// have changed since the last decision: the store's dirty set (every
     /// mutable access marks), plus starting instances whose startup deadline
-    /// passed (a time-driven transition no engine event covers). Reports are
-    /// version-cached per llumlet, so over-marking costs a cache probe, not
-    /// a recompute.
+    /// passed (a time-driven transition no engine event covers). Each dirty
+    /// instance costs one fresh report, so over-marking is cheap but not
+    /// free.
     fn refresh_fleet(&mut self) {
         let mut i = 0;
         while i < self.starting_queue.len() {
@@ -1000,7 +1000,7 @@ impl ServingSim {
                 self.index.remove(id);
                 continue;
             };
-            let report = l.report(self.now, &self.headroom);
+            let report = l.report_fresh(self.now, &self.headroom);
             if self.index.update(&report).became_starting {
                 let until = l.starting_until.expect("starting implies deadline");
                 self.starting_queue.push((until, id));
@@ -1018,7 +1018,7 @@ impl ServingSim {
     fn reports(&self) -> Vec<crate::policy::LoadReport> {
         self.store
             .iter()
-            .map(|(_, l)| l.report(self.now, &self.headroom))
+            .map(|(_, l)| l.report_fresh(self.now, &self.headroom))
             .collect()
     }
 
@@ -1203,12 +1203,12 @@ impl ServingSim {
         let avg: f64 = serving
             .iter()
             .map(|l| {
-                // Serving instances are not terminating, so the cached load
+                // Serving instances are not terminating, so the load
                 // report's freeness is the one the scaler needs.
                 let f = if use_infaas {
                     crate::virtual_usage::infaas_equivalent_freeness(&l.engine)
                 } else {
-                    l.report(self.now, &self.headroom).freeness
+                    l.report_fresh(self.now, &self.headroom).freeness
                 };
                 f.min(cap)
             })

@@ -126,7 +126,7 @@ impl InstanceStore {
 
     /// Mutable access to a llumlet. Marks the instance dirty: any caller
     /// taking `&mut` may mutate load-relevant state, and over-marking only
-    /// costs a (version-cached) report recheck at the next index refresh.
+    /// costs one fresh report at the next index refresh.
     pub fn get_mut(&mut self, id: InstanceId) -> Option<&mut Llumlet> {
         let slot = self.slot(id)?;
         self.mark_dirty(id, slot);
@@ -316,6 +316,13 @@ mod tests {
         let (b2, a2) = s.two_engines(InstanceId(1), InstanceId(0)).unwrap();
         assert_eq!(b2.id, InstanceId(1));
         assert_eq!(a2.id, InstanceId(0));
+        // Both endpoints come back dirty, so the next refresh re-reports the
+        // migration's source and destination.
+        let mut dirty = Vec::new();
+        s.take_dirty(&mut dirty);
+        s.two_engines(InstanceId(1), InstanceId(0)).unwrap();
+        s.take_dirty(&mut dirty);
+        assert_eq!(dirty, vec![InstanceId(1), InstanceId(0)]);
         s.remove(InstanceId(1));
         assert!(s.two_engines(InstanceId(0), InstanceId(1)).is_none());
     }

@@ -16,7 +16,7 @@
 //! batch size, i.e. *the number of decode steps the batch can still run for*
 //! (§4.4.3) — each step consumes one token per running request.
 
-use llumnix_engine::{InstanceEngine, Phase, Priority};
+use llumnix_engine::{InstanceEngine, Priority};
 use llumnix_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -367,11 +367,6 @@ pub fn infaas_equivalent_freeness(engine: &InstanceEngine) -> f64 {
     let queued = (engine.queued_demand_blocks() * geometry.block_tokens) as f64;
     let b = engine.batch_size().max(1) as f64;
     (capacity - used - queued) / b
-}
-
-/// Phases that hold physical KV on the instance (used by tests).
-pub fn holds_memory(phase: Phase) -> bool {
-    matches!(phase, Phase::Prefilling | Phase::Running | Phase::Draining)
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! Property tests for the core scheduling layer.
 //!
-//! The llumlet memoizes its load report behind the engine's version counter;
-//! these tests drive a llumlet through arbitrary event sequences and check
-//! the cached [`Llumlet::report`] never drifts from the from-scratch
-//! [`Llumlet::report_fresh`], whose one-pass freeness must in turn match
-//! Algorithm 1's reference (`freeness` over an `InstanceView`) bit for bit.
-//! On top of that cache sits the incremental
-//! dispatch index; the fleet-level test below drives a whole store + index
+//! The llumlet builds its load report in one allocation-free pass over the
+//! engine; the first test drives a llumlet through arbitrary event sequences
+//! and checks that [`Llumlet::report_fresh`]'s freeness matches Algorithm 1's
+//! reference (`freeness` over an `InstanceView`) bit for bit. On top of those
+//! reports sits the incremental dispatch index, which the store's dirty set
+//! keeps current; the fleet-level test below drives a whole store + index
 //! through arbitrary event sequences and checks every selection path
 //! (dispatch for both priority classes, round-robin, INFaaS++, migration
 //! pairing, termination victim) against a from-scratch rescan of fresh
@@ -47,9 +46,6 @@ enum Op {
     GrowReservation(usize, u32),
     /// Release the `i`-th live reservation (modulo the count).
     ReleaseReservation(usize),
-    /// Take the finished states and the pending events, as serving does
-    /// after each step. An empty take leaves the engine's version alone.
-    Take,
 }
 
 /// Every (scheduling, execution) priority combination.
@@ -85,18 +81,15 @@ fn op() -> impl Strategy<Value = Op> {
         (1u32..64).prop_map(Op::Reserve),
         (any::<usize>(), 1u32..16).prop_map(|(i, n)| Op::GrowReservation(i, n)),
         any::<usize>().prop_map(Op::ReleaseReservation),
-        Just(Op::Take),
     ]
 }
 
 proptest! {
-    /// After every event, the memoized report equals a from-scratch one for
-    /// no headroom, two headroom targets and a time-sensitive gradual rule
-    /// — queried twice so both the miss and the hit path are checked —
-    /// and the from-scratch report's one-pass freeness pair equals
-    /// Algorithm 1's reference, with and without headroom, to the bit.
+    /// After every event, the report's one-pass freeness pair equals
+    /// Algorithm 1's reference, with and without headroom, to the bit, for
+    /// no headroom, two headroom targets and a time-sensitive gradual rule.
     #[test]
-    fn cached_report_never_diverges_from_fresh(ops in prop::collection::vec(op(), 1..80)) {
+    fn one_pass_report_matches_algorithm_1(ops in prop::collection::vec(op(), 1..80)) {
         let mut llumlet = Llumlet::new(
             InstanceEngine::new(
                 InstanceId(0),
@@ -165,30 +158,24 @@ proptest! {
                         prop_assert!(llumlet.engine.release_reservation(r).is_ok());
                     }
                 }
-                Op::Take => {
-                    let _ = llumlet.engine.take_finished();
-                    let _ = llumlet.engine.take_pending_events();
-                }
             }
             let view = InstanceView::from_engine(&llumlet.engine, llumlet.terminating, now);
             for headroom in &configs {
-                let fresh = llumlet.report_fresh(now, headroom);
+                let report = llumlet.report_fresh(now, headroom);
                 let physical = HeadroomConfig {
                     high_priority_target_tokens: None,
                     ..*headroom
                 };
                 prop_assert_eq!(
-                    fresh.freeness.to_bits(),
+                    report.freeness.to_bits(),
                     freeness(&view, headroom).to_bits(),
                     "freeness vs Algorithm 1, {:?}, op {:?}", headroom, op
                 );
                 prop_assert_eq!(
-                    fresh.freeness_physical.to_bits(),
+                    report.freeness_physical.to_bits(),
                     freeness(&view, &physical).to_bits(),
                     "physical freeness vs Algorithm 1, {:?}, op {:?}", headroom, op
                 );
-                prop_assert_eq!(llumlet.report(now, headroom), fresh, "miss path, op {:?}", op);
-                prop_assert_eq!(llumlet.report(now, headroom), fresh, "hit path, op {:?}", op);
             }
         }
     }
@@ -245,7 +232,7 @@ fn fleet_op() -> impl Strategy<Value = FleetOp> {
 
 /// The serving simulator's refresh recipe, replicated over a bare store +
 /// index: time-driven starting transitions, then the dirty set (or the whole
-/// fleet under a time-sensitive queuing rule), through the *cached* report.
+/// fleet under a time-sensitive queuing rule), each through a fresh report.
 fn refresh(
     store: &mut InstanceStore,
     index: &mut DispatchIndex,
@@ -276,7 +263,7 @@ fn refresh(
             index.remove(id);
             continue;
         };
-        let report = l.report(now, headroom);
+        let report = l.report_fresh(now, headroom);
         if index.update(&report).became_starting {
             starting_queue.push((l.starting_until.expect("starting"), id));
         }

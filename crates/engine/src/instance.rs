@@ -190,7 +190,6 @@ pub struct InstanceEngine {
     finished: Vec<SeqState>,
     pending_events: Vec<EngineEvent>,
     stats: EngineStats,
-    version: u64,
 }
 
 impl InstanceEngine {
@@ -216,7 +215,6 @@ impl InstanceEngine {
             finished: Vec::new(),
             pending_events: Vec::new(),
             stats: EngineStats::default(),
-            version: 0,
         }
     }
 
@@ -230,27 +228,10 @@ impl InstanceEngine {
         &self.stats
     }
 
-    /// A counter bumped by every mutating call, so load reports derived from
-    /// this engine can be cached and invalidated without tracking which
-    /// mutation touched which signal.
-    ///
-    /// The one exception is a take that returns nothing:
-    /// [`InstanceEngine::take_finished`] and
-    /// [`InstanceEngine::take_pending_events`] change no state then, so they
-    /// leave the counter alone. (No load report reads either list.)
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    fn touch(&mut self) {
-        self.version = self.version.wrapping_add(1);
-    }
-
     // ---- request intake -------------------------------------------------
 
     /// Enqueues a newly dispatched request.
     pub fn add_request(&mut self, meta: RequestMeta, now: SimTime) {
-        self.touch();
         debug_assert!(self.states.slot(meta.id).is_none(), "duplicate {}", meta.id);
         let state = SeqState::new(meta, now);
         self.queued_demand += self.demand_blocks(&state);
@@ -266,7 +247,6 @@ impl InstanceEngine {
     /// Aborts a request wherever it is (failure injection / cancellations).
     /// Returns its state if it was known.
     pub fn abort_request(&mut self, id: RequestId) -> Option<SeqState> {
-        self.touch();
         self.drain_requested.remove(&id);
         if self.blocks.blocks_of(id) > 0 {
             let _ = self.blocks.release(id);
@@ -308,7 +288,6 @@ impl InstanceEngine {
             return None;
         }
         debug_assert!(self.step.is_empty(), "idle engine with step entries");
-        self.touch();
         self.admit(now);
         let plan = if !self.prefill_pending.is_empty() {
             Some(self.plan_prefill(now))
@@ -545,13 +524,8 @@ impl InstanceEngine {
 
     /// Drains events produced outside `complete_step` (preemptions during
     /// step planning, admission-time aborts). Callers should collect these
-    /// after every [`InstanceEngine::poll_step`]. An empty take leaves
-    /// [`InstanceEngine::version`] alone.
+    /// after every [`InstanceEngine::poll_step`].
     pub fn take_pending_events(&mut self) -> Vec<EngineEvent> {
-        if self.pending_events.is_empty() {
-            return Vec::new();
-        }
-        self.touch();
         std::mem::take(&mut self.pending_events)
     }
 
@@ -561,7 +535,6 @@ impl InstanceEngine {
     ///
     /// Panics if no step is in flight (a scheduling logic error).
     pub fn complete_step(&mut self, now: SimTime) -> Vec<EngineEvent> {
-        self.touch();
         let plan = self.in_flight.take().expect("complete_step without a step");
         self.stats.busy_time += plan.duration;
         let mut events = std::mem::take(&mut self.pending_events);
@@ -661,13 +634,8 @@ impl InstanceEngine {
     }
 
     /// Takes the states of requests that finished (or were aborted at
-    /// admission) since the last call. An empty take leaves
-    /// [`InstanceEngine::version`] alone.
+    /// admission) since the last call.
     pub fn take_finished(&mut self) -> Vec<SeqState> {
-        if self.finished.is_empty() {
-            return Vec::new();
-        }
-        self.touch();
         std::mem::take(&mut self.finished)
     }
 
@@ -681,7 +649,6 @@ impl InstanceEngine {
     /// Requests that a running request leave the batch for its final
     /// migration stage.
     pub fn request_drain(&mut self, id: RequestId) -> DrainOutcome {
-        self.touch();
         let Some(slot) = self.running_slot(id) else {
             return DrainOutcome::NotRunning;
         };
@@ -711,14 +678,12 @@ impl InstanceEngine {
     /// Cancels a pending (not yet executed) drain request, e.g. when the
     /// migration that asked for it aborts before the step boundary.
     pub fn cancel_drain(&mut self, id: RequestId) {
-        self.touch();
         self.drain_requested.remove(&id);
     }
 
     /// Re-inserts a drained request into the batch (migration aborted after
     /// the drain, e.g. destination failure).
     pub fn undrain(&mut self, id: RequestId) {
-        self.touch();
         let slot = self.states.slot(id).expect("undrain unknown request");
         let s = self.states.get_mut(slot);
         assert_eq!(s.phase, Phase::Draining, "undrain of non-draining {id}");
@@ -736,7 +701,6 @@ impl InstanceEngine {
     /// resident ledgers assume callers leave `blocks_held` and the priority
     /// of a running or admitted request alone.
     pub fn state_mut(&mut self, id: RequestId) -> Option<&mut SeqState> {
-        self.touch();
         Some(self.states.get_mut(self.states.slot(id)?))
     }
 
@@ -754,7 +718,6 @@ impl InstanceEngine {
     /// Removes a migrated-out request entirely, releasing its blocks
     /// (the source side of the migration commit). Returns its state.
     pub fn finish_migration_out(&mut self, id: RequestId) -> SeqState {
-        self.touch();
         let _ = self.blocks.release(id);
         let slot = self.states.slot(id).expect("migrating request has state");
         let mut s = self.states.remove(slot);
@@ -770,7 +733,6 @@ impl InstanceEngine {
         mut state: SeqState,
         reservation: ReservationId,
     ) -> Result<(), BlockError> {
-        self.touch();
         let id = state.meta.id;
         let blocks = self.blocks.commit_reservation(reservation, id)?;
         state.blocks_held = blocks;
@@ -783,31 +745,26 @@ impl InstanceEngine {
 
     /// Reserves blocks for an incoming migration stage.
     pub fn reserve_blocks(&mut self, blocks: u32) -> Result<ReservationId, BlockError> {
-        self.touch();
         self.blocks.reserve(blocks)
     }
 
     /// Grows an incoming migration's reservation.
     pub fn grow_reservation(&mut self, id: ReservationId, extra: u32) -> Result<(), BlockError> {
-        self.touch();
         self.blocks.grow_reservation(id, extra)
     }
 
     /// Releases an aborted migration's reservation.
     pub fn release_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
-        self.touch();
         self.blocks.release_reservation(id)
     }
 
     /// Registers that a migration started touching this instance.
     pub fn migration_started(&mut self) {
-        self.touch();
         self.active_migrations += 1;
     }
 
     /// Registers that a migration stopped touching this instance.
     pub fn migration_ended(&mut self) {
-        self.touch();
         debug_assert!(self.active_migrations > 0);
         self.active_migrations = self.active_migrations.saturating_sub(1);
     }
@@ -1215,37 +1172,6 @@ mod tests {
         assert!(fin[0].first_token_at.is_some());
         assert_eq!(e.free_blocks(), e.total_blocks());
         assert!(!e.has_work());
-    }
-
-    #[test]
-    fn empty_takes_leave_the_version_alone() {
-        let mut e = engine(4096);
-        e.add_request(meta(1, 32, 8, 0), SimTime::ZERO);
-        let prefill = e.poll_step(SimTime::ZERO).expect("prefill");
-        e.complete_step(prefill.finish_at());
-        let decode = e.poll_step(prefill.finish_at()).expect("decode");
-        assert_eq!(decode.kind, StepKind::Decode);
-        let now = decode.finish_at();
-        assert!(e.complete_step(now).is_empty(), "the step finishes nothing");
-        assert!(!e.has_finished());
-        let version = e.version();
-        assert!(e.take_finished().is_empty());
-        assert!(e.take_pending_events().is_empty());
-        assert_eq!(e.version(), version, "an empty take is not a mutation");
-        // A request that can never fit is aborted at admission, which fills
-        // both lists; a take that returns something bumps the version.
-        e.add_request(meta(2, 100_000, 1, 0), now);
-        e.poll_step(now).expect("decode");
-        assert!(e.has_finished());
-        let version = e.version();
-        assert_eq!(
-            e.take_pending_events(),
-            [EngineEvent::Aborted(RequestId(2))]
-        );
-        assert_ne!(e.version(), version);
-        let version = e.version();
-        assert_eq!(e.take_finished().len(), 1);
-        assert_ne!(e.version(), version);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl PriorityPair {
         scheduling: Priority::High,
         execution: Priority::High,
     };
-
-    /// Whether either component is high.
-    pub fn any_high(&self) -> bool {
-        self.scheduling == Priority::High || self.execution == Priority::High
-    }
 }
 
 /// Immutable request description.
@@ -76,13 +71,6 @@ pub struct RequestMeta {
     pub priority: PriorityPair,
     /// Arrival at the cluster frontend.
     pub arrival: SimTime,
-}
-
-impl RequestMeta {
-    /// Final total sequence length (prompt + full output).
-    pub fn final_total_len(&self) -> u32 {
-        self.input_len + self.output_len
-    }
 }
 
 /// Lifecycle phase of a request on an instance.
@@ -203,11 +191,6 @@ impl SeqState {
     pub fn is_complete(&self) -> bool {
         self.generated >= self.meta.output_len
     }
-
-    /// Whether the request currently occupies the running batch.
-    pub fn is_resident(&self) -> bool {
-        matches!(self.phase, Phase::Prefilling | Phase::Running)
-    }
 }
 
 #[cfg(test)]
@@ -227,8 +210,6 @@ mod tests {
     #[test]
     fn priority_ordering() {
         assert!(Priority::High > Priority::Normal);
-        assert!(PriorityPair::HIGH.any_high());
-        assert!(!PriorityPair::NORMAL.any_high());
     }
 
     #[test]
@@ -238,7 +219,6 @@ mod tests {
         assert_eq!(s.required_tokens(), 100);
         assert_eq!(s.total_len(), 100);
         assert!(!s.is_complete());
-        assert!(!s.is_resident());
     }
 
     #[test]
@@ -249,11 +229,6 @@ mod tests {
         assert!(!s.is_complete());
         s.generated = 50;
         assert!(s.is_complete());
-    }
-
-    #[test]
-    fn final_total_len() {
-        assert_eq!(meta().final_total_len(), 150);
     }
 
     #[test]

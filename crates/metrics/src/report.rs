@@ -31,13 +31,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

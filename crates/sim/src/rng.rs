@@ -68,21 +68,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills a byte slice with random data.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            for (byte, value) in chunk.iter_mut().zip(word) {
-                *byte = value;
-            }
-        }
-    }
-
     /// A uniform sample in `[0, 1)` using the top 53 bits.
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -193,17 +178,5 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.uniform()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_is_deterministic_and_varied() {
-        let mut a = SimRng::new(5);
-        let mut b = SimRng::new(5);
-        let mut buf_a = [0u8; 13];
-        let mut buf_b = [0u8; 13];
-        a.fill_bytes(&mut buf_a);
-        b.fill_bytes(&mut buf_b);
-        assert_eq!(buf_a, buf_b);
-        assert!(buf_a.iter().any(|&x| x != buf_a[0]));
     }
 }
