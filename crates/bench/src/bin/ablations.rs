@@ -6,7 +6,7 @@
 //! interval and pairing thresholds, vLLM's preemption-recovery mode, and the
 //! block-fusion transfer optimization (§5).
 
-use llumnix_bench::{build_trace, run_arms, ArmSpec, BenchOpts};
+use llumnix_bench::{build_trace, run_arms, ArmSpec, BenchOpts, Flag};
 use llumnix_core::{MigrationThresholds, QueuingRule, SchedulerKind, ServingConfig, VictimPolicy};
 use llumnix_engine::{PreemptionMode, QueueOrder};
 use llumnix_metrics::Table;
@@ -15,7 +15,7 @@ use llumnix_sim::SimDuration;
 use llumnix_workload::Arrivals;
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Threads]);
     let n = opts.scaled(6_000);
 
     let trace_ll = build_trace("L-L", n, Arrivals::poisson(4.0), 0.0, opts.seed);

@@ -7,7 +7,7 @@
 //! length. This binary prints the same series from the calibrated cost
 //! model (the reproduction's substitute for GPU measurement).
 
-use llumnix_bench::BenchOpts;
+use llumnix_bench::{BenchOpts, Flag};
 use llumnix_metrics::Table;
 use llumnix_model::{CalibratedCostModel, CostModel, DecodeBatch};
 use serde::Serialize;
@@ -22,7 +22,7 @@ struct Row {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Json]);
     let mut rows = Vec::new();
     for (name, model, max_tokens) in [
         ("LLaMA-7B", CalibratedCostModel::llama_7b_a10(), 13_616u64),

@@ -10,7 +10,7 @@
 //! The rate defaults to this model's equivalent of the paper's 1.9 req/s
 //! operating point; pass `--rate` to override.
 
-use llumnix_bench::{build_trace, BenchOpts, Extra};
+use llumnix_bench::{build_trace, BenchOpts, Flag};
 use llumnix_core::{run_serving, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
 use llumnix_workload::Arrivals;
@@ -27,8 +27,13 @@ struct Out {
 }
 
 fn main() {
-    let (opts, extras) = BenchOpts::from_args_with(&[Extra::Positive("--rate")]);
-    let rate = extras.positive("--rate").unwrap_or(3.4);
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Positive("--rate"),
+    ]);
+    let rate = opts.positive("--rate").unwrap_or(3.4);
     let n = opts.scaled(2_000);
     let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);
     // The paper's "spreading dispatching policy that dispatches new requests

@@ -8,7 +8,7 @@
 //! migration. The paper measures ≈20–30 ms constant downtime, two stages at
 //! every length, baselines up to 111× worse, and ≤1% decode overhead.
 
-use llumnix_bench::BenchOpts;
+use llumnix_bench::{BenchOpts, Flag};
 use llumnix_engine::{
     EngineConfig, EngineEvent, InstanceEngine, InstanceId, PriorityPair, RequestId, RequestMeta,
 };
@@ -178,7 +178,7 @@ fn measure(spec: &InstanceSpec, seq_len: u32, name: &str) -> Row {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Json]);
     let mut rows = Vec::new();
     for (name, spec) in [
         ("LLaMA-7B", InstanceSpec::llama_7b_a10()),

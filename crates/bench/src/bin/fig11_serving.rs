@@ -11,7 +11,7 @@
 //! queuing at the low end, heavy queuing pressure at the high end.
 
 use llumnix_bench::{
-    build_trace, mean_p99, run_arms, ArmResult, ArmSpec, BenchOpts, FIG11_SCHEDULERS,
+    build_trace, mean_p99, run_arms, ArmResult, ArmSpec, BenchOpts, Flag, FIG11_SCHEDULERS,
 };
 use llumnix_core::ServingConfig;
 use llumnix_metrics::Table;
@@ -29,7 +29,13 @@ const SWEEPS: [(&str, [f64; 4]); 7] = [
 ];
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Threads,
+        Flag::Canonical,
+    ]);
     let n = opts.scaled(10_000);
     // Build every (trace, rate, scheduler) arm up front, then fan the whole
     // sweep out across worker threads; the tables below re-group the results

@@ -7,7 +7,7 @@
 //! INFaaS++ often above 10% with an average of 7.9%, against 0.7% for
 //! Llumnix (92% reduction).
 
-use llumnix_bench::{build_trace, BenchOpts};
+use llumnix_bench::{build_trace, BenchOpts, Flag};
 use llumnix_core::{run_serving, SchedulerKind, ServingConfig};
 use llumnix_metrics::{Table, TimeSeries};
 use llumnix_sim::SimTime;
@@ -34,7 +34,7 @@ fn busy(ts: &TimeSeries, span: SimTime) -> TimeSeries {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json]);
     let rate = 11.0;
     let n = opts.scaled(10_000);
     let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);

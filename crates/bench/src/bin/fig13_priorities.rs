@@ -8,7 +8,7 @@
 //! up to 8.6×/10× mean/P99 prefill gains, 1.2–1.5×/1.3–2.2× decode gains,
 //! and ≤4.5% degradation for normal requests.
 
-use llumnix_bench::{build_trace, run_arms, ArmSpec, BenchOpts};
+use llumnix_bench::{build_trace, run_arms, ArmSpec, BenchOpts, Flag};
 use llumnix_core::{SchedulerKind, ServingConfig};
 use llumnix_metrics::{LatencyReport, RecordPriority, Table};
 use llumnix_workload::Arrivals;
@@ -28,7 +28,7 @@ struct Row {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json, Flag::Threads]);
     let n = opts.scaled(10_000);
     let rate = 20.0;
     let mut rows = Vec::new();

@@ -6,7 +6,7 @@
 //! latencies and the average number of instances used (cost). The paper
 //! measures up to 12.2×/11× P99 prefill gains and 16%/18% cost savings.
 
-use llumnix_bench::{build_trace, mean_p99, run_arms, ArmResult, ArmSpec, BenchOpts};
+use llumnix_bench::{build_trace, mean_p99, run_arms, ArmResult, ArmSpec, BenchOpts, Flag};
 use llumnix_core::{AutoScaleConfig, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
 use llumnix_workload::Arrivals;
@@ -18,7 +18,13 @@ fn scaled_config(kind: SchedulerKind) -> ServingConfig {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Threads,
+        Flag::Canonical,
+    ]);
     let n = opts.scaled(10_000);
 
     // Both sweeps fan out together; the rate sweep occupies the first

@@ -7,13 +7,19 @@
 //! frontier; the paper finds Llumnix achieves a ≈5 s P99 prefill at 36% less
 //! cost than INFaaS++.
 
-use llumnix_bench::{build_trace, run_arms, ArmResult, ArmSpec, BenchOpts};
+use llumnix_bench::{build_trace, run_arms, ArmResult, ArmSpec, BenchOpts, Flag};
 use llumnix_core::{AutoScaleConfig, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
 use llumnix_workload::Arrivals;
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Threads,
+        Flag::Canonical,
+    ]);
     let n = opts.scaled(10_000);
     let rate = 2.0;
     let mut arms: Vec<ArmSpec> = Vec::new();

@@ -22,7 +22,7 @@
 //! sweep for their wall-clock cost.
 
 use llumnix_bench::{
-    run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Extra, ForkArm, ForkGroup,
+    run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Flag, ForkArm, ForkGroup,
 };
 use llumnix_core::{FaultPlan, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
@@ -30,18 +30,25 @@ use llumnix_sim::{SimDuration, SimRng, SimTime};
 use llumnix_workload::{Arrivals, FixedLength, LengthDist, TraceSpec};
 
 fn main() {
-    let (opts, extras) =
-        BenchOpts::from_args_with(&[Extra::Switch("--huge"), Extra::Switch("--forked")]);
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Threads,
+        Flag::Canonical,
+        Flag::Switch("--huge"),
+        Flag::Switch("--forked"),
+    ]);
     // `--huge` extends the sweep past the doubling ladder to 4096 and 10 240
     // instances. Those fleets live behind the flag and scale the per-fleet
     // request count sub-linearly to fit the nightly budget.
-    let huge = extras.switch("--huge");
+    let huge = opts.switch("--huge");
     // `--forked` reruns the sweep through the snapshot/fork harness: each
     // arm runs a quarter of its nominal duration, snapshots, and finishes
     // from the resumed copy. The arms share nothing (they differ from
     // t = 0), so this is the determinism guard for snapshot/resume at
     // sweep scale — CI byte-diffs the JSON against the cold run's.
-    let forked = extras.switch("--forked");
+    let forked = opts.switch("--forked");
     // (fleet size, arrival rates): the paper's rate sweep at 64 instances,
     // then the peak per-instance rate (550/64 ≈ 8.6 req/s) carried to the
     // larger fleets.

@@ -34,8 +34,8 @@
 //! compute (see EXPERIMENTS.md for the measured wall-clock ratio).
 
 use llumnix_bench::{
-    build_trace, mean_p99, run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Extra,
-    ForkArm, ForkGroup,
+    build_trace, mean_p99, run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Flag, ForkArm,
+    ForkGroup,
 };
 use llumnix_core::{AutoScaleConfig, FaultPlan, FaultPlanConfig, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
@@ -81,18 +81,25 @@ struct ChurnRow {
 }
 
 fn main() {
-    let (opts, extras) =
-        BenchOpts::from_args_with(&[Extra::Switch("--huge"), Extra::Switch("--forked")]);
+    let opts = BenchOpts::from_args(&[
+        Flag::Seed,
+        Flag::Scale,
+        Flag::Json,
+        Flag::Threads,
+        Flag::Canonical,
+        Flag::Switch("--huge"),
+        Flag::Switch("--forked"),
+    ]);
     // `--huge` appends 4096- and 10 240-instance Llumnix arms, kept out of
     // the default sweep for their wall-clock cost.
-    let huge = extras.switch("--huge");
+    let huge = opts.switch("--huge");
     // `--forked` shares each (fleet, scheduler) pair's fault-free warmup
     // across its three fault profiles via snapshot/fork instead of running
     // the common prefix three times. Every fault plan begins strictly after
     // the warmup in *both* modes (a pure time translation of the schedule),
     // so the JSON output is byte-identical with and without the flag — CI
     // diffs the two.
-    let forked = extras.switch("--forked");
+    let forked = opts.switch("--forked");
     let mut fleets: Vec<(usize, &[SchedulerKind])> = vec![
         (64, &[SchedulerKind::InfaasPlusPlus, SchedulerKind::Llumnix]),
         (

@@ -3,14 +3,14 @@
 //! criterion (§6.1: nearly no queuing at P50, tens of seconds at P99).
 //! Not a paper figure — a calibration tool.
 
-use llumnix_bench::{build_trace, run_arm, BenchOpts};
+use llumnix_bench::{build_trace, run_arm, BenchOpts, Flag};
 use llumnix_core::{MigrationThresholds, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
 use llumnix_sim::SimDuration;
 use llumnix_workload::Arrivals;
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Canonical]);
     let n = opts.scaled(10_000);
     let mut table = Table::new(
         "Threshold probe: 16×LLaMA-7B, M-M",

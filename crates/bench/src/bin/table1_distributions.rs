@@ -3,7 +3,7 @@
 //! Regenerates the paper's Table 1 by sampling each fitted distribution and
 //! reporting mean / P50 / P80 / P95 / P99, next to the published anchors.
 
-use llumnix_bench::{parallel_map, BenchOpts};
+use llumnix_bench::{parallel_map, BenchOpts, Flag};
 use llumnix_metrics::{Summary, Table};
 use llumnix_sim::SimRng;
 use llumnix_workload::{table1, AnchoredDistribution, LengthSampler};
@@ -27,7 +27,7 @@ fn sample_summary(d: &AnchoredDistribution, rng: &SimRng) -> Summary {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Json, Flag::Threads]);
     let rng = SimRng::new(opts.seed);
     let dists: Vec<(&str, AnchoredDistribution, [f64; 5])> = vec![
         (

@@ -20,10 +20,10 @@ use llumnix_sim::SimRng;
 use llumnix_workload::{presets, Arrivals, Trace};
 use serde::Serialize;
 
-/// Default experiment seed; every binary accepts `--seed N` to change it.
+/// Default experiment seed; a binary that reads `--seed N` uses it otherwise.
 pub const DEFAULT_SEED: u64 = 20240710;
 
-/// Parsed common CLI options.
+/// Parsed CLI options.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Experiment seed.
@@ -32,41 +32,46 @@ pub struct BenchOpts {
     pub json: Option<String>,
     /// Scale factor on request counts (use < 1.0 for quick runs).
     pub scale: f64,
+    /// The binary's own flags given: each switch maps to `None`, each
+    /// positive number to its value.
+    own: BTreeMap<&'static str, Option<f64>>,
 }
 
-/// A flag one binary reads besides the common ones. The binary names its
-/// extra flags when it calls [`BenchOpts::from_args_with`], and every other
-/// argument is rejected.
+/// A flag a binary reads. Each binary names every flag it reads, the common
+/// ones included, when it calls [`BenchOpts::from_args`], and every other
+/// argument is rejected: a flag accepted and then ignored would make a run
+/// lie about its parameters.
 #[derive(Debug, Clone, Copy)]
-pub enum Extra {
-    /// A flag without a value, such as fig16's `--huge`.
+pub enum Flag {
+    /// `--seed N`: the experiment seed.
+    Seed,
+    /// `--scale F`: a positive factor on request counts.
+    Scale,
+    /// `--json PATH`: where [`BenchOpts::maybe_write_json`] writes the rows.
+    Json,
+    /// `--threads N`: worker threads of the sweep harness
+    /// ([`set_thread_override`]).
+    Threads,
+    /// `--canonical`: record `sim_wall_secs` as 0
+    /// ([`set_canonical_output`]).
+    Canonical,
+    /// A binary's own flag without a value, such as fig16's `--huge`.
     Switch(&'static str),
-    /// A flag whose value is a positive number, such as fig03's `--rate`.
+    /// A binary's own flag whose value is a positive number, such as
+    /// fig03's `--rate`.
     Positive(&'static str),
 }
 
-impl Extra {
+impl Flag {
     fn name(self) -> &'static str {
         match self {
-            Extra::Switch(flag) | Extra::Positive(flag) => flag,
+            Flag::Seed => "--seed",
+            Flag::Scale => "--scale",
+            Flag::Json => "--json",
+            Flag::Threads => "--threads",
+            Flag::Canonical => "--canonical",
+            Flag::Switch(flag) | Flag::Positive(flag) => flag,
         }
-    }
-}
-
-/// The extra flags given on the command line: each switch given maps to
-/// `None`, each positive number to its value.
-#[derive(Debug, Clone, Default)]
-pub struct Extras(BTreeMap<&'static str, Option<f64>>);
-
-impl Extras {
-    /// Whether the switch `flag` was given.
-    pub fn switch(&self, flag: &str) -> bool {
-        self.0.contains_key(flag)
-    }
-
-    /// The value given for the positive-number flag `flag`, if any.
-    pub fn positive(&self, flag: &str) -> Option<f64> {
-        self.0.get(flag).copied().flatten()
     }
 }
 
@@ -99,66 +104,73 @@ fn positive<'a>(args: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<
     }
 }
 
-/// Parses the arguments after the program name: the common flags plus
-/// `extra`. Any other argument, a flag given twice, a missing value and a
-/// malformed one are errors.
-fn parse_args(args: &[String], extra: &[Extra]) -> Result<(BenchOpts, Extras), String> {
+/// Parses the arguments after the program name against the flags the
+/// binary reads. Any other argument, a flag given twice, a missing value
+/// and a malformed one are errors.
+fn parse_args(args: &[String], flags: &[Flag]) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts {
         seed: DEFAULT_SEED,
         json: None,
         scale: 1.0,
+        own: BTreeMap::new(),
     };
-    let mut extras = Extras::default();
     let mut seen = Vec::new();
     let mut args = args.iter().map(String::as_str);
-    while let Some(flag) = args.next() {
-        if seen.contains(&flag) {
-            return Err(format!("{flag} given twice"));
+    while let Some(arg) = args.next() {
+        let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
+            let known: Vec<&str> = flags.iter().map(|f| f.name()).collect();
+            return Err(format!(
+                "unknown argument {arg:?}; this binary reads only: {}",
+                known.join(" ")
+            ));
+        };
+        if seen.contains(&arg) {
+            return Err(format!("{arg} given twice"));
         }
-        seen.push(flag);
+        seen.push(arg);
         match flag {
-            "--seed" => opts.seed = value(&mut args, flag)?,
-            "--json" => opts.json = Some(value(&mut args, flag)?),
-            "--scale" => opts.scale = positive(&mut args, flag)?,
-            "--threads" => match value(&mut args, flag)? {
+            Flag::Seed => opts.seed = value(&mut args, arg)?,
+            Flag::Json => opts.json = Some(value(&mut args, arg)?),
+            Flag::Scale => opts.scale = positive(&mut args, arg)?,
+            Flag::Threads => match value(&mut args, arg)? {
                 0 => return Err("--threads must be at least 1".into()),
                 threads => set_thread_override(threads),
             },
-            "--canonical" => set_canonical_output(true),
-            _ => match extra.iter().find(|e| e.name() == flag) {
-                Some(&Extra::Switch(f)) => {
-                    extras.0.insert(f, None);
-                }
-                Some(&Extra::Positive(f)) => {
-                    extras.0.insert(f, Some(positive(&mut args, flag)?));
-                }
-                None => return Err(format!("unknown argument {flag:?}")),
-            },
+            Flag::Canonical => set_canonical_output(true),
+            Flag::Switch(f) => {
+                opts.own.insert(f, None);
+            }
+            Flag::Positive(f) => {
+                opts.own.insert(f, Some(positive(&mut args, arg)?));
+            }
         }
     }
-    Ok((opts, extras))
+    Ok(opts)
 }
 
 impl BenchOpts {
-    /// Parses `--seed`, `--json`, `--scale`, `--threads` and `--canonical`
-    /// from `std::env::args`, rejecting every other argument. The last two
-    /// take effect through [`set_thread_override`] and
-    /// [`set_canonical_output`].
+    /// Parses `std::env::args` against `flags`, the flags the binary reads,
+    /// rejecting every other argument. `--threads` and `--canonical` take
+    /// effect through [`set_thread_override`] and [`set_canonical_output`].
     ///
     /// An unknown argument, a flag given twice and a missing or malformed
     /// value print `error: …` and exit with code 2.
-    pub fn from_args() -> Self {
-        Self::from_args_with(&[]).0
-    }
-
-    /// [`BenchOpts::from_args`] for a binary that also reads the flags in
-    /// `extra`; returns their values beside the common options.
-    pub fn from_args_with(extra: &[Extra]) -> (Self, Extras) {
+    pub fn from_args(flags: &[Flag]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        parse_args(&args, extra).unwrap_or_else(|e| {
+        parse_args(&args, flags).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.own.contains_key(flag)
+    }
+
+    /// The value given for the positive-number flag `flag`, if any.
+    pub fn positive(&self, flag: &str) -> Option<f64> {
+        self.own.get(flag).copied().flatten()
     }
 
     /// Applies the scale factor to a request count.
@@ -639,6 +651,7 @@ mod tests {
             seed: 1,
             json: None,
             scale: 0.1,
+            own: BTreeMap::new(),
         };
         assert_eq!(opts.scaled(10_000), 1_000);
         assert_eq!(opts.scaled(50), 10, "floor at 10");
@@ -647,18 +660,23 @@ mod tests {
     #[test]
     fn extra_flags_parse_only_where_declared() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let extra = [Extra::Switch("--huge"), Extra::Positive("--rate")];
-        let (opts, extras) = parse_args(&args(&["--rate", "2.5", "--huge", "--seed", "3"]), &extra)
+        let flags = [Flag::Seed, Flag::Switch("--huge"), Flag::Positive("--rate")];
+        let opts = parse_args(&args(&["--rate", "2.5", "--huge", "--seed", "3"]), &flags)
             .expect("declared flags parse");
-        assert!(extras.switch("--huge"));
-        assert_eq!(extras.positive("--rate"), Some(2.5));
+        assert!(opts.switch("--huge"));
+        assert_eq!(opts.positive("--rate"), Some(2.5));
         assert_eq!(opts.seed, 3);
-        let (opts, extras) = parse_args(&[], &extra).expect("no flags parse");
-        assert!(!extras.switch("--huge"));
-        assert_eq!(extras.positive("--rate"), None);
+        let opts = parse_args(&[], &flags).expect("no flags parse");
+        assert!(!opts.switch("--huge"));
+        assert_eq!(opts.positive("--rate"), None);
         assert_eq!(opts.seed, DEFAULT_SEED);
-        let err = parse_args(&args(&["--huge"]), &[]).expect_err("undeclared");
-        assert_eq!(err, r#"unknown argument "--huge""#);
+        let err = parse_args(&args(&["--huge"]), &[Flag::Json]).expect_err("undeclared");
+        assert_eq!(
+            err,
+            r#"unknown argument "--huge"; this binary reads only: --json"#
+        );
+        let err = parse_args(&args(&["--scale", "0.5"]), &flags).expect_err("undeclared");
+        assert!(err.starts_with(r#"unknown argument "--scale""#), "{err}");
     }
 
     #[test]

@@ -3,19 +3,13 @@
 //! results (minus wall-clock timing, which measures real time by design).
 
 use llumnix_bench::{
-    build_trace, run_arm, run_arms, set_thread_override, ArmResult, ArmSpec, BenchOpts,
-    DEFAULT_SEED,
+    build_trace, run_arm, run_arms, set_thread_override, ArmResult, ArmSpec, DEFAULT_SEED,
 };
 use llumnix_core::{SchedulerKind, ServingConfig};
 use llumnix_model::InstanceSpec;
 use llumnix_workload::Arrivals;
 
 fn arm_specs() -> Vec<ArmSpec> {
-    let opts = BenchOpts {
-        seed: DEFAULT_SEED,
-        json: None,
-        scale: 1.0,
-    };
     let mut arms = Vec::new();
     for (trace, rate) in [("S-S", 4.0), ("M-M", 2.0), ("L-L", 1.5)] {
         for kind in [
@@ -25,7 +19,7 @@ fn arm_specs() -> Vec<ArmSpec> {
         ] {
             arms.push(ArmSpec {
                 config: ServingConfig::new(kind, 4).with_spec(InstanceSpec::tiny_for_tests(4096)),
-                trace: build_trace(trace, 80, Arrivals::poisson(rate), 0.1, opts.seed),
+                trace: build_trace(trace, 80, Arrivals::poisson(rate), 0.1, DEFAULT_SEED),
                 rate,
                 cv: 1.0,
             });

@@ -20,115 +20,48 @@
 //! much (DESIGN.md §11 documents the fit against the fig16 arms).
 
 use llumnix_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// Cost parameters of the centralized scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CentralSchedulerModel {
-    /// Fixed cost per scheduling round trip (RPC + bookkeeping).
-    pub base: SimDuration,
-    /// Marginal cost per synchronized request at small batch sizes.
-    pub per_request: SimDuration,
-    /// Amortization scale `s` of the saturating sync curve: a decision
-    /// synchronizing `t` requests pays for `t·s/(s+t)` of them (integer
-    /// arithmetic, so the curve is platform-exact). Marginal cost halves at
-    /// `t = s` and the sync term saturates at `per_request · s`. `0` turns
-    /// amortization off (the old linear extrapolation).
-    pub amortization_scale: u64,
+/// Fixed cost per scheduling round trip (RPC + bookkeeping).
+const BASE: SimDuration = SimDuration::from_micros(150);
+
+/// Marginal cost per synchronized request at small batch sizes.
+const PER_REQUEST: SimDuration = SimDuration::from_micros(28);
+
+/// Amortization scale `s` of the saturating sync curve: a decision
+/// synchronizing `t` requests pays for `⌊t·s/(s+t)⌋` of them (integer
+/// arithmetic, so the curve is platform-exact). Marginal cost halves at
+/// `t = s` and the sync term saturates at `PER_REQUEST · s`.
+const AMORTIZATION_SCALE: u64 = 256;
+
+/// Service time of one decision synchronizing `tracked_requests`.
+///
+/// Calibrated so the whole *measured* 64-instance regime reproduces the old
+/// validated linear model: at the ≈ 20-tracked-requests anchor the old model
+/// charged 150 + 20 × 25 = 650 µs and this one charges
+/// 150 + ⌊20·256/276⌋ × 28 = 654 µs (+0.6 %); even at the regime's top
+/// (t = 64) the two stay within 10 %. Past it the curves split: at 256
+/// tracked requests the linear model extrapolates to 6.55 ms while the
+/// amortized curve charges 3.73 ms (DESIGN.md §11 documents the fit).
+fn service_time(tracked_requests: usize) -> SimDuration {
+    let t = tracked_requests as u64;
+    BASE + PER_REQUEST * (t * AMORTIZATION_SCALE / (AMORTIZATION_SCALE + t))
 }
 
-fn default_amortization_scale() -> u64 {
-    256
-}
-
-impl Default for CentralSchedulerModel {
-    fn default() -> Self {
-        // Calibrated so the whole *measured* 64-instance regime reproduces
-        // the old validated linear model: at the ≈ 20-tracked-requests
-        // anchor the old model charged 150 + 20 × 25 = 650 µs and this one
-        // charges 150 + ⌊20·256/276⌋ × 28 = 654 µs (+0.6 %); even at the
-        // regime's top (t = 64) the two stay within 10 %. Past it the
-        // curves split: at 256 tracked requests the linear model
-        // extrapolates to 6.55 ms while the amortized curve charges
-        // 3.73 ms (DESIGN.md §11 documents the fit).
-        CentralSchedulerModel {
-            base: SimDuration::from_micros(150),
-            per_request: SimDuration::from_micros(28),
-            amortization_scale: default_amortization_scale(),
-        }
-    }
-}
-
-impl CentralSchedulerModel {
-    /// Service time of one decision synchronizing `tracked_requests`.
-    pub fn service_time(&self, tracked_requests: usize) -> SimDuration {
-        let t = tracked_requests as u64;
-        let amortized = if self.amortization_scale == 0 || t == 0 {
-            t
-        } else {
-            t * self.amortization_scale / (self.amortization_scale + t)
-        };
-        self.base + self.per_request * amortized
-    }
-}
-
-/// The single-server FIFO queue the centralized scheduler forms.
-#[derive(Debug, Clone)]
+/// The single-server FIFO queue the centralized scheduler forms; the
+/// default is idle.
+#[derive(Debug, Clone, Default)]
 pub struct CentralScheduler {
-    model: CentralSchedulerModel,
     free_at: SimTime,
-    total_stall: SimDuration,
-    decisions: u64,
-    max_stall: SimDuration,
 }
 
 impl CentralScheduler {
-    /// Creates an idle scheduler.
-    pub fn new(model: CentralSchedulerModel) -> Self {
-        CentralScheduler {
-            model,
-            free_at: SimTime::ZERO,
-            total_stall: SimDuration::ZERO,
-            decisions: 0,
-            max_stall: SimDuration::ZERO,
-        }
-    }
-
     /// An instance asks for its pre-iteration scheduling decision at `now`,
     /// synchronizing `tracked_requests` request statuses. Returns the stall
     /// the instance observes before its step may start.
     pub fn request_decision(&mut self, now: SimTime, tracked_requests: usize) -> SimDuration {
-        let service = self.model.service_time(tracked_requests);
-        let start = if self.free_at > now {
-            self.free_at
-        } else {
-            now
-        };
-        self.free_at = start + service;
-        let stall = self.free_at.since(now);
-        self.total_stall += stall;
-        self.decisions += 1;
-        self.max_stall = self.max_stall.max(stall);
-        stall
-    }
-
-    /// Mean stall per decision.
-    pub fn mean_stall(&self) -> SimDuration {
-        if self.decisions == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_stall / self.decisions
-        }
-    }
-
-    /// Largest stall observed.
-    pub fn max_stall(&self) -> SimDuration {
-        self.max_stall
-    }
-
-    /// Number of decisions served.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
+        let start = self.free_at.max(now);
+        self.free_at = start + service_time(tracked_requests);
+        self.free_at.since(now)
     }
 }
 
@@ -138,17 +71,16 @@ mod tests {
 
     #[test]
     fn idle_scheduler_costs_service_only() {
-        let mut c = CentralScheduler::new(CentralSchedulerModel::default());
+        let mut c = CentralScheduler::default();
         let stall = c.request_decision(SimTime::from_secs(1), 20);
         // 150 µs + ⌊20·256/276⌋ × 28 µs = 150 + 18 × 28 = 654 µs — within
         // 1 % of the old linear model's 650 µs at the calibration anchor.
         assert_eq!(stall, SimDuration::from_micros(654));
-        assert_eq!(c.decisions(), 1);
     }
 
     #[test]
     fn contention_builds_queueing_delay() {
-        let mut c = CentralScheduler::new(CentralSchedulerModel::default());
+        let mut c = CentralScheduler::default();
         let now = SimTime::from_secs(1);
         // 64 instances all asking at the same instant: the last one queues
         // behind 63 service times.
@@ -160,52 +92,33 @@ mod tests {
             last.as_millis_f64() > 40.0,
             "64-way contention should stall tens of ms, got {last}"
         );
-        assert_eq!(c.max_stall(), *last);
     }
 
     #[test]
     fn drains_when_spread_out() {
-        let mut c = CentralScheduler::new(CentralSchedulerModel::default());
+        let mut c = CentralScheduler::default();
         // Requests 10 ms apart never queue: stall = service(10) =
         // 150 + ⌊10·256/266⌋ × 28 = 150 + 9 × 28 = 402 µs.
         for i in 0..10 {
             let stall = c.request_decision(SimTime::from_millis(10 * i), 10);
             assert_eq!(stall, SimDuration::from_micros(402));
         }
-        assert_eq!(c.mean_stall(), SimDuration::from_micros(402));
     }
 
     #[test]
     fn sync_cost_is_sublinear_and_saturates() {
-        let m = CentralSchedulerModel::default();
         // Doubling the batch never doubles the sync term.
         for t in [16usize, 32, 64, 128, 256, 512] {
-            let sync = |n: usize| m.service_time(n) - m.base;
+            let sync = |n: usize| service_time(n) - BASE;
             assert!(
                 sync(2 * t) < sync(t) * 2,
                 "sync cost must be sub-linear at t={t}"
             );
         }
-        // Saturation bound: the sync term never exceeds per_request · s.
-        let cap = m.base + m.per_request * m.amortization_scale;
-        assert!(m.service_time(1_000_000) < cap);
+        // Saturation bound: the sync term never exceeds PER_REQUEST · s.
+        let cap = BASE + PER_REQUEST * AMORTIZATION_SCALE;
+        assert!(service_time(1_000_000) < cap);
         // Monotone in t.
-        assert!(m.service_time(10) < m.service_time(11));
-        // scale = 0 restores the linear extrapolation.
-        let linear = CentralSchedulerModel {
-            amortization_scale: 0,
-            ..m
-        };
-        assert_eq!(
-            linear.service_time(256),
-            m.base + m.per_request * 256,
-            "scale 0 is the old linear model"
-        );
-    }
-
-    #[test]
-    fn empty_scheduler_mean_is_zero() {
-        let c = CentralScheduler::new(CentralSchedulerModel::default());
-        assert_eq!(c.mean_stall(), SimDuration::ZERO);
+        assert!(service_time(10) < service_time(11));
     }
 }

@@ -20,7 +20,7 @@ mod serving;
 pub mod store;
 pub mod virtual_usage;
 
-pub use central::{CentralScheduler, CentralSchedulerModel};
+pub use central::CentralScheduler;
 pub use index::{DispatchIndex, IndexPolicy};
 pub use llumlet::Llumlet;
 pub use llumnix_faults::{FaultKind, FaultPlan, FaultPlanConfig, PlannedFault};

@@ -94,14 +94,10 @@ impl Llumlet {
         }
     }
 
-    /// Chooses the next request to migrate out, skipping those in `busy`
-    /// (already migrating). Per §4.4.3, the default policy "prefers the
-    /// requests with lower priorities and shorter sequence lengths".
-    pub fn select_migration_victim(&self, busy: impl Fn(RequestId) -> bool) -> Option<RequestId> {
-        self.select_migration_victim_with(VictimPolicy::LowPriorityShortest, busy)
-    }
-
-    /// Victim selection under an explicit [`VictimPolicy`].
+    /// Chooses the next request to migrate out under `policy`, skipping
+    /// those in `busy` (already migrating). Per §4.4.3, the default policy
+    /// "prefers the requests with lower priorities and shorter sequence
+    /// lengths".
     pub fn select_migration_victim_with(
         &self,
         policy: VictimPolicy,
@@ -193,15 +189,18 @@ mod tests {
         run_request(&mut l, 2, 100, 50, PriorityPair::NORMAL);
         run_request(&mut l, 3, 50, 50, PriorityPair::HIGH);
         // Normal beats high even though r3 is shortest; r2 shortest normal.
-        let v = l.select_migration_victim(|_| false).expect("victim");
+        let paper = VictimPolicy::LowPriorityShortest;
+        let v = l
+            .select_migration_victim_with(paper, |_| false)
+            .expect("victim");
         assert_eq!(v, RequestId(2));
         // Skip busy requests.
         let v = l
-            .select_migration_victim(|id| id == RequestId(2))
+            .select_migration_victim_with(paper, |id| id == RequestId(2))
             .expect("victim");
         assert_eq!(v, RequestId(1));
         // All busy → none.
-        assert!(l.select_migration_victim(|_| true).is_none());
+        assert!(l.select_migration_victim_with(paper, |_| true).is_none());
     }
 
     #[test]

@@ -386,12 +386,6 @@ impl AutoScaler {
         }
         action
     }
-
-    /// [`AutoScaler::observe_counts`] with a single instance count used for
-    /// both bounds (no draining instances to distinguish).
-    pub fn observe(&mut self, avg_freeness: f64, active: u32, now: SimTime) -> Option<ScaleAction> {
-        self.observe_counts(avg_freeness, active, active, now)
-    }
 }
 
 #[cfg(test)]
@@ -529,17 +523,26 @@ mod tests {
         let cfg = AutoScaleConfig::paper_default(16);
         let mut s = AutoScaler::new(cfg);
         let t0 = SimTime::from_secs(100);
-        assert_eq!(s.observe(5.0, 4, t0), None);
+        assert_eq!(s.observe_counts(5.0, 4, 4, t0), None);
         // Recovers before the sustain period: no action.
-        assert_eq!(s.observe(30.0, 4, t0 + SimDuration::from_secs(5)), None);
-        assert_eq!(s.observe(5.0, 4, t0 + SimDuration::from_secs(6)), None);
+        assert_eq!(
+            s.observe_counts(30.0, 4, 4, t0 + SimDuration::from_secs(5)),
+            None
+        );
+        assert_eq!(
+            s.observe_counts(5.0, 4, 4, t0 + SimDuration::from_secs(6)),
+            None
+        );
         // Now sustained for 10 s.
         assert_eq!(
-            s.observe(5.0, 4, t0 + SimDuration::from_secs(16)),
+            s.observe_counts(5.0, 4, 4, t0 + SimDuration::from_secs(16)),
             Some(ScaleAction::Up)
         );
         // Timer reset after the action.
-        assert_eq!(s.observe(5.0, 5, t0 + SimDuration::from_secs(17)), None);
+        assert_eq!(
+            s.observe_counts(5.0, 5, 5, t0 + SimDuration::from_secs(17)),
+            None
+        );
     }
 
     #[test]
@@ -547,19 +550,25 @@ mod tests {
         let cfg = AutoScaleConfig::paper_default(16);
         let mut s = AutoScaler::new(cfg);
         let t0 = SimTime::from_secs(0);
-        assert_eq!(s.observe(100.0, 2, t0), None);
+        assert_eq!(s.observe_counts(100.0, 2, 2, t0), None);
         assert_eq!(
-            s.observe(100.0, 2, t0 + SimDuration::from_secs(10)),
+            s.observe_counts(100.0, 2, 2, t0 + SimDuration::from_secs(10)),
             Some(ScaleAction::Down)
         );
         // At min instances, no scale-down fires.
         let mut s = AutoScaler::new(cfg);
-        assert_eq!(s.observe(100.0, 1, t0), None);
-        assert_eq!(s.observe(100.0, 1, t0 + SimDuration::from_secs(20)), None);
+        assert_eq!(s.observe_counts(100.0, 1, 1, t0), None);
+        assert_eq!(
+            s.observe_counts(100.0, 1, 1, t0 + SimDuration::from_secs(20)),
+            None
+        );
         // At max instances, no scale-up fires.
         let mut s = AutoScaler::new(cfg);
-        assert_eq!(s.observe(1.0, 16, t0), None);
-        assert_eq!(s.observe(1.0, 16, t0 + SimDuration::from_secs(20)), None);
+        assert_eq!(s.observe_counts(1.0, 16, 16, t0), None);
+        assert_eq!(
+            s.observe_counts(1.0, 16, 16, t0 + SimDuration::from_secs(20)),
+            None
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use llumnix_model::InstanceSpec;
 use llumnix_sim::{EventQueue, SimDuration, SimTime};
 use llumnix_workload::Trace;
 
-use crate::central::{CentralScheduler, CentralSchedulerModel};
+use crate::central::CentralScheduler;
 use crate::index::{DispatchIndex, IndexPolicy};
 use crate::llumlet::Llumlet;
 use crate::policy::{
@@ -47,8 +47,6 @@ pub struct ServingConfig {
     pub spec: InstanceSpec,
     /// Engine tunables.
     pub engine: EngineConfig,
-    /// Migration tunables.
-    pub migration: MigrationConfig,
     /// Instances at t = 0.
     pub initial_instances: u32,
     /// Execution-priority headroom (only honored by `Llumnix`).
@@ -61,10 +59,6 @@ pub struct ServingConfig {
     pub victim_policy: VictimPolicy,
     /// Auto-scaling configuration, if enabled.
     pub autoscale: Option<AutoScaleConfig>,
-    /// Timeline sampling (and scaling-observation) interval.
-    pub sample_interval: SimDuration,
-    /// Centralized-scheduler stall model (used by `Centralized` only).
-    pub central: CentralSchedulerModel,
     /// Fault schedule replayed as first-class events (crashes, stragglers,
     /// migration-link failures, global-scheduler outages), seeded with
     /// [`FaultPlan::generate`] or scripted with [`FaultPlan::from_faults`].
@@ -82,7 +76,6 @@ impl ServingConfig {
             scheduler,
             spec: InstanceSpec::llama_7b_a10(),
             engine: EngineConfig::default(),
-            migration: MigrationConfig::default(),
             initial_instances: n,
             headroom: if scheduler.uses_priorities() {
                 HeadroomConfig::paper_default()
@@ -93,8 +86,6 @@ impl ServingConfig {
             migration_thresholds: MigrationThresholds::default(),
             victim_policy: VictimPolicy::default(),
             autoscale: None,
-            sample_interval: SimDuration::from_secs(1),
-            central: CentralSchedulerModel::default(),
             fault_plan: FaultPlan::empty(),
             max_sim_time: SimTime::from_secs(24 * 3600),
         }
@@ -145,9 +136,6 @@ pub struct ServingOutput {
     pub migration_stats: CoordinatorStats,
     /// Scheduling-stall summary per engine step, in seconds (Figure 16).
     pub stalls: llumnix_metrics::Summary,
-    /// Batch sizes of decode steps that contained a high-execution-priority
-    /// request (diagnostic for the §6.4 isolation mechanism).
-    pub high_step_batches: llumnix_metrics::Summary,
     /// When the last request finished.
     pub makespan: SimTime,
     /// Simulation events processed by the event loop (throughput metric).
@@ -231,11 +219,11 @@ pub struct ServingSim {
     link_down_until: BTreeMap<InstanceId, SimTime>,
     /// Straggling instances: id → (expiry, latency factor).
     slow_until: BTreeMap<InstanceId, (SimTime, f64)>,
-    high_batch_acc: SummaryAccumulator,
     order_scratch: Vec<InstanceId>,
     events_processed: u64,
-    /// Effective periodic-tick intervals: the configured intervals times the
-    /// fleet-size coarsening factor (see [`tick_scale`]). Constant for a run.
+    /// Effective periodic-tick intervals: [`SAMPLE_INTERVAL`] and the
+    /// configured migration interval times the fleet-size coarsening factor
+    /// (see [`tick_scale`]). Constant for a run.
     sample_interval: SimDuration,
     migration_interval: SimDuration,
     /// Initial events (arrivals, ticks, fault chain) have been seeded. Flips
@@ -265,6 +253,10 @@ pub struct ServingSim {
 pub struct SimSnapshot {
     state: Box<ServingSim>,
 }
+
+/// Timeline sampling (and scaling-observation) interval, before
+/// [`tick_scale`].
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// Coarsening factor for the periodic sampling and migration ticks.
 ///
@@ -300,10 +292,10 @@ impl ServingSim {
             config.autoscale.is_some(),
         ));
         let mut sim = ServingSim {
-            coordinator: MigrationCoordinator::new(config.migration.clone()),
-            central: CentralScheduler::new(config.central),
+            coordinator: MigrationCoordinator::new(MigrationConfig::default()),
+            central: CentralScheduler::default(),
             scaler: config.autoscale.map(AutoScaler::new),
-            sample_interval: config.sample_interval.saturating_mul(scale),
+            sample_interval: SAMPLE_INTERVAL.saturating_mul(scale),
             migration_interval: config.migration_interval.saturating_mul(scale),
             config,
             trace,
@@ -337,7 +329,6 @@ impl ServingSim {
             crash_lost_at: BTreeMap::new(),
             link_down_until: BTreeMap::new(),
             slow_until: BTreeMap::new(),
-            high_batch_acc: SummaryAccumulator::new(),
             order_scratch: Vec::new(),
             events_processed: 0,
             seeded: false,
@@ -519,7 +510,6 @@ impl ServingSim {
             avg_instances,
             migration_stats: *self.coordinator.stats(),
             stalls: self.stalls_acc.finish(),
-            high_step_batches: self.high_batch_acc.finish(),
             makespan: self.makespan,
             events_processed: self.events_processed,
             fault_stats,
@@ -1031,12 +1021,6 @@ impl ServingSim {
             return;
         }
         if let Some(plan) = llumlet.engine.poll_step(self.now) {
-            // A decode step is planned only when no admitted request awaits
-            // prefill, so its batch is exactly the engine's residents.
-            if plan.kind == llumnix_engine::StepKind::Decode && llumlet.engine.resident_high() > 0 {
-                self.high_batch_acc
-                    .observe(llumlet.engine.in_flight_len() as f64);
-            }
             let mut finish = plan.finish_at();
             if self.config.scheduler.has_central_stalls() {
                 let tracked = llumlet.engine.batch_size() + llumlet.engine.waiting_len();
@@ -1939,23 +1923,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn high_priority_batches_are_observed() {
-        // The §6.4 isolation diagnostic: decode steps that carry a
-        // high-execution-priority request record their batch size.
-        let spec = presets::by_name("S-S", 200, Arrivals::poisson(6.0))
-            .expect("preset")
-            .with_max_total_tokens(2_000)
-            .with_high_priority_fraction(0.3);
-        let trace = spec.generate(&SimRng::new(35));
-        let out = run_serving(tiny_config(SchedulerKind::Llumnix, 4), trace.clone());
-        assert_all_complete(trace.len(), &out);
-        assert!(
-            out.high_step_batches.count > 0,
-            "high-priority batches observed"
-        );
-    }
-
     /// A faulted run driven through every event with `run_until`, so only
     /// its teardown is left. The untouched run tears down cleanly.
     fn drained_faulted_sim() -> ServingSim {
@@ -2012,8 +1979,6 @@ mod tests {
         assert_eq!(a.fault_stats, b.fault_stats);
         assert_eq!(a.stalls.count, b.stalls.count);
         assert_eq!(a.stalls.mean, b.stalls.mean, "stall float sums must match");
-        assert_eq!(a.high_step_batches.count, b.high_step_batches.count);
-        assert_eq!(a.high_step_batches.mean, b.high_step_batches.mean);
         assert_eq!(a.avg_instances, b.avg_instances);
         for (s, t) in [
             (&a.fragmentation, &b.fragmentation),

@@ -98,7 +98,6 @@ fn assert_same(a: &ServingOutput, b: &ServingOutput) -> Result<(), TestCaseError
     );
     prop_assert_eq!(&a.fault_stats, &b.fault_stats);
     prop_assert_eq!(a.stalls, b.stalls);
-    prop_assert_eq!(a.high_step_batches, b.high_step_batches);
     for (s, t) in [
         (&a.fragmentation, &b.fragmentation),
         (&a.free_blocks, &b.free_blocks),

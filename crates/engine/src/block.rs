@@ -116,14 +116,6 @@ impl BlockManager {
         self.total - self.used
     }
 
-    /// Fraction of blocks in use (allocations + reservations).
-    pub fn utilization(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        1.0 - self.free_blocks() as f64 / self.total as f64
-    }
-
     /// Blocks allocated to `id`, or 0.
     pub fn blocks_of(&self, id: RequestId) -> u32 {
         self.allocations.get(&id).copied().unwrap_or(0)
@@ -386,16 +378,5 @@ mod tests {
         bm.used = 11;
         bm.allocations.insert(rid(1), 11);
         assert!(!bm.check_invariants(), "ledger over capacity");
-    }
-
-    #[test]
-    fn utilization() {
-        let mut bm = BlockManager::new(10);
-        assert_eq!(bm.utilization(), 0.0);
-        bm.allocate(rid(1), 5).unwrap();
-        assert!((bm.utilization() - 0.5).abs() < 1e-12);
-        let _ = bm.reserve(5).unwrap();
-        assert!((bm.utilization() - 1.0).abs() < 1e-12);
-        assert_eq!(BlockManager::new(0).utilization(), 0.0);
     }
 }

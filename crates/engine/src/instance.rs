@@ -31,39 +31,22 @@ impl core::fmt::Display for InstanceId {
     }
 }
 
+/// Max prompt tokens prefilled in one step (vLLM's `max_num_batched_tokens`).
+const MAX_PREFILL_TOKENS_PER_STEP: u64 = 4096;
+
+/// Step slowdown while a migration touches the instance (paper §6.2: ≈1%).
+const MIGRATION_OVERHEAD_FACTOR: f64 = 1.01;
+
+/// Cap on concurrently resident sequences (vLLM's `max_num_seqs`).
+const MAX_BATCH_SIZE: usize = 256;
+
 /// Engine tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Max prompt tokens prefetched in one prefill step (vLLM's
-    /// `max_num_batched_tokens`-style budget).
-    pub max_prefill_tokens_per_step: u32,
-    /// Decode/prefill slowdown while a migration touches this instance
-    /// (paper §6.2: ≈1%).
-    pub migration_overhead_factor: f64,
     /// How preempted requests recover their KV cache.
     pub preemption_mode: PreemptionMode,
-    /// Cap on concurrently running sequences (vLLM's `max_num_seqs`).
-    pub max_batch_size: usize,
     /// Queue ordering within a scheduling-priority class.
     pub queue_order: QueueOrder,
-    /// Blocks kept free at admission (vLLM's `watermark`): a new request is
-    /// only admitted if `needed + watermark` blocks are free, leaving slack
-    /// for the running batch's growth and reducing immediate re-preemption.
-    /// 0 reproduces the calibrated behaviour of this repo's experiments.
-    pub admission_watermark_blocks: u32,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_prefill_tokens_per_step: 4096,
-            migration_overhead_factor: 1.01,
-            preemption_mode: PreemptionMode::Recompute,
-            max_batch_size: 256,
-            queue_order: QueueOrder::Fcfs,
-            admission_watermark_blocks: 0,
-        }
-    }
 }
 
 /// vLLM's two preemption-recovery strategies.
@@ -133,21 +116,6 @@ pub enum DrainOutcome {
     NotRunning,
 }
 
-/// Running counters for one instance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineStats {
-    /// Decode steps executed.
-    pub decode_steps: u64,
-    /// Prefill steps executed.
-    pub prefill_steps: u64,
-    /// Preemptions performed.
-    pub preemptions: u64,
-    /// Requests finished on this instance.
-    pub finished: u64,
-    /// Total busy time (steps in flight).
-    pub busy_time: SimDuration,
-}
-
 /// A vLLM-like serving instance.
 ///
 /// `Clone` supports the sim-level snapshot/fork capability: a clone is an
@@ -189,7 +157,6 @@ pub struct InstanceEngine {
     active_migrations: u32,
     finished: Vec<SeqState>,
     pending_events: Vec<EngineEvent>,
-    stats: EngineStats,
 }
 
 impl InstanceEngine {
@@ -214,18 +181,12 @@ impl InstanceEngine {
             active_migrations: 0,
             finished: Vec::new(),
             pending_events: Vec::new(),
-            stats: EngineStats::default(),
         }
     }
 
     /// The instance spec.
     pub fn spec(&self) -> &InstanceSpec {
         &self.spec
-    }
-
-    /// Running counters.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
     }
 
     // ---- request intake -------------------------------------------------
@@ -302,13 +263,12 @@ impl InstanceEngine {
     /// blocks and under the batch-size cap).
     fn admit(&mut self, now: SimTime) {
         while let Some(head) = self.waiting.head() {
-            if self.running.len() + self.prefill_pending.len() >= self.config.max_batch_size {
+            if self.running.len() + self.prefill_pending.len() >= MAX_BATCH_SIZE {
                 break;
             }
             let slot = self.states.slot(head).expect("queued request has state");
             let needed = self.demand_blocks(self.states.get(slot));
-            let watermark = self.config.admission_watermark_blocks;
-            if needed.saturating_add(watermark) > self.blocks.total_blocks() {
+            if needed > self.blocks.total_blocks() {
                 // Can never fit on this instance: abort rather than deadlock.
                 self.waiting.pop_head();
                 self.queued_demand -= needed;
@@ -319,7 +279,7 @@ impl InstanceEngine {
                 self.pending_events.push(EngineEvent::Aborted(head));
                 continue;
             }
-            if self.blocks.free_blocks() < needed.saturating_add(watermark) {
+            if self.blocks.free_blocks() < needed {
                 break;
             }
             match self.blocks.allocate(head, needed) {
@@ -350,13 +310,12 @@ impl InstanceEngine {
         let mut total = 0u64;
         let mut max = 0u64;
         let mut swap_tokens = 0u64;
-        let budget = self.config.max_prefill_tokens_per_step as u64;
         let mut kept = 0;
         for i in 0..self.prefill_pending.len() {
             let slot = self.prefill_pending[i];
             let s = self.states.get(slot);
             let tokens = s.required_tokens() as u64;
-            if !self.step.is_empty() && total + tokens > budget {
+            if !self.step.is_empty() && total + tokens > MAX_PREFILL_TOKENS_PER_STEP {
                 self.prefill_pending[kept] = slot;
                 kept += 1;
                 continue;
@@ -379,7 +338,6 @@ impl InstanceEngine {
         });
         let swap_in = self.swap_in_time(swap_tokens);
         let duration = self.with_overhead(compute + swap_in);
-        self.stats.prefill_steps += 1;
         StepPlan {
             kind: StepKind::Prefill,
             started: now,
@@ -455,7 +413,6 @@ impl InstanceEngine {
         };
         let compute = self.spec.cost.decode_step(batch.bucket_floor());
         let duration = self.with_overhead(compute);
-        self.stats.decode_steps += 1;
         let states = &self.states;
         self.step.extend(
             self.running
@@ -511,7 +468,6 @@ impl InstanceEngine {
         s.preemptions += 1;
         s.preempted_at = Some(now);
         s.enqueued_at = now;
-        self.stats.preemptions += 1;
         let demand = s.required_tokens();
         let (sched, arrival) = (s.meta.priority.scheduling, s.meta.arrival);
         self.waiting.insert_with_demand(id, sched, arrival, demand);
@@ -536,7 +492,6 @@ impl InstanceEngine {
     /// Panics if no step is in flight (a scheduling logic error).
     pub fn complete_step(&mut self, now: SimTime) -> Vec<EngineEvent> {
         let plan = self.in_flight.take().expect("complete_step without a step");
-        self.stats.busy_time += plan.duration;
         let mut events = std::mem::take(&mut self.pending_events);
         let mut step = std::mem::take(&mut self.step);
         match plan.kind {
@@ -629,7 +584,6 @@ impl InstanceEngine {
         s.phase = Phase::Finished;
         s.finished_at = Some(now);
         s.blocks_held = 0;
-        self.stats.finished += 1;
         self.finished.push(s);
     }
 
@@ -775,7 +729,7 @@ impl InstanceEngine {
     /// its float round trip.
     fn with_overhead(&self, duration: SimDuration) -> SimDuration {
         if self.active_migrations > 0 {
-            duration.mul_f64(self.config.migration_overhead_factor)
+            duration.mul_f64(MIGRATION_OVERHEAD_FACTOR)
         } else {
             duration
         }
@@ -842,11 +796,6 @@ impl InstanceEngine {
     /// flight. A decode step's ids are the running batch as planned.
     pub fn in_flight_ids(&self) -> Vec<RequestId> {
         self.step.iter().map(|&(_, id)| id).collect()
-    }
-
-    /// Number of requests in the in-flight step, 0 when none is in flight.
-    pub fn in_flight_len(&self) -> usize {
-        self.step.len()
     }
 
     /// The residents' states: the running batch in batch order, then the
@@ -1178,13 +1127,18 @@ mod tests {
     fn output_of_one_finishes_at_prefill() {
         let mut e = engine(1024);
         e.add_request(meta(1, 32, 1, 0), SimTime::ZERO);
-        let (_, events) = run_to_idle(&mut e, SimTime::ZERO);
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0].1, EngineEvent::FirstToken(_)));
-        assert!(matches!(events[1].1, EngineEvent::Finished(_)));
-        // Exactly one step ran (the prefill).
-        assert_eq!(e.stats().prefill_steps, 1);
-        assert_eq!(e.stats().decode_steps, 0);
+        let plan = e.poll_step(SimTime::ZERO).expect("prefill");
+        assert_eq!(plan.kind, StepKind::Prefill);
+        let events = e.complete_step(plan.finish_at());
+        assert_eq!(
+            events,
+            [
+                EngineEvent::FirstToken(RequestId(1)),
+                EngineEvent::Finished(RequestId(1))
+            ]
+        );
+        // Exactly one step ran (the prefill): no decode step follows.
+        assert!(e.poll_step(plan.finish_at()).is_none());
     }
 
     #[test]
@@ -1243,10 +1197,6 @@ mod tests {
         assert!(
             preempted.contains(&RequestId(2)),
             "expected r2 preemption event, got {preempted:?}"
-        );
-        assert!(
-            e.stats().preemptions > 0,
-            "expected at least one preemption"
         );
         let fin = e.take_finished();
         assert_eq!(fin.len(), 2);
@@ -1415,8 +1365,13 @@ mod tests {
         let mut e = swap_engine(96);
         e.add_request(meta(1, 40, 30, 0), SimTime::ZERO);
         e.add_request(meta(2, 40, 30, 1), SimTime::ZERO);
-        let (_, _) = run_to_idle(&mut e, SimTime::ZERO);
-        assert!(e.stats().preemptions > 0, "expected preemption");
+        let (_, events) = run_to_idle(&mut e, SimTime::ZERO);
+        assert!(
+            events
+                .iter()
+                .any(|(_, ev)| matches!(ev, EngineEvent::Preempted(_))),
+            "expected preemption"
+        );
         let fin = e.take_finished();
         assert_eq!(fin.len(), 2);
         for s in &fin {
@@ -1470,53 +1425,24 @@ mod tests {
     }
 
     #[test]
-    fn admission_watermark_holds_back_slack() {
-        // Capacity 6 blocks; watermark 2. A 64-token request needs 4 blocks;
-        // with the watermark it needs 6 free, so a second 4-block request
-        // must wait even though its blocks exist.
-        let mut e = InstanceEngine::new(
-            InstanceId(0),
-            InstanceSpec::tiny_for_tests(96),
-            EngineConfig {
-                admission_watermark_blocks: 2,
-                ..EngineConfig::default()
-            },
-        );
-        e.add_request(meta(1, 32, 8, 0), SimTime::ZERO); // 2 blocks + 2 slack OK
-        e.add_request(meta(2, 48, 8, 0), SimTime::ZERO); // 3 blocks + 2 slack > 4 free
-        let plan = e.poll_step(SimTime::ZERO).expect("prefill r1");
-        assert_eq!(plan.kind, StepKind::Prefill);
-        assert_eq!(e.in_flight_ids(), &[RequestId(1)]);
-        assert_eq!(e.waiting_len(), 1, "r2 held back by the watermark");
-        // Both still finish once space frees.
-        let t = plan.finish_at();
-        e.complete_step(t);
-        let (_, _) = run_to_idle(&mut e, t);
-        assert_eq!(e.take_finished().len(), 2);
-    }
-
-    #[test]
     fn max_batch_size_caps_admission() {
-        let mut e = InstanceEngine::new(
-            InstanceId(0),
-            InstanceSpec::tiny_for_tests(4096),
-            EngineConfig {
-                max_batch_size: 2,
-                ..EngineConfig::default()
-            },
-        );
-        for i in 0..5 {
-            e.add_request(meta(i, 32, 20, i), SimTime::ZERO);
+        // Every request fits in 2 blocks over its whole life, the instance
+        // holds 2 blocks per request, and all the prompts together fit half
+        // a prefill budget, so only the cap holds any request back.
+        let n = MAX_BATCH_SIZE + 3;
+        let mut e = engine(32 * n as u32);
+        for i in 0..n as u64 {
+            e.add_request(meta(i, 8, 8, 0), SimTime::ZERO);
         }
         let plan = e.poll_step(SimTime::ZERO).expect("prefill");
         assert_eq!(plan.kind, StepKind::Prefill);
-        assert_eq!(e.in_flight_ids().len(), 2, "cap applies");
+        assert_eq!(e.in_flight_ids().len(), MAX_BATCH_SIZE, "cap applies");
         assert_eq!(e.waiting_len(), 3);
         // All requests still complete eventually.
         let t = plan.finish_at();
         e.complete_step(t);
         let (_, _) = run_to_idle(&mut e, t);
-        assert_eq!(e.take_finished().len(), 5);
+        assert_eq!(e.take_finished().len(), n);
     }
 
     #[test]

@@ -16,8 +16,8 @@ mod request;
 
 pub use block::{BlockError, BlockManager, ReservationId};
 pub use instance::{
-    DrainOutcome, EngineConfig, EngineEvent, EngineStats, InstanceEngine, InstanceId,
-    PreemptionMode, StepKind, StepPlan,
+    DrainOutcome, EngineConfig, EngineEvent, InstanceEngine, InstanceId, PreemptionMode, StepKind,
+    StepPlan,
 };
 pub use queue::{QueueOrder, WaitQueue};
 pub use request::{Phase, Priority, PriorityPair, RequestId, RequestMeta, SeqState};

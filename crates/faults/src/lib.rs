@@ -122,13 +122,6 @@ impl FaultPlanConfig {
         self.start_offset = offset;
         self
     }
-
-    /// True when no fault class has a positive rate.
-    pub fn is_fault_free(&self) -> bool {
-        self.crash_rate_per_hour <= 0.0
-            && self.slowdown_rate_per_hour <= 0.0
-            && self.link_failure_rate_per_hour <= 0.0
-    }
 }
 
 /// What a planned fault does when it fires.
@@ -408,7 +401,6 @@ mod tests {
     #[test]
     fn zero_rates_yield_empty_plan() {
         let cfg = FaultPlanConfig::none();
-        assert!(cfg.is_fault_free());
         let plan = FaultPlan::generate(&cfg, &SimRng::new(7));
         assert!(plan.is_empty());
         assert_eq!(plan.crash_count(), 0);

@@ -24,7 +24,7 @@ pub use aggregate::LatencyReport;
 pub use faults::FaultStats;
 pub use percentile::{percentile, Summary};
 pub use plot::{sparkline, sparkline_annotated, to_csv};
-pub use report::{fmt_ratio, fmt_secs, to_json, Table};
+pub use report::{fmt_secs, to_json, Table};
 pub use request::{RecordPriority, RequestRecord};
 pub use streaming::SummaryAccumulator;
 pub use timeline::TimeSeries;

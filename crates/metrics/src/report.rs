@@ -31,11 +31,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let cols = self
@@ -96,11 +91,6 @@ pub fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// Formats a ratio like `3.1x`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +104,6 @@ mod tests {
         assert!(s.contains("## Demo"));
         assert!(s.contains("trace"));
         assert!(s.contains("S-S"));
-        assert_eq!(t.num_rows(), 2);
         // Every data line is aligned to the same width.
         let lines: Vec<&str> = s.lines().skip(1).collect();
         assert!(lines[1].starts_with('-'));
@@ -135,7 +124,6 @@ mod tests {
         assert_eq!(fmt_secs(1.5), "1.50s");
         assert_eq!(fmt_secs(0.0123), "12.3ms");
         assert_eq!(fmt_secs(42e-6), "42us");
-        assert_eq!(fmt_ratio(3.456), "3.46x");
     }
 
     #[test]

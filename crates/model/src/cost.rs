@@ -408,8 +408,10 @@ mod tests {
             CalibratedCostModel::for_model(&ModelSpec::llama_30b()).name,
             "LLaMA-30B@4xA10"
         );
-        let mut custom = ModelSpec::llama_13b();
-        custom.name = "Custom-13B".into();
+        let custom = ModelSpec {
+            name: "Custom-7B".into(),
+            ..ModelSpec::llama_7b()
+        };
         assert!(CalibratedCostModel::for_model(&custom)
             .name
             .ends_with("@derived"));

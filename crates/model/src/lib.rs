@@ -4,7 +4,7 @@
 //! with analytical models — exactly the substitution the paper itself makes
 //! in its §6.6 scalability study. This crate holds those models:
 //!
-//! * [`ModelSpec`] / [`GpuSpec`] — published architectural constants;
+//! * [`ModelSpec`] — published architectural constants;
 //! * [`BlockGeometry`] — paged KV-cache geometry (vLLM-style blocks);
 //! * [`CostModel`] / [`CalibratedCostModel`] — decode/prefill step latencies
 //!   calibrated to the paper's Figure 4 envelope;
@@ -26,5 +26,5 @@ pub use cost::{
 };
 pub use instance::InstanceSpec;
 pub use memory::{presets, BlockGeometry};
-pub use specs::{GpuSpec, ModelSpec};
+pub use specs::ModelSpec;
 pub use transfer::{TransferMode, TransferModel};

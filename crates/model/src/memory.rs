@@ -43,16 +43,6 @@ impl BlockGeometry {
     pub fn capacity_tokens(&self) -> u32 {
         self.total_blocks * self.block_tokens
     }
-
-    /// Bytes occupied by `blocks` blocks.
-    pub fn bytes_for_blocks(&self, blocks: u32) -> u64 {
-        self.bytes_per_block * blocks as u64
-    }
-
-    /// Bytes of KV state for `tokens` tokens (exact, not block-rounded).
-    pub fn bytes_for_tokens(&self, tokens: u32, model: &ModelSpec) -> u64 {
-        model.kv_bytes_per_token() * tokens as u64
-    }
 }
 
 /// Capacity presets matching the paper's testbed.
@@ -107,9 +97,9 @@ mod tests {
     fn byte_accounting() {
         let m = ModelSpec::llama_7b();
         let g = presets::llama_7b_a10();
-        assert_eq!(g.bytes_for_blocks(2), 16 * 1024 * 1024);
+        assert_eq!(2 * g.bytes_per_block, 16 * 1024 * 1024);
         // 1k tokens of LLaMA-7B KV is 512 MiB (paper §5: 4k blocks × 128 KiB).
-        assert_eq!(g.bytes_for_tokens(1024, &m), 512 * 1024 * 1024);
+        assert_eq!(1024 * m.kv_bytes_per_token(), 512 * 1024 * 1024);
     }
 
     #[test]

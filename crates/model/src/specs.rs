@@ -1,7 +1,7 @@
-//! Architectural constants for the served models and GPUs.
+//! Architectural constants for the served models.
 //!
-//! The numbers here are the published LLaMA architecture parameters and the
-//! NVIDIA A10 datasheet values the paper's testbed uses (4 VMs × 4 A10).
+//! The numbers here are the published LLaMA architecture parameters of the
+//! models the paper serves.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,18 +35,6 @@ impl ModelSpec {
         }
     }
 
-    /// LLaMA-13B served on two GPUs.
-    pub fn llama_13b() -> Self {
-        ModelSpec {
-            name: "LLaMA-13B".to_string(),
-            layers: 40,
-            hidden: 5120,
-            params: 13_016_000_000,
-            dtype_bytes: 2,
-            tensor_parallel: 2,
-        }
-    }
-
     /// LLaMA-30B served on 4 GPUs of one machine via tensor parallelism
     /// (paper §6.1).
     pub fn llama_30b() -> Self {
@@ -75,31 +63,6 @@ impl ModelSpec {
     }
 }
 
-/// Description of a GPU device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GpuSpec {
-    /// Device name, e.g. `"A10"`.
-    pub name: String,
-    /// Device memory in bytes.
-    pub memory_bytes: u64,
-    /// Peak fp16 throughput in FLOP/s.
-    pub fp16_flops: f64,
-    /// Device memory bandwidth in bytes/s.
-    pub mem_bandwidth: f64,
-}
-
-impl GpuSpec {
-    /// NVIDIA A10 (24 GB), the paper's testbed GPU.
-    pub fn a10() -> Self {
-        GpuSpec {
-            name: "A10".to_string(),
-            memory_bytes: 24 * (1 << 30),
-            fp16_flops: 125e12,
-            mem_bandwidth: 600e9,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,11 +84,5 @@ mod tests {
         assert_eq!(m.tensor_parallel, 4);
         assert!(m.weight_bytes() > 60 * (1u64 << 30));
         assert!(m.kv_bytes_per_token() > ModelSpec::llama_7b().kv_bytes_per_token());
-    }
-
-    #[test]
-    fn a10_memory() {
-        let g = GpuSpec::a10();
-        assert_eq!(g.memory_bytes, 25_769_803_776);
     }
 }

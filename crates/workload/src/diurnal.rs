@@ -68,11 +68,6 @@ impl PhasedSpec {
         self
     }
 
-    /// Total trace duration over all phases.
-    pub fn total_secs(&self) -> f64 {
-        self.phases.iter().map(|p| p.duration_secs).sum()
-    }
-
     /// Expected number of requests.
     pub fn expected_requests(&self) -> f64 {
         self.phases.iter().map(|p| p.rate * p.duration_secs).sum()
@@ -183,7 +178,8 @@ mod tests {
             .requests
             .windows(2)
             .all(|w| w[0].arrival <= w[1].arrival));
-        assert!(trace.span().as_secs_f64() <= spec().total_secs());
+        let total_secs: f64 = spec().phases.iter().map(|p| p.duration_secs).sum();
+        assert!(trace.span().as_secs_f64() <= total_secs);
         assert!(trace
             .requests
             .iter()

@@ -256,10 +256,6 @@ pub mod presets {
         };
         Some(TraceSpec::new(label, num_requests, arrivals, input, output))
     }
-
-    /// All trace names evaluated in Figure 11, in the paper's row order.
-    pub const FIGURE11_TRACES: [&str; 7] =
-        ["ShareGPT", "BurstGPT", "S-S", "M-M", "L-L", "S-L", "L-S"];
 }
 
 #[cfg(test)]
@@ -323,7 +319,8 @@ mod tests {
 
     #[test]
     fn all_figure11_presets_exist() {
-        for name in presets::FIGURE11_TRACES {
+        // Figure 11's traces, in the paper's row order.
+        for name in ["ShareGPT", "BurstGPT", "S-S", "M-M", "L-L", "S-L", "L-S"] {
             let spec = presets::by_name(name, 10, Arrivals::poisson(1.0));
             assert!(spec.is_some(), "missing preset {name}");
         }

@@ -86,38 +86,10 @@ fn scale_down_redispatches_waiting_requests() {
     );
 }
 
-/// The watermark knob reduces preemptions on a memory-tight cluster.
-#[test]
-fn watermark_trades_queuing_for_fewer_preemptions() {
-    let trace = capped("M-M", 400, 10.0, 4);
-    let mut plain = tiny(SchedulerKind::InfaasPlusPlus);
-    plain.engine.admission_watermark_blocks = 0;
-    let mut guarded = tiny(SchedulerKind::InfaasPlusPlus);
-    guarded.engine.admission_watermark_blocks = 16;
-    let out_plain = run_serving(plain, trace.clone());
-    let out_guarded = run_serving(guarded, trace);
-    let p = LatencyReport::from_records(&out_plain.records);
-    let g = LatencyReport::from_records(&out_guarded.records);
-    assert_eq!(out_plain.records.len(), 400);
-    // The watermark shrinks effective capacity: the largest requests can no
-    // longer ever fit and abort at admission, by design.
-    assert_eq!(out_guarded.records.len() as u64 + out_guarded.aborted, 400);
-    assert!(out_guarded.aborted > 0, "oversized requests abort");
-    // The watermark defers admission, so queuing can only grow...
-    assert!(g.prefill.mean >= p.prefill.mean * 0.5);
-    // ...in exchange for no systematic increase in preemptions (timing
-    // noise allows a small delta at this scale).
-    assert!(
-        g.total_preemptions <= p.total_preemptions + 3,
-        "watermark should not inflate preemptions: {} vs {}",
-        g.total_preemptions,
-        p.total_preemptions
-    );
-}
-
 /// The centralized baseline's stall penalty is visible in per-token decode
-/// latencies: the same scheduler with a free central server is strictly
-/// faster.
+/// latencies: a run with the same freeness dispatch and no stalls is
+/// strictly faster. `LlumnixBase` with thresholds no instance can cross is
+/// that run: it dispatches like `Centralized` and never migrates.
 ///
 /// Uses the Figure 16 workload shape — fixed 64-token inputs and outputs —
 /// so the two runs batch near-identically and the comparison isolates the
@@ -125,8 +97,6 @@ fn watermark_trades_queuing_for_fewer_preemptions() {
 /// trace the ~ms stall signal can be swamped by divergent batch composition).
 #[test]
 fn centralized_stalls_surface_in_latency() {
-    use llumnix::core::CentralSchedulerModel;
-    use llumnix::sim::SimDuration;
     use llumnix::workload::{FixedLength, LengthDist, TraceSpec};
     let trace = TraceSpec::new(
         "stall-probe",
@@ -141,18 +111,18 @@ fn centralized_stalls_surface_in_latency() {
             .with_spec(InstanceSpec::tiny_for_tests(2_048)),
         trace.clone(),
     );
-    let mut free_config = ServingConfig::new(SchedulerKind::Centralized, 4)
+    let mut free_config = ServingConfig::new(SchedulerKind::LlumnixBase, 4)
         .with_spec(InstanceSpec::tiny_for_tests(2_048));
-    free_config.central = CentralSchedulerModel {
-        base: SimDuration::ZERO,
-        per_request: SimDuration::ZERO,
-        amortization_scale: 0,
+    free_config.migration_thresholds = MigrationThresholds {
+        source_below: f64::NEG_INFINITY,
+        destination_above: f64::INFINITY,
     };
     let free = run_serving(free_config, trace);
     let rs = LatencyReport::from_records(&stalled.records);
     let rf = LatencyReport::from_records(&free.records);
     assert!(stalled.stalls.mean > 0.0);
     assert_eq!(free.stalls.mean, 0.0);
+    assert_eq!(free.migration_stats.started, 0);
     assert!(
         rs.decode.mean > rf.decode.mean,
         "stalls should slow decode: {:.4}s vs {:.4}s",
