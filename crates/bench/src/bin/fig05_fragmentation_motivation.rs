@@ -38,7 +38,9 @@ fn main() {
     let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);
     // The paper's "spreading dispatching policy that dispatches new requests
     // to the instance with the lowest memory load" is INFaaS++'s dispatch.
-    let out = run_serving(ServingConfig::new(SchedulerKind::InfaasPlusPlus, 4), trace);
+    let config = ServingConfig::new(SchedulerKind::InfaasPlusPlus, 4);
+    let fleet_blocks = config.spec.geometry.total_blocks * config.initial_instances;
+    let out = run_serving(config, trace);
 
     // Count samples where at least one request queues, and among those, how
     // often the cluster-wide free memory could have satisfied its head-of-
@@ -71,7 +73,7 @@ fn main() {
     ]);
     table.row(&[
         "mean free blocks (cluster)".into(),
-        format!("{:.0} / {}", out.free_blocks.mean(), 851 * 4),
+        format!("{:.0} / {}", out.free_blocks.mean(), fleet_blocks),
     ]);
     table.row(&[
         "mean fragmented-memory proportion".into(),

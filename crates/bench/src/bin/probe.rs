@@ -29,16 +29,13 @@ fn main() {
             "wall_s",
         ],
     );
-    let total_blocks = 851.0 * 16.0;
+    // INFaaS++ reference arm; every arm runs its 16 instances of the
+    // default spec.
+    let infaas = ServingConfig::new(SchedulerKind::InfaasPlusPlus, 16);
+    let total_blocks = f64::from(infaas.spec.geometry.total_blocks * infaas.initial_instances);
     for (trace_name, rate) in [("M-M", 10.0), ("L-L", 4.0), ("S-L", 6.0)] {
         let trace = build_trace(trace_name, n, Arrivals::poisson(rate), 0.0, opts.seed);
-        // INFaaS++ reference arm.
-        let (arm, out) = run_arm(
-            ServingConfig::new(SchedulerKind::InfaasPlusPlus, 16),
-            trace.clone(),
-            rate,
-            1.0,
-        );
+        let (arm, out) = run_arm(infaas.clone(), trace.clone(), rate, 1.0);
         let mem = 1.0 - out.free_blocks.mean() / total_blocks;
         table.row(&[
             format!("{trace_name}@{rate}"),

@@ -28,7 +28,9 @@ pub use policy::{
     pair_migrations, AutoScaleConfig, AutoScaler, Dispatcher, LoadReport, MigrationThresholds,
     ScaleAction, SchedulerKind, VictimPolicy,
 };
-pub use serving::{run_serving, ServingConfig, ServingOutput, ServingSim, SimSnapshot};
+pub use serving::{
+    run_serving, ConfigError, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
+};
 pub use store::InstanceStore;
 pub use virtual_usage::{
     engine_freeness, freeness, infaas_equivalent_freeness, infaas_memory_load, virtual_usage,

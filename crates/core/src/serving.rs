@@ -108,7 +108,65 @@ impl ServingConfig {
         self.spec = spec;
         self
     }
+
+    /// Checks that the configuration can run: at least one instance, a
+    /// nonzero migration interval under a scheduler that migrates, and a
+    /// high-priority headroom target within the instance's KV capacity.
+    /// [`ServingSim::new`] panics with the error's text on a rejected
+    /// configuration.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.initial_instances == 0 {
+            return Err(ConfigError::NoInstances);
+        }
+        if self.scheduler.uses_migration() && self.migration_interval.is_zero() {
+            return Err(ConfigError::ZeroMigrationInterval);
+        }
+        effective_headroom(self).validate_for_capacity(self.spec.geometry.capacity_tokens())
+    }
 }
+
+/// Why [`ServingConfig::validate`] rejects a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `initial_instances` is 0, so no instance could serve a request.
+    NoInstances,
+    /// `migration_interval` is zero under a scheduler that migrates, so the
+    /// migration tick would re-arm at the same instant forever.
+    ZeroMigrationInterval,
+    /// The high-priority headroom target exceeds the instance's KV capacity,
+    /// so the headroom would clamp to zero (see
+    /// [`HeadroomConfig::headroom_for`]).
+    HeadroomAboveCapacity {
+        /// `HeadroomConfig::high_priority_target_tokens`.
+        target_tokens: u32,
+        /// The instance's KV capacity in tokens.
+        capacity_tokens: u32,
+    },
+}
+
+impl core::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ConfigError::NoInstances => write!(f, "need at least one instance"),
+            ConfigError::ZeroMigrationInterval => write!(
+                f,
+                "migration_interval is zero under a migrating scheduler: the migration \
+                 tick would re-arm at the same instant forever"
+            ),
+            ConfigError::HeadroomAboveCapacity {
+                target_tokens,
+                capacity_tokens,
+            } => write!(
+                f,
+                "high_priority_target_tokens ({target_tokens}) exceeds instance KV capacity \
+                 ({capacity_tokens} tokens): the headroom would clamp to 0, masking the \
+                 misconfiguration as zero free space"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Everything measured by one serving run.
 #[derive(Debug, Clone)]
@@ -272,8 +330,15 @@ fn tick_scale(instances: u32) -> u64 {
 
 impl ServingSim {
     /// Builds a simulation over `trace`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the error's text if [`ServingConfig::validate`] rejects
+    /// `config`.
     pub fn new(config: ServingConfig, trace: Trace) -> Self {
-        assert!(config.initial_instances > 0, "need at least one instance");
+        if let Err(e) = config.validate() {
+            panic!("invalid serving config: {e}");
+        }
         let scale = tick_scale(config.initial_instances);
         let high_ids = trace
             .requests
@@ -282,10 +347,6 @@ impl ServingSim {
             .map(|r| r.id)
             .collect();
         let headroom = effective_headroom(&config);
-        // First point where the headroom config meets a concrete instance
-        // spec: a target above the KV capacity would silently clamp to zero
-        // headroom (see `HeadroomConfig::headroom_for`); fail loudly here.
-        headroom.validate_for_capacity(config.spec.geometry.capacity_tokens());
         let refresh_all = matches!(headroom.queuing_rule, QueuingRule::Gradual { .. });
         let index = DispatchIndex::new(IndexPolicy::for_run(
             config.scheduler,
@@ -1564,6 +1625,56 @@ mod tests {
         let out = run_serving(tiny_config(SchedulerKind::Llumnix, 2), trace);
         assert!(out.records.is_empty());
         assert_eq!(out.aborted, 0);
+    }
+
+    /// `validate` names the fault in `config`, and `new` panics with its
+    /// text.
+    fn assert_rejected(config: ServingConfig, want: ConfigError) {
+        assert_eq!(config.validate(), Err(want));
+        ServingSim::new(config, tiny_trace(10, 1.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serving config: need at least one instance")]
+    fn no_instances_is_rejected() {
+        assert_eq!(tiny_config(SchedulerKind::Llumnix, 1).validate(), Ok(()));
+        assert_rejected(
+            tiny_config(SchedulerKind::Llumnix, 0),
+            ConfigError::NoInstances,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serving config: migration_interval is zero")]
+    fn a_zero_migration_interval_is_rejected() {
+        let mut config = tiny_config(SchedulerKind::LlumnixBase, 2);
+        config.migration_interval = SimDuration::ZERO;
+        // A scheduler that never migrates never arms the tick.
+        let mut infaas = config.clone();
+        infaas.scheduler = SchedulerKind::InfaasPlusPlus;
+        assert_eq!(infaas.validate(), Ok(()));
+        assert_rejected(config, ConfigError::ZeroMigrationInterval);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serving config: high_priority_target_tokens (2049)")]
+    fn a_headroom_target_above_capacity_is_rejected() {
+        let mut config = tiny_config(SchedulerKind::Llumnix, 2);
+        let capacity_tokens = config.spec.geometry.capacity_tokens();
+        config.headroom.high_priority_target_tokens = Some(capacity_tokens);
+        assert_eq!(config.validate(), Ok(()));
+        config.headroom.high_priority_target_tokens = Some(capacity_tokens + 1);
+        // Only a scheduler that honours priorities applies the headroom.
+        let mut base = config.clone();
+        base.scheduler = SchedulerKind::LlumnixBase;
+        assert_eq!(base.validate(), Ok(()));
+        assert_rejected(
+            config,
+            ConfigError::HeadroomAboveCapacity {
+                target_tokens: capacity_tokens + 1,
+                capacity_tokens,
+            },
+        );
     }
 
     #[test]

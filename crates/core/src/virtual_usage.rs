@@ -20,6 +20,8 @@ use llumnix_engine::{InstanceEngine, Priority};
 use llumnix_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
+use crate::serving::ConfigError;
+
 /// How a head-of-line queuing request's demand enters the virtual usage.
 ///
 /// §4.4.2 names the trade-off explicitly: counting the full demand favours
@@ -91,21 +93,22 @@ impl HeadroomConfig {
         self
     }
 
-    /// Debug-asserts that the headroom target fits the instance geometry.
+    /// Checks that the headroom target fits the instance geometry.
     ///
     /// A target above the KV capacity is a misconfiguration — [`Self::headroom_for`]
     /// would silently clamp it to zero headroom, which *looks* like "no free
-    /// space for high priority" instead of failing loudly. Call this wherever
-    /// a `HeadroomConfig` is first paired with a concrete instance spec (the
-    /// config alone does not know the capacity).
-    pub fn validate_for_capacity(&self, capacity_tokens: u32) {
-        if let Some(target) = self.high_priority_target_tokens {
-            debug_assert!(
-                target <= capacity_tokens,
-                "high_priority_target_tokens ({target}) exceeds instance KV capacity \
-                 ({capacity_tokens} tokens): the headroom would clamp to 0, masking the \
-                 misconfiguration as zero free space"
-            );
+    /// space for high priority" instead of failing loudly. The config alone
+    /// does not know the capacity, so [`crate::ServingConfig::validate`]
+    /// calls this where it pairs the config with an instance spec.
+    pub fn validate_for_capacity(&self, capacity_tokens: u32) -> Result<(), ConfigError> {
+        match self.high_priority_target_tokens {
+            Some(target_tokens) if target_tokens > capacity_tokens => {
+                Err(ConfigError::HeadroomAboveCapacity {
+                    target_tokens,
+                    capacity_tokens,
+                })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -114,9 +117,8 @@ impl HeadroomConfig {
     ///
     /// The subtraction saturates: if `target > capacity_tokens` the headroom
     /// clamps to 0 (no free space ever reported to high priority) rather than
-    /// wrapping. That configuration is invalid — [`Self::validate_for_capacity`]
-    /// debug-asserts against it where the config meets an instance spec — but
-    /// release builds degrade to the clamp instead of panicking mid-sweep.
+    /// wrapping. That configuration is invalid: [`Self::validate_for_capacity`]
+    /// rejects it, and [`crate::ServingSim::new`] refuses to run it.
     pub fn headroom_for(&self, p: Priority, capacity_tokens: u32) -> f64 {
         match (p, self.high_priority_target_tokens) {
             (Priority::High, Some(target)) => capacity_tokens.saturating_sub(target) as f64,
@@ -480,25 +482,34 @@ mod tests {
 
     #[test]
     fn validate_accepts_target_within_capacity() {
-        HeadroomConfig::paper_default().validate_for_capacity(13_616);
-        HeadroomConfig::DISABLED.validate_for_capacity(0);
+        assert_eq!(
+            HeadroomConfig::paper_default().validate_for_capacity(13_616),
+            Ok(())
+        );
+        assert_eq!(HeadroomConfig::DISABLED.validate_for_capacity(0), Ok(()));
         // Boundary: target == capacity is legal (zero headroom by intent).
         let cfg = HeadroomConfig {
             high_priority_target_tokens: Some(2_048),
             queuing_rule: QueuingRule::FullDemand,
         };
-        cfg.validate_for_capacity(2_048);
+        assert_eq!(cfg.validate_for_capacity(2_048), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds instance KV capacity")]
-    #[cfg(debug_assertions)]
     fn validate_rejects_oversized_target() {
         let cfg = HeadroomConfig {
             high_priority_target_tokens: Some(20_000),
             queuing_rule: QueuingRule::FullDemand,
         };
-        cfg.validate_for_capacity(13_616);
+        let err = cfg.validate_for_capacity(13_616).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::HeadroomAboveCapacity {
+                target_tokens: 20_000,
+                capacity_tokens: 13_616
+            }
+        );
+        assert!(err.to_string().contains("exceeds instance KV capacity"));
     }
 
     #[test]

@@ -50,25 +50,42 @@ impl std::error::Error for BlockError {}
 
 /// Counting allocator for an instance's KV blocks.
 ///
+/// The caller keeps each request's block count (the engine's
+/// `SeqState::blocks_held`) and moves blocks with the counting calls:
+/// [`BlockManager::take`] at admission and decode growth,
+/// [`BlockManager::give_back`] when a request lets its blocks go, and
+/// [`BlockManager::take_reservation`] at a migration commit. The manager
+/// keeps only the running `used` total and the reservations, so
+/// [`BlockManager::reconciles`] checks it against the caller's records.
+///
+/// The id-keyed calls ([`BlockManager::allocate`], [`BlockManager::grow`],
+/// [`BlockManager::release`], [`BlockManager::blocks_of`] and
+/// [`BlockManager::commit_reservation`]) keep a second, per-id record in
+/// the manager. Nothing in the simulator calls them; they remain for
+/// `simbench`'s `engine.block.churn_ns` replay until that switches to the
+/// counting calls.
+///
 /// # Examples
 ///
 /// ```
-/// use llumnix_engine::{BlockManager, RequestId};
+/// use llumnix_engine::BlockManager;
 ///
 /// let mut bm = BlockManager::new(10);
-/// bm.allocate(RequestId(1), 4).unwrap();
+/// bm.take(4).unwrap();
 /// let reservation = bm.reserve(3).unwrap();
 /// assert_eq!(bm.free_blocks(), 3);
-/// // The reservation becomes an allocation at migration commit.
-/// bm.commit_reservation(reservation, RequestId(2)).unwrap();
-/// assert_eq!(bm.blocks_of(RequestId(2)), 3);
+/// // The reservation becomes a counted allocation at migration commit.
+/// let held = bm.take_reservation(reservation).unwrap();
+/// assert!(bm.reconciles(4 + held));
+/// bm.give_back(held);
+/// assert_eq!(bm.free_blocks(), 6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     total: u32,
-    /// Blocks held by allocations plus reservations: a running ledger kept
-    /// in step with the two maps, so [`BlockManager::free_blocks`] is O(1).
-    /// [`BlockManager::check_invariants`] re-sums the maps against it.
+    /// Blocks held by counted allocations, id-keyed allocations and
+    /// reservations: a running ledger, so [`BlockManager::free_blocks`] is
+    /// O(1). [`BlockManager::reconciles`] re-sums it.
     used: u32,
     allocations: IdMap<RequestId, u32>,
     reservations: IdMap<ReservationId, u32>,
@@ -92,8 +109,8 @@ impl BlockManager {
         self.total
     }
 
-    /// Blocks currently allocated to requests (a full re-sum; the hot paths
-    /// read the running ledger through [`BlockManager::free_blocks`]).
+    /// Blocks allocated through the id-keyed calls (a full re-sum; the hot
+    /// paths read the running ledger through [`BlockManager::free_blocks`]).
     #[expect(
         clippy::disallowed_methods,
         reason = "a sum does not depend on visit order"
@@ -131,6 +148,29 @@ impl BlockManager {
             });
         }
         Ok(())
+    }
+
+    /// Takes `blocks` from the free pool for a request whose count the
+    /// caller keeps (all-or-nothing): admission and decode growth.
+    pub fn take(&mut self, blocks: u32) -> Result<(), BlockError> {
+        self.fits(blocks)?;
+        self.used += blocks;
+        Ok(())
+    }
+
+    /// Returns `blocks` that a request held through [`BlockManager::take`]
+    /// or [`BlockManager::take_reservation`] to the free pool.
+    pub fn give_back(&mut self, blocks: u32) {
+        self.used -= blocks;
+    }
+
+    /// Commits a reservation as a counted allocation (migration commit on
+    /// the destination) and returns its block count, for the caller's
+    /// record. The blocks stay in use throughout.
+    pub fn take_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
+        self.reservations
+            .remove(&id)
+            .ok_or(BlockError::UnknownReservation(id))
     }
 
     /// Allocates exactly `blocks` to `id` (all-or-nothing). The request must
@@ -217,10 +257,19 @@ impl BlockManager {
         Ok(blocks)
     }
 
-    /// Internal consistency check: the running `used` ledger equals the
-    /// re-summed allocations plus reservations, and never exceeds `total`.
+    /// Internal consistency check: the running `used` ledger equals `held`
+    /// (the blocks the caller's records hold through the counting calls)
+    /// plus the re-summed id-keyed allocations and reservations, and never
+    /// exceeds `total`.
+    pub fn reconciles(&self, held: u32) -> bool {
+        self.used == held + self.allocated_blocks() + self.reserved_blocks()
+            && self.used <= self.total
+    }
+
+    /// [`BlockManager::reconciles`] for a manager used only through the
+    /// id-keyed calls.
     pub fn check_invariants(&self) -> bool {
-        self.used == self.allocated_blocks() + self.reserved_blocks() && self.used <= self.total
+        self.reconciles(0)
     }
 }
 
@@ -364,6 +413,35 @@ mod tests {
         assert_eq!(bm.release(rid(1)).unwrap(), 7);
         assert_eq!(bm.release(rid(2)).unwrap(), 7);
         assert_eq!(ledger(&bm), 0);
+    }
+
+    #[test]
+    fn counting_calls_move_only_the_used_ledger() {
+        let mut bm = BlockManager::new(10);
+        bm.take(4).unwrap();
+        bm.take(2).unwrap();
+        // All-or-nothing: a failed take moves nothing.
+        assert_eq!(
+            bm.take(5).unwrap_err(),
+            BlockError::OutOfBlocks {
+                requested: 5,
+                free: 4
+            }
+        );
+        let r = bm.reserve(3).unwrap();
+        assert_eq!(bm.free_blocks(), 1);
+        assert!(bm.reconciles(6));
+        assert_eq!(bm.take_reservation(r).unwrap(), 3);
+        assert_eq!(bm.free_blocks(), 1, "a commit keeps its blocks in use");
+        assert_eq!(
+            bm.take_reservation(r).unwrap_err(),
+            BlockError::UnknownReservation(r)
+        );
+        assert!(bm.reconciles(9));
+        assert!(!bm.reconciles(8) && !bm.reconciles(10));
+        bm.give_back(9);
+        assert_eq!(bm.free_blocks(), 10);
+        assert!(bm.reconciles(0) && bm.check_invariants());
     }
 
     #[test]

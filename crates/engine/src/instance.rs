@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use llumnix_model::{CostModel, DecodeBatch, InstanceSpec, PrefillBatch};
+use llumnix_model::{CostModel, DecodeBatch, DecodeCostMemo, InstanceSpec, PrefillBatch};
 use llumnix_sim::{SimDuration, SimTime};
 
 use crate::block::{BlockError, BlockManager, ReservationId};
@@ -127,7 +127,12 @@ pub struct InstanceEngine {
     pub id: InstanceId,
     spec: InstanceSpec,
     config: EngineConfig,
+    /// The free pool. Each request's own count is its
+    /// `SeqState::blocks_held`; [`InstanceEngine::check_invariants`]
+    /// reconciles the pool with their sum.
     blocks: BlockManager,
+    /// The price of the last decode batch this engine planned.
+    decode_cost: DecodeCostMemo,
     waiting: WaitQueue,
     /// Blocks demanded by every queued request: a running ledger kept in
     /// step with `waiting`, so [`InstanceEngine::queued_demand_blocks`] is
@@ -169,6 +174,7 @@ impl InstanceEngine {
             spec,
             config,
             blocks,
+            decode_cost: DecodeCostMemo::new(),
             waiting,
             queued_demand: 0,
             prefill_pending: Vec::new(),
@@ -209,9 +215,6 @@ impl InstanceEngine {
     /// Returns its state if it was known.
     pub fn abort_request(&mut self, id: RequestId) -> Option<SeqState> {
         self.drain_requested.remove(&id);
-        if self.blocks.blocks_of(id) > 0 {
-            let _ = self.blocks.release(id);
-        }
         let slot = self.states.slot(id)?;
         if self.waiting.remove(id) {
             self.queued_demand -= self.demand_blocks(self.states.get(slot));
@@ -219,6 +222,7 @@ impl InstanceEngine {
         let resident =
             remove_slot(&mut self.prefill_pending, slot) | remove_slot(&mut self.running, slot);
         let state = self.states.remove(slot);
+        self.blocks.give_back(state.blocks_held);
         if resident {
             self.residents.remove(&state);
         }
@@ -279,22 +283,16 @@ impl InstanceEngine {
                 self.pending_events.push(EngineEvent::Aborted(head));
                 continue;
             }
-            if self.blocks.free_blocks() < needed {
+            if self.blocks.take(needed).is_err() {
                 break;
             }
-            match self.blocks.allocate(head, needed) {
-                Ok(()) => {
-                    self.waiting.pop_head();
-                    self.queued_demand -= needed;
-                    let state = self.states.get_mut(slot);
-                    state.phase = Phase::Prefilling;
-                    state.blocks_held = needed;
-                    self.residents.add(state);
-                    self.prefill_pending.push(slot);
-                }
-                Err(BlockError::OutOfBlocks { .. }) => break,
-                Err(e) => unreachable!("admission allocate: {e}"),
-            }
+            self.waiting.pop_head();
+            self.queued_demand -= needed;
+            let state = self.states.get_mut(slot);
+            state.phase = Phase::Prefilling;
+            state.blocks_held = needed;
+            self.residents.add(state);
+            self.prefill_pending.push(slot);
         }
     }
 
@@ -382,15 +380,11 @@ impl InstanceEngine {
                 let s = self.states.get(slot);
                 (n + growth(s), t + s.total_len() as u64)
             });
-            if needed <= self.blocks.free_blocks() {
+            if self.blocks.take(needed).is_ok() {
                 if needed > 0 {
                     for &slot in &self.running {
                         let s = self.states.get_mut(slot);
-                        let extra = growth(s);
-                        if extra > 0 {
-                            self.blocks.grow(s.meta.id, extra).expect("checked total");
-                            s.blocks_held += extra;
-                        }
+                        s.blocks_held += growth(s);
                     }
                     self.residents.blocks += needed;
                 }
@@ -411,7 +405,7 @@ impl InstanceEngine {
             num_seqs: self.running.len() as u32,
             total_tokens,
         };
-        let compute = self.spec.cost.decode_step(batch.bucket_floor());
+        let compute = self.decode_cost.decode_step(&self.spec.cost, batch);
         let duration = self.with_overhead(compute);
         let states = &self.states;
         self.step.extend(
@@ -459,7 +453,7 @@ impl InstanceEngine {
         let mode = self.config.preemption_mode;
         let s = self.states.get_mut(slot);
         let id = s.meta.id;
-        let _ = self.blocks.release(id);
+        self.blocks.give_back(s.blocks_held);
         self.residents.remove(s);
         s.phase = Phase::Waiting;
         s.cached_tokens = 0;
@@ -580,7 +574,7 @@ impl InstanceEngine {
     /// collection.
     fn finish(&mut self, slot: u32, now: SimTime) {
         let mut s = self.states.remove(slot);
-        let _ = self.blocks.release(s.meta.id);
+        self.blocks.give_back(s.blocks_held);
         s.phase = Phase::Finished;
         s.finished_at = Some(now);
         s.blocks_held = 0;
@@ -672,9 +666,9 @@ impl InstanceEngine {
     /// Removes a migrated-out request entirely, releasing its blocks
     /// (the source side of the migration commit). Returns its state.
     pub fn finish_migration_out(&mut self, id: RequestId) -> SeqState {
-        let _ = self.blocks.release(id);
         let slot = self.states.slot(id).expect("migrating request has state");
         let mut s = self.states.remove(slot);
+        self.blocks.give_back(s.blocks_held);
         s.blocks_held = 0;
         s
     }
@@ -687,8 +681,12 @@ impl InstanceEngine {
         mut state: SeqState,
         reservation: ReservationId,
     ) -> Result<(), BlockError> {
-        let id = state.meta.id;
-        let blocks = self.blocks.commit_reservation(reservation, id)?;
+        debug_assert!(
+            self.states.slot(state.meta.id).is_none(),
+            "duplicate {}",
+            state.meta.id
+        );
+        let blocks = self.blocks.take_reservation(reservation)?;
         state.blocks_held = blocks;
         state.phase = Phase::Running;
         self.residents.add(&state);
@@ -747,9 +745,10 @@ impl InstanceEngine {
         self.blocks.total_blocks()
     }
 
-    /// Blocks physically held by a request.
+    /// Blocks physically held by a request, or 0 if the engine does not
+    /// track it.
     pub fn physical_blocks_of(&self, id: RequestId) -> u32 {
-        self.blocks.blocks_of(id)
+        self.state(id).map_or(0, |s| s.blocks_held)
     }
 
     /// A [`DecodeBatch`] summary of the current running batch, used by the
@@ -894,10 +893,10 @@ impl InstanceEngine {
     }
 
     /// Verifies internal invariants (tests and debug assertions): the id map
-    /// and the live slots match one to one, per-request block counts match
-    /// the block ledger, the queued-demand and resident ledgers match walks
-    /// of the queue and of the residents, and the running batch is exactly
-    /// the requests in [`Phase::Running`].
+    /// and the live slots match one to one, the blocks in use equal the
+    /// per-request counts plus the reservations, the queued-demand and
+    /// resident ledgers match walks of the queue and of the residents, and
+    /// the running batch is exactly the requests in [`Phase::Running`].
     pub fn check_invariants(&self) -> bool {
         if !self.states.is_consistent() {
             return false;
@@ -920,8 +919,7 @@ impl InstanceEngine {
             .iter()
             .filter(|s| s.phase == Phase::Running)
             .count();
-        block_sum == self.blocks.allocated_blocks()
-            && self.blocks.check_invariants()
+        self.blocks.reconciles(block_sum)
             && queued == Some(self.queued_demand)
             && residents == Some(self.residents)
             && running == self.running.len()
@@ -1329,6 +1327,31 @@ mod tests {
     }
 
     #[test]
+    fn a_decode_step_under_migration_costs_the_floored_batch_with_overhead() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 10, 0), SimTime::ZERO);
+        e.add_request(meta(2, 40, 10, 0), SimTime::ZERO);
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        let mut now = p.finish_at();
+        e.complete_step(now);
+        e.migration_started();
+        // 74 then 76 batched tokens: one bucket, so the second step's price
+        // comes from the memo.
+        for _ in 0..2 {
+            let batch = e.decode_batch_hint();
+            let want = e
+                .spec()
+                .cost
+                .decode_step(batch.bucket_floor())
+                .mul_f64(MIGRATION_OVERHEAD_FACTOR);
+            let d = e.poll_step(now).expect("decode");
+            assert_eq!((d.kind, d.duration), (StepKind::Decode, want), "{batch:?}");
+            now = d.finish_at();
+            e.complete_step(now);
+        }
+    }
+
+    #[test]
     fn abort_request_cleans_up_everywhere() {
         let mut e = engine(1024);
         e.add_request(meta(1, 32, 50, 0), SimTime::ZERO);
@@ -1526,6 +1549,26 @@ mod tests {
         let mut freed = e.clone();
         freed.states.free.push(slot);
         assert!(!freed.check_invariants(), "a live slot on the free list");
+    }
+
+    #[test]
+    fn check_invariants_reconciles_blocks_held_with_the_pool() {
+        let mut e = engine(1024);
+        e.add_request(meta(1, 32, 8, 0), SimTime::ZERO);
+        e.add_request(meta(2, 40, 8, 0), SimTime::ZERO);
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        e.complete_step(p.finish_at());
+        let _r = e.reserve_blocks(3).expect("space");
+        assert!(e.check_invariants());
+        for delta in [1, u32::MAX] {
+            let mut drifted = e.clone();
+            let slot = drifted.states.slot(RequestId(2)).expect("r2 tracked");
+            let s = drifted.states.get_mut(slot);
+            s.blocks_held = s.blocks_held.wrapping_add(delta);
+            // The resident ledger moves with it, so only the pool disagrees.
+            drifted.residents.blocks = drifted.residents.blocks.wrapping_add(delta);
+            assert!(!drifted.check_invariants(), "blocks_held off by {delta}");
+        }
     }
 
     /// Aborts r1 while a step over r1 and r2 is in flight, then adds r3,

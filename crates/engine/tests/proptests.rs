@@ -140,7 +140,8 @@ proptest! {
     /// and undrains, and migration reservations and commits, the engine's
     /// running ledgers match a recount after every operation: queued demand
     /// equals a walk of the queue, free blocks equal the total minus every
-    /// allocation and reservation, and the resident blocks and
+    /// tracked request's `blocks_held` and every reservation, and the
+    /// resident blocks and
     /// high-priority count equal a walk of the running batch and the
     /// admitted requests. Planning and completing a step are separate
     /// operations, so aborts, drains and commits also land mid-step.
@@ -230,11 +231,12 @@ proptest! {
                 })
                 .sum();
             prop_assert_eq!(engine.queued_demand_blocks(), queued, "op {:?}", op);
-            let allocated: u32 = engine
-                .tracked_ids()
-                .iter()
-                .map(|&id| engine.physical_blocks_of(id))
-                .sum();
+            let mut allocated = 0;
+            for id in engine.tracked_ids() {
+                let held = engine.state(id).expect("tracked request has state").blocks_held;
+                prop_assert_eq!(engine.physical_blocks_of(id), held);
+                allocated += held;
+            }
             let reserved: u32 = reservations.iter().map(|&(_, blocks)| blocks).sum();
             prop_assert_eq!(
                 engine.free_blocks(),

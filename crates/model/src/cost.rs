@@ -177,26 +177,56 @@ impl DecodeBatch {
     }
 }
 
-/// A stateless forward to [`CostModel::decode_step`] at
-/// [`DecodeBatch::bucket_floor`], kept only until its remaining callers
-/// evaluate that directly.
+/// The price of the last decode batch one engine met: a one-entry memo of
+/// [`CostModel::decode_step`] at [`DecodeBatch::bucket_floor`].
 ///
-/// It holds no table of the model's values: the floor rule alone makes a
-/// step's cost repeat exactly, the affine model is a few multiply-adds,
-/// and a table per engine cost about 35 KB each at 1 024 instances
-/// (DESIGN.md §7.2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecodeCostMemo;
+/// Consecutive decode steps of one engine usually keep their batch size and
+/// token bucket, so the entry answers most calls and the model's divide and
+/// rounding run only on a miss. A miss evaluates the model at the floor and
+/// stores the result, so a hit returns exactly what evaluating the model
+/// would (DESIGN.md §7.2).
+///
+/// One memo serves one model: the key is the batch alone, so a memo that
+/// priced a batch under one model returns that price under any other.
+#[derive(Debug, Clone, Copy)]
+pub struct DecodeCostMemo {
+    /// The floored batch of the stored price. Its initial `total_tokens`,
+    /// `u64::MAX`, is no multiple of the bucket width, so no floored batch
+    /// matches it before the first miss.
+    key: DecodeBatch,
+    cost: SimDuration,
+}
+
+impl Default for DecodeCostMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl DecodeCostMemo {
-    /// Creates the forward.
+    /// Creates an empty memo.
     pub fn new() -> Self {
-        DecodeCostMemo
+        DecodeCostMemo {
+            key: DecodeBatch {
+                num_seqs: 0,
+                total_tokens: u64::MAX,
+            },
+            cost: SimDuration::ZERO,
+        }
     }
 
     /// Exactly `model.decode_step(batch.bucket_floor())`.
-    pub fn decode_step(&mut self, model: &dyn CostModel, batch: DecodeBatch) -> SimDuration {
-        model.decode_step(batch.bucket_floor())
+    pub fn decode_step<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        batch: DecodeBatch,
+    ) -> SimDuration {
+        let key = batch.bucket_floor();
+        if key != self.key {
+            self.key = key;
+            self.cost = model.decode_step(key);
+        }
+        self.cost
     }
 }
 
@@ -396,6 +426,34 @@ mod tests {
             ),
             SimDuration::ZERO
         );
+        // Misses and hits alternate: each odd call repeats the floored batch
+        // of the call before it, and each even call changes its size, its
+        // bucket or both. Every result is the model's own value to the bit.
+        let mut memo = DecodeCostMemo::new();
+        for (num_seqs, total_tokens) in [
+            (4, 1_000),
+            (4, 1_007),
+            (4, 1_008),
+            (4, 1_023),
+            (5, 1_023),
+            (5, 1_010),
+            (4, 1_000),
+            (4, 995),
+            (0, 0),
+            (0, 15),
+            (4, 1_015),
+            (4, 1_012),
+        ] {
+            let batch = DecodeBatch {
+                num_seqs,
+                total_tokens,
+            };
+            assert_eq!(
+                memo.decode_step(&m, batch),
+                m.decode_step(batch.bucket_floor()),
+                "{batch:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,26 +5,60 @@
 //! makes simulation runs reproducible regardless of the payload type.
 //!
 //! It is one binary heap keyed `(time, seq)`, where `seq` is a per-queue push
-//! counter. Step completions rarely share a microsecond, so batching them by
-//! firing time would cost more than it saves (DESIGN.md §7.4).
+//! counter, packed into one `u128` so that each heap comparison is a single
+//! integer compare. Step completions rarely share a microsecond, so batching
+//! them by firing time would cost more than it saves (DESIGN.md §7.4).
+//!
+//! `pop` leaves the entry it returns at the root, and the next `push`
+//! overwrites that vacated root and sifts it down once, instead of the heap
+//! sifting once to remove the root and again to add the new entry. The
+//! serving loop pops a step completion and then pushes the same instance's
+//! next one, so nearly every push fills a vacated root.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A scheduled event: when it fires, a tie-breaking sequence number, and the
-/// caller's payload.
+/// `time << 64 | seq`: ordering these keys orders by time, then by push order.
+fn pack(at: SimTime, seq: u64) -> u128 {
+    u128::from(at.as_micros()) << 64 | u128::from(seq)
+}
+
+/// A scheduled event: its packed `(time, seq)` key and the caller's payload.
 #[derive(Clone)]
 struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
+    /// The bitwise complement of [`pack`]`(time, seq)`, so that the
+    /// max-heap's top is the earliest event, the lowest `seq` breaking ties.
+    inverted_key: u128,
     payload: E,
+}
+
+impl<E> Scheduled<E> {
+    fn new(at: SimTime, seq: u64, payload: E) -> Self {
+        Scheduled {
+            inverted_key: !pack(at, seq),
+            payload,
+        }
+    }
+
+    /// [`pack`]`(time, seq)`.
+    fn key(&self) -> u128 {
+        !self.inverted_key
+    }
+
+    fn at(&self) -> SimTime {
+        SimTime::from_micros((self.key() >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key() as u64
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.inverted_key == other.inverted_key
     }
 }
 
@@ -38,12 +72,7 @@ impl<E> PartialOrd for Scheduled<E> {
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is on top,
-        // with the lowest sequence number breaking ties.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.inverted_key.cmp(&other.inverted_key)
     }
 }
 
@@ -63,26 +92,39 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 ///
 /// Cloning a queue (for [`crate`]-level snapshot/fork support) copies the
-/// heap and the sequence counter, so a clone pops the exact same stream as
-/// the original and orders later pushes the same way.
+/// heap, the vacated-root flag and the sequence counter, so a clone pops the
+/// exact same stream as the original and orders later pushes the same way.
 #[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Whether the heap's root is the entry the last [`EventQueue::pop`]
+    /// returned, left in place for the next push to overwrite. It is no
+    /// longer pending: every other operation drops or skips it.
+    vacated: bool,
     next_seq: u64,
+    /// Debug builds: no pending key is below this. A pop asserts its key is
+    /// at least this and raises it past that key, and an insert lowers it to
+    /// the new key, so keys pop strictly increasing unless a push lands below
+    /// the last one popped (as [`EventQueue::push_below_pending`] may).
+    #[cfg(debug_assertions)]
+    floor: u128,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Clone> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Clone> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            vacated: false,
             next_seq: 0,
+            #[cfg(debug_assertions)]
+            floor: 0,
         }
     }
 
@@ -90,7 +132,29 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        self.insert(Scheduled::new(at, seq, payload));
+    }
+
+    /// Adds `entry`, overwriting the vacated root if there is one. Assigning
+    /// through `peek_mut` sifts the new root down once when the guard drops.
+    fn insert(&mut self, entry: Scheduled<E>) {
+        #[cfg(debug_assertions)]
+        {
+            self.floor = self.floor.min(entry.key());
+        }
+        if std::mem::take(&mut self.vacated) {
+            *self.heap.peek_mut().expect("a vacated root is in the heap") = entry;
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Removes the vacated root, if any, so the heap holds only pending
+    /// events.
+    fn drop_vacated(&mut self) {
+        if std::mem::take(&mut self.vacated) {
+            self.heap.pop();
+        }
     }
 
     /// Exactly [`EventQueue::push`], kept only until its remaining callers
@@ -111,9 +175,10 @@ impl<E> EventQueue<E> {
     /// sequence number strictly smaller than the pending minimum; if that
     /// minimum is already 0, every pending sequence number (and the counter)
     /// is first shifted up by one — a uniform shift, so no relative order
-    /// changes.
+    /// changes. The vacated root is not pending, so it is dropped first.
     pub fn push_below_pending(&mut self, at: SimTime, payload: E) {
-        let seq = match self.heap.iter().map(|s| s.seq).min() {
+        self.drop_vacated();
+        let seq = match self.heap.iter().map(Scheduled::seq).min() {
             // Nothing pending: plain push semantics.
             None => {
                 self.push(at, payload);
@@ -125,7 +190,7 @@ impl<E> EventQueue<E> {
             }
             Some(m) => m - 1,
         };
-        self.heap.push(Scheduled { at, seq, payload });
+        self.insert(Scheduled::new(at, seq, payload));
     }
 
     /// Adds 1 to every pending sequence number (and the counter). Uniform, so
@@ -133,35 +198,55 @@ impl<E> EventQueue<E> {
     fn shift_pending_seqs_up(&mut self) {
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         for s in &mut entries {
-            s.seq += 1;
+            s.inverted_key = !pack(s.at(), s.seq() + 1);
         }
         self.heap = entries.into();
         self.next_seq += 1;
     }
 
     /// Removes and returns the earliest event, if any.
+    ///
+    /// The entry stays in the heap as its vacated root until the next
+    /// operation, which overwrites or drops it; the caller gets a copy of
+    /// the payload.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
+        self.drop_vacated();
+        let root = self.heap.peek()?;
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                root.key() >= self.floor,
+                "event queue popped key {:#x} below its floor {:#x}",
+                root.key(),
+                self.floor
+            );
+            self.floor = root.key().saturating_add(1);
+        }
+        self.vacated = true;
+        Some((root.at(), root.payload.clone()))
     }
 
-    /// The firing time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+    /// The firing time of the earliest event, if any. Drops the vacated
+    /// root, so it takes `&mut self`.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.drop_vacated();
+        self.heap.peek().map(Scheduled::at)
     }
 
     /// The number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.vacated)
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.vacated = false;
     }
 }
 
@@ -263,6 +348,41 @@ mod tests {
         q.push_below_pending(t, 0); // must take over seq 0 at time t
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn a_push_after_a_pop_fills_the_vacated_root() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(1), 1);
+        q.push(SimTime::from_millis(3), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 1)));
+        assert_eq!((q.heap.len(), q.len()), (2, 1));
+        q.push(SimTime::from_millis(2), 2);
+        // The new entry took the popped one's place: the heap did not grow.
+        assert_eq!((q.heap.len(), q.len()), (2, 2));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
+        // A later key written into the root sifts below the pending one.
+        q.push(SimTime::from_millis(4), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(3), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(4), 4)));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_below_pending_ignores_the_popped_root() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(1), 0); // seq 0
+        q.push(SimTime::from_millis(2), 1); // seq 1
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 0)));
+        // The popped seq 0 is not pending: the pending minimum is 1, so the
+        // injected event takes seq 0 and nothing shifts.
+        q.push_below_pending(SimTime::from_millis(2), 2);
+        let mut seqs: Vec<u64> = q.heap.iter().map(Scheduled::seq).collect();
+        seqs.sort_unstable();
+        assert_eq!((seqs, q.next_seq), (vec![0, 1], 2));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![2, 1]);
     }
 
     #[test]

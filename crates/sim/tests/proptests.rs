@@ -83,16 +83,26 @@ proptest! {
 
     /// The queue against a sort-based reference: a list kept stably sorted
     /// by time, where `push` appends and `push_below_pending` prepends before
-    /// sorting, and `pop` takes the front. After every operation the length
-    /// and next firing time agree; every pop agrees; and a clone taken
-    /// mid-stream pops exactly the reference's remainder. Times come from a
-    /// tiny range so that same-instant ties dominate.
+    /// sorting, and `pop` takes the front. Every pop agrees, and so does a
+    /// clone taken mid-stream: drained as is, or after a
+    /// `push_below_pending` of its own. The length agrees after every
+    /// operation. Times come from a tiny range so that same-instant ties
+    /// dominate.
+    ///
+    /// `peek_time` drops the root a `pop` leaves in place, so it is checked
+    /// after only some operations, and one operation pops and pushes with
+    /// nothing in between: a push often fills the root the pop vacated, and
+    /// clones and `push_below_pending` run while one is in place.
     #[test]
     fn queue_matches_a_stable_sort_reference(
-        ops in prop::collection::vec((0u8..8, 0u64..4), 1..400)
+        ops in prop::collection::vec((0u8..10, 0u64..4), 1..400)
     ) {
         let mut q = EventQueue::new();
         let mut reference: Vec<(SimTime, usize)> = Vec::new();
+        let below = |reference: &mut Vec<(SimTime, usize)>, entry| {
+            reference.insert(0, entry);
+            reference.sort_by_key(|&(at, _)| at);
+        };
         for (i, &(op, t)) in ops.iter().enumerate() {
             let at = SimTime::from_micros(t);
             match op {
@@ -103,12 +113,26 @@ proptest! {
                 }
                 3 => {
                     q.push_below_pending(at, i);
-                    reference.insert(0, (at, i));
-                    reference.sort_by_key(|&(at, _)| at);
+                    below(&mut reference, (at, i));
                 }
-                4..=6 => {
+                4 | 5 => {
                     let want = (!reference.is_empty()).then(|| reference.remove(0));
                     prop_assert_eq!(q.pop(), want, "op {}", i);
+                }
+                6 => {
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(q.pop(), want, "op {}", i);
+                    q.push(at, i);
+                    reference.push((at, i));
+                    reference.sort_by_key(|&(at, _)| at);
+                }
+                7 => {
+                    let mut clone = q.clone();
+                    clone.push_below_pending(at, i);
+                    let mut want = reference.clone();
+                    below(&mut want, (at, i));
+                    let rest: Vec<_> = std::iter::from_fn(|| clone.pop()).collect();
+                    prop_assert_eq!(rest, want, "clone at op {}", i);
                 }
                 _ => {
                     let mut clone = q.clone();
@@ -116,8 +140,11 @@ proptest! {
                     prop_assert_eq!(&rest, &reference, "clone at op {}", i);
                 }
             }
-            prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.peek_time(), reference.first().map(|&(at, _)| at));
+            prop_assert_eq!(q.len(), reference.len(), "op {}", i);
+            prop_assert_eq!(q.is_empty(), reference.is_empty(), "op {}", i);
+            if i % 3 == 0 {
+                prop_assert_eq!(q.peek_time(), reference.first().map(|&(at, _)| at));
+            }
         }
         let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         prop_assert_eq!(rest, reference);
