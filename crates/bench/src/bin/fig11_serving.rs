@@ -29,13 +29,7 @@ const SWEEPS: [(&str, [f64; 4]); 7] = [
 ];
 
 fn main() {
-    let opts = BenchOpts::from_args(&[
-        Flag::Seed,
-        Flag::Scale,
-        Flag::Json,
-        Flag::Threads,
-        Flag::Canonical,
-    ]);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json, Flag::Threads]);
     let n = opts.scaled(10_000);
     // Build every (trace, rate, scheduler) arm up front, then fan the whole
     // sweep out across worker threads; the tables below re-group the results

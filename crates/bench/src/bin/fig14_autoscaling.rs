@@ -18,13 +18,7 @@ fn scaled_config(kind: SchedulerKind) -> ServingConfig {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args(&[
-        Flag::Seed,
-        Flag::Scale,
-        Flag::Json,
-        Flag::Threads,
-        Flag::Canonical,
-    ]);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json, Flag::Threads]);
     let n = opts.scaled(10_000);
 
     // Both sweeps fan out together; the rate sweep occupies the first

@@ -13,13 +13,7 @@ use llumnix_metrics::Table;
 use llumnix_workload::Arrivals;
 
 fn main() {
-    let opts = BenchOpts::from_args(&[
-        Flag::Seed,
-        Flag::Scale,
-        Flag::Json,
-        Flag::Threads,
-        Flag::Canonical,
-    ]);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json, Flag::Threads]);
     let n = opts.scaled(10_000);
     let rate = 2.0;
     let mut arms: Vec<ArmSpec> = Vec::new();

@@ -35,7 +35,6 @@ fn main() {
         Flag::Scale,
         Flag::Json,
         Flag::Threads,
-        Flag::Canonical,
         Flag::Switch("--huge"),
         Flag::Switch("--forked"),
     ]);

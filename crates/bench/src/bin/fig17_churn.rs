@@ -86,7 +86,6 @@ fn main() {
         Flag::Scale,
         Flag::Json,
         Flag::Threads,
-        Flag::Canonical,
         Flag::Switch("--huge"),
         Flag::Switch("--forked"),
     ]);

@@ -10,7 +10,7 @@ use llumnix_sim::SimDuration;
 use llumnix_workload::Arrivals;
 
 fn main() {
-    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Canonical]);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale]);
     let n = opts.scaled(10_000);
     let mut table = Table::new(
         "Threshold probe: 16×LLaMA-7B, M-M",
@@ -26,7 +26,6 @@ fn main() {
             "preempt",
             "migr",
             "mem",
-            "wall_s",
         ],
     );
     // INFaaS++ reference arm; every arm runs its 16 instances of the
@@ -49,7 +48,6 @@ fn main() {
             format!("{}", arm.preemptions),
             format!("{}", arm.migrations),
             format!("{:.0}%", mem * 100.0),
-            format!("{:.1}", arm.sim_wall_secs),
         ]);
         let tick_ms = 100u64;
         for (src, dst) in [
@@ -80,7 +78,6 @@ fn main() {
                     format!("{}", arm.preemptions),
                     format!("{}", arm.migrations),
                     format!("{:.0}%", mem * 100.0),
-                    format!("{:.1}", arm.sim_wall_secs),
                 ]);
             }
         }

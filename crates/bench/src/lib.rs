@@ -8,9 +8,8 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use llumnix_core::{
     run_serving, FaultPlan, SchedulerKind, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
@@ -52,9 +51,6 @@ pub enum Flag {
     /// `--threads N`: worker threads of the sweep harness
     /// ([`set_thread_override`]).
     Threads,
-    /// `--canonical`: record `sim_wall_secs` as 0
-    /// ([`set_canonical_output`]).
-    Canonical,
     /// A binary's own flag without a value, such as fig16's `--huge`.
     Switch(&'static str),
     /// A binary's own flag whose value is a positive number, such as
@@ -69,14 +65,13 @@ impl Flag {
             Flag::Scale => "--scale",
             Flag::Json => "--json",
             Flag::Threads => "--threads",
-            Flag::Canonical => "--canonical",
             Flag::Switch(flag) | Flag::Positive(flag) => flag,
         }
     }
 }
 
 /// Parses the value following `flag`. A following flag is not a value, so
-/// `--json --canonical` is an error rather than a file named `--canonical`,
+/// `--json --seed` is an error rather than a file named `--seed`,
 /// and a malformed value is an error rather than a silently substituted
 /// default, which would make an experiment lie about its parameters.
 fn value<'a, T: std::str::FromStr>(
@@ -136,7 +131,6 @@ fn parse_args(args: &[String], flags: &[Flag]) -> Result<BenchOpts, String> {
                 0 => return Err("--threads must be at least 1".into()),
                 threads => set_thread_override(threads),
             },
-            Flag::Canonical => set_canonical_output(true),
             Flag::Switch(f) => {
                 opts.own.insert(f, None);
             }
@@ -150,8 +144,8 @@ fn parse_args(args: &[String], flags: &[Flag]) -> Result<BenchOpts, String> {
 
 impl BenchOpts {
     /// Parses `std::env::args` against `flags`, the flags the binary reads,
-    /// rejecting every other argument. `--threads` and `--canonical` take
-    /// effect through [`set_thread_override`] and [`set_canonical_output`].
+    /// rejecting every other argument. `--threads` takes effect through
+    /// [`set_thread_override`].
     ///
     /// An unknown argument, a flag given twice and a missing or malformed
     /// value print `error: …` and exit with code 2.
@@ -213,32 +207,14 @@ pub struct ArmResult {
     pub avg_instances: f64,
     /// Mean fragmentation proportion.
     pub fragmentation_mean: f64,
-    /// Wall-clock seconds the simulation took (0.0 under `--canonical`: it
-    /// is the one field of this row real time can perturb, and the CI
-    /// determinism cross-check diffs result files byte for byte).
-    pub sim_wall_secs: f64,
 }
 
-// ---- parallel sweep harness ----------------------------------------------
+// ---- sweep harness --------------------------------------------------------
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static CANONICAL_OUTPUT: AtomicBool = AtomicBool::new(false);
 
-/// Enables canonical output (what `--canonical` sets): [`run_arm`] records
-/// `sim_wall_secs = 0.0` instead of measured wall time, making every figure's
-/// JSON a pure function of (seed, config) — byte-identical at any `--threads`
-/// count.
-pub fn set_canonical_output(on: bool) {
-    CANONICAL_OUTPUT.store(on, Ordering::SeqCst);
-}
-
-/// Whether canonical output mode is on.
-pub fn canonical_output() -> bool {
-    CANONICAL_OUTPUT.load(Ordering::SeqCst)
-}
-
-/// Overrides the worker-thread count for [`parallel_map`] / [`run_arms`]
-/// (what `--threads N` sets). Zero restores the default.
+/// Overrides the worker-thread count of the sweep harness (what
+/// `--threads N` sets). Zero restores the default.
 pub fn set_thread_override(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -255,19 +231,150 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item across [`num_threads`] worker threads, returning
-/// results in the items' original order.
+/// What a task of [`sweep`] yields: the result for a slot, or more tasks,
+/// queued behind every task already waiting.
+enum Step<T, R> {
+    Fill(usize, R),
+    Queue(Vec<T>),
+}
+
+/// The tasks of a sweep not yet handed out, how many are running, and
+/// whether one has panicked.
+struct Pending<T> {
+    waiting: VecDeque<T>,
+    running: usize,
+    failed: bool,
+}
+
+/// The one work queue every sweep hands its tasks out through. `ended` is
+/// signalled whenever a task ends: it may have queued more, or been the last
+/// one running.
+struct WorkQueue<T> {
+    pending: Mutex<Pending<T>>,
+    ended: Condvar,
+}
+
+impl<T> WorkQueue<T> {
+    /// Tasks never run under the lock and every update leaves `Pending`
+    /// valid, so a poisoned lock is still sound, and [`Running`]'s drop
+    /// must not panic.
+    fn lock(&self) -> MutexGuard<'_, Pending<T>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next task in FIFO order. While the queue is empty but a task is
+    /// still running, waits for it: it may queue more. `None` once the
+    /// queue is empty and nothing runs, or once a task has panicked.
+    fn next(&self) -> Option<T> {
+        let mut pending = self.lock();
+        while !pending.failed {
+            if let Some(task) = pending.waiting.pop_front() {
+                pending.running += 1;
+                return Some(task);
+            }
+            if pending.running == 0 {
+                break;
+            }
+            pending = self
+                .ended
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        None
+    }
+}
+
+/// A task handed out by [`WorkQueue::next`]. Dropping it ends the task: it
+/// queues what the task queued and wakes the waiting workers. It drops while
+/// a panicking task unwinds too, so no worker waits on a task that can no
+/// longer finish.
+struct Running<'a, T> {
+    queue: &'a WorkQueue<T>,
+    queued: Vec<T>,
+}
+
+impl<T> Drop for Running<'_, T> {
+    fn drop(&mut self) {
+        let mut pending = self.queue.lock();
+        pending.running -= 1;
+        // A panicking task fails the sweep: no worker takes another task, so
+        // the panic reaches the caller once the running ones finish.
+        pending.failed |= std::thread::panicking();
+        pending.waiting.extend(self.queued.drain(..));
+        drop(pending);
+        self.queue.ended.notify_all();
+    }
+}
+
+/// Runs `tasks`, and every task they queue, across [`num_threads`] workers
+/// (at most one per slot), and returns the `slots` results in slot order.
 ///
-/// Work is handed out dynamically — each worker pulls the next unclaimed item
-/// — so unevenly sized arms (a 10k-request Llumnix run next to a tiny
-/// round-robin one) still pack the cores. Items run independently, so the
-/// output is byte-identical to the serial `items.into_iter().map(f)` as long
-/// as `f` itself is deterministic; with one thread the harness *is* that
-/// serial loop.
+/// Tasks are handed out first in, first out, each to the next idle worker,
+/// so unevenly sized arms (a 10k-request Llumnix run next to a tiny
+/// round-robin one) still pack the cores. The calling thread is one of the
+/// workers. Each result lands in the slot its task names, so the output
+/// does not depend on which worker ran what, or on the worker count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker invocation of `f`.
+/// If a task panics, the queue hands nothing more out, the other workers
+/// finish their current tasks, and the task's panic resumes on the caller's
+/// thread. Also panics unless the tasks fill every slot exactly once.
+fn sweep<T, R, F>(tasks: Vec<T>, slots: usize, run: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> Step<T, R> + Sync,
+{
+    let queue = WorkQueue {
+        pending: Mutex::new(Pending {
+            waiting: tasks.into(),
+            running: 0,
+            failed: false,
+        }),
+        ended: Condvar::new(),
+    };
+    let work = || {
+        let mut filled = Vec::new();
+        while let Some(task) = queue.next() {
+            let mut running = Running {
+                queue: &queue,
+                queued: Vec::new(),
+            };
+            match run(task) {
+                Step::Fill(slot, result) => filled.push((slot, result)),
+                Step::Queue(more) => running.queued = more,
+            }
+        }
+        filled
+    };
+    let helpers = num_threads().min(slots).saturating_sub(1);
+    let mut filled = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut filled = work();
+        for handle in handles {
+            match handle.join() {
+                Ok(theirs) => filled.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        filled
+    });
+    filled.sort_unstable_by_key(|&(slot, _)| slot);
+    assert!(
+        filled.iter().map(|&(slot, _)| slot).eq(0..slots),
+        "a sweep must fill every slot exactly once"
+    );
+    filled.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Applies `f` to every item through the sweep queue, returning results in
+/// the items' original order: byte-identical to the serial
+/// `items.into_iter().map(f)` as long as `f` itself is deterministic.
+///
+/// # Panics
+///
+/// Resumes a panic of `f` once the running items finish.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -275,45 +382,11 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let queue = Mutex::new(items.into_iter().enumerate());
-    let queue = &queue;
-    let f = &f;
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = queue.lock().expect("work queue poisoned").next();
-                        match next {
-                            Some((index, item)) => local.push((index, f(item))),
-                            None => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for batch in per_worker {
-        for (index, result) in batch {
-            slots[index] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index processed exactly once"))
-        .collect()
+    sweep(
+        items.into_iter().enumerate().collect(),
+        n,
+        |(slot, item)| Step::Fill(slot, f(item)),
+    )
 }
 
 /// One independent experiment arm of a sweep: a serving configuration over a
@@ -329,12 +402,11 @@ pub struct ArmSpec {
     pub cv: f64,
 }
 
-/// Runs every arm through [`run_arm`], fanned out across [`num_threads`]
-/// worker threads, and returns results in the arms' given order.
+/// Runs every arm through [`run_arm`] on the sweep queue and returns results
+/// in the arms' given order.
 ///
 /// Arms share nothing: each owns its config and trace, and the simulation is
-/// deterministic, so the output (minus [`ArmResult::sim_wall_secs`], which
-/// measures real time) is identical whatever the thread count.
+/// deterministic, so the output is identical whatever the thread count.
 pub fn run_arms(arms: Vec<ArmSpec>) -> Vec<(ArmResult, ServingOutput)> {
     parallel_map(arms, |arm| run_arm(arm.config, arm.trace, arm.rate, arm.cv))
 }
@@ -346,43 +418,43 @@ pub fn run_arm(
     rate: f64,
     cv: f64,
 ) -> (ArmResult, ServingOutput) {
-    let trace_name = trace.name.clone();
-    let scheduler = config.scheduler;
-    let started = Instant::now();
-    let out = run_serving(config, trace);
-    let wall = if canonical_output() {
-        0.0
-    } else {
-        started.elapsed().as_secs_f64()
+    let labels = ArmLabels {
+        trace_name: trace.name.clone(),
+        scheduler: config.scheduler,
+        rate,
+        cv,
     };
-    package_arm(out, wall, trace_name, scheduler, rate, cv)
+    labels.package(run_serving(config, trace))
 }
 
-/// Flattens a finished run into its [`ArmResult`] row.
-fn package_arm(
-    out: ServingOutput,
-    wall: f64,
+/// The labels of an arm's [`ArmResult`] row.
+#[derive(Clone)]
+struct ArmLabels {
     trace_name: String,
     scheduler: SchedulerKind,
     rate: f64,
     cv: f64,
-) -> (ArmResult, ServingOutput) {
-    let report = LatencyReport::from_records(&out.records);
-    (
-        ArmResult {
-            trace: trace_name,
-            rate,
-            cv,
-            scheduler: scheduler.label().to_string(),
-            migrations: out.migration_stats.committed,
-            preemptions: report.total_preemptions,
-            report,
-            avg_instances: out.avg_instances,
-            fragmentation_mean: out.fragmentation.mean(),
-            sim_wall_secs: wall,
-        },
-        out,
-    )
+}
+
+impl ArmLabels {
+    /// Flattens a finished run into its [`ArmResult`] row.
+    fn package(self, out: ServingOutput) -> (ArmResult, ServingOutput) {
+        let report = LatencyReport::from_records(&out.records);
+        (
+            ArmResult {
+                trace: self.trace_name,
+                rate: self.rate,
+                cv: self.cv,
+                scheduler: self.scheduler.label().to_string(),
+                migrations: out.migration_stats.committed,
+                preemptions: report.total_preemptions,
+                report,
+                avg_instances: out.avg_instances,
+                fragmentation_mean: out.fragmentation.mean(),
+            },
+            out,
+        )
+    }
 }
 
 // ---- forked sweeps --------------------------------------------------------
@@ -421,8 +493,8 @@ pub struct ForkGroup {
     pub arms: Vec<ForkArm>,
 }
 
-/// A unit of forked-sweep work: warm a group up (which then enqueues its
-/// forks), or finish one forked arm.
+/// A task of a forked sweep: warm a group up (which queues its forks), or
+/// run one fork to completion.
 enum ForkTask {
     Warm {
         slot: usize,
@@ -431,22 +503,14 @@ enum ForkTask {
     Fork {
         slot: usize,
         sim: Box<ServingSim>,
-        labels: ForkLabels,
+        plan: FaultPlan,
+        labels: ArmLabels,
     },
 }
 
-/// The row labels a fork inherits from its group.
-#[derive(Clone)]
-struct ForkLabels {
-    trace_name: String,
-    scheduler: SchedulerKind,
-    rate: f64,
-    cv: f64,
-}
-
-/// Warms a group up and turns it into its runnable forks (one resumed,
-/// plan-activated sim per arm), tagged with consecutive result slots
-/// starting at `slot`.
+/// Warms a group up and turns it into its forks (one resumed sim per arm),
+/// tagged with consecutive result slots starting at `slot`. Each fork
+/// activates its own plan when it runs.
 ///
 /// The warmed sim itself becomes the *last* arm rather than a third
 /// resume: a freshly cloned sim pays a measurable per-event locality tax
@@ -455,7 +519,11 @@ struct ForkLabels {
 /// one of the real runs and a singleton group never clones at all. The
 /// schedule is identical either way — resume *is* a clone.
 fn warm_group(slot: usize, group: ForkGroup) -> Vec<ForkTask> {
-    let labels = ForkLabels {
+    let mut arms = group.arms;
+    let Some(last) = arms.pop() else {
+        return Vec::new();
+    };
+    let labels = ArmLabels {
         trace_name: group.trace.name.clone(),
         scheduler: group.config.scheduler,
         rate: group.rate,
@@ -463,136 +531,61 @@ fn warm_group(slot: usize, group: ForkGroup) -> Vec<ForkTask> {
     };
     let mut sim = ServingSim::new(group.config, group.trace);
     sim.run_until(group.warmup);
-    let mut arms = group.arms;
-    let Some(last) = arms.pop() else {
-        return Vec::new();
-    };
     let mut tasks = Vec::with_capacity(arms.len() + 1);
     if !arms.is_empty() {
         let snapshot: SimSnapshot = sim.snapshot();
-        for (i, arm) in arms.into_iter().enumerate() {
-            let mut fork = ServingSim::resume(&snapshot);
-            fork.activate_faults(arm.plan);
+        for (slot, arm) in (slot..).zip(arms) {
             tasks.push(ForkTask::Fork {
-                slot: slot + i,
-                sim: Box::new(fork),
+                slot,
+                sim: Box::new(ServingSim::resume(&snapshot)),
+                plan: arm.plan,
                 labels: labels.clone(),
             });
         }
     }
-    let slot = slot + tasks.len();
-    sim.activate_faults(last.plan);
     tasks.push(ForkTask::Fork {
-        slot,
+        slot: slot + tasks.len(),
         sim: Box::new(sim),
+        plan: last.plan,
         labels,
     });
     tasks
 }
 
-/// Runs one forked arm to completion (its wall-clock covers only the
-/// post-fork run — the warmup is shared).
-fn finish_fork(sim: ServingSim, labels: ForkLabels) -> (ArmResult, ServingOutput) {
-    let started = Instant::now();
-    let out = sim.run();
-    let wall = if canonical_output() {
-        0.0
-    } else {
-        started.elapsed().as_secs_f64()
-    };
-    package_arm(
-        out,
-        wall,
-        labels.trace_name,
-        labels.scheduler,
-        labels.rate,
-        labels.cv,
-    )
-}
-
 /// Runs every group's warmup once and every arm from its group's snapshot,
-/// fanned out across [`num_threads`] worker threads. Results come back
-/// flattened in group-then-arm order — the same order [`run_arms`] returns
-/// for the equivalent cold arms — and each arm's
-/// [`ArmResult::sim_wall_secs`] covers only its post-fork run.
+/// all through the sweep queue. Results come back flattened in
+/// group-then-arm order — the same order [`run_arms`] returns for the
+/// equivalent cold arms.
 ///
-/// Warmups and forks share one dynamic work queue: a group's forks become
-/// runnable the moment its warmup finishes, so workers never idle behind
-/// the slowest warmup (a two-phase barrier would stall the whole fleet on
-/// the largest group's prefix and give most of the saved work back).
+/// Warmups and forks share the one queue: a group's warmup queues its forks
+/// the moment it finishes, so workers never idle behind the slowest warmup
+/// (a two-phase barrier would stall the whole fleet on the largest group's
+/// prefix and give most of the saved work back).
 pub fn run_arms_forked(groups: Vec<ForkGroup>) -> Vec<(ArmResult, ServingOutput)> {
-    let mut total_arms = 0usize;
-    let mut tasks: VecDeque<ForkTask> = VecDeque::new();
-    for group in groups {
-        let slot = total_arms;
-        total_arms += group.arms.len();
-        tasks.push_back(ForkTask::Warm {
-            slot,
-            group: Box::new(group),
-        });
-    }
-    let threads = num_threads().min(tasks.len().max(1));
-    let mut slots: Vec<Option<(ArmResult, ServingOutput)>> = Vec::with_capacity(total_arms);
-    slots.resize_with(total_arms, || None);
-    if threads <= 1 {
-        while let Some(task) = tasks.pop_front() {
-            match task {
-                ForkTask::Warm { slot, group } => {
-                    // Front of the queue, so a group's forks run before the
-                    // next group warms up — same order a cold sweep visits.
-                    for fork in warm_group(slot, *group).into_iter().rev() {
-                        tasks.push_front(fork);
-                    }
-                }
-                ForkTask::Fork { slot, sim, labels } => {
-                    slots[slot] = Some(finish_fork(*sim, labels));
-                }
-            }
-        }
-    } else {
-        let state = Mutex::new((tasks, 0usize)); // (queue, tasks in flight)
-        let ready = std::sync::Condvar::new();
-        let results = Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let mut guard = state.lock().expect("fork queue poisoned");
-                    let task = loop {
-                        if let Some(task) = guard.0.pop_front() {
-                            guard.1 += 1;
-                            break task;
-                        }
-                        if guard.1 == 0 {
-                            return; // Empty queue, nothing running: done.
-                        }
-                        // A running warmup may enqueue forks; wait for it.
-                        guard = ready.wait(guard).expect("fork queue poisoned");
-                    };
-                    drop(guard);
-                    match task {
-                        ForkTask::Warm { slot, group } => {
-                            let forks = warm_group(slot, *group);
-                            let mut guard = state.lock().expect("fork queue poisoned");
-                            guard.0.extend(forks);
-                            guard.1 -= 1;
-                            ready.notify_all();
-                        }
-                        ForkTask::Fork { slot, sim, labels } => {
-                            let done = finish_fork(*sim, labels);
-                            results.lock().expect("fork results poisoned")[slot] = Some(done);
-                            let mut guard = state.lock().expect("fork queue poisoned");
-                            guard.1 -= 1;
-                            ready.notify_all();
-                        }
-                    }
-                });
-            }
-        });
-    }
-    slots
+    let mut slots = 0;
+    let tasks = groups
         .into_iter()
-        .map(|r| r.expect("every fork slot filled exactly once"))
-        .collect()
+        .map(|group| {
+            let slot = slots;
+            slots += group.arms.len();
+            ForkTask::Warm {
+                slot,
+                group: Box::new(group),
+            }
+        })
+        .collect();
+    sweep(tasks, slots, |task| match task {
+        ForkTask::Warm { slot, group } => Step::Queue(warm_group(slot, *group)),
+        ForkTask::Fork {
+            slot,
+            mut sim,
+            plan,
+            labels,
+        } => {
+            sim.activate_faults(plan);
+            Step::Fill(slot, labels.package(sim.run()))
+        }
+    })
 }
 
 /// Builds one of the paper's named traces (`S-S`, `M-M`, …, `ShareGPT`).
@@ -684,7 +677,6 @@ mod tests {
         use llumnix_core::FaultPlanConfig;
         use llumnix_sim::{SimDuration, SimTime};
 
-        set_canonical_output(true);
         let trace = build_trace("S-S", 150, Arrivals::poisson(5.0), 0.0, 7);
         let base = ServingConfig::new(SchedulerKind::Llumnix, 3)
             .with_spec(InstanceSpec::tiny_for_tests(2048));
@@ -735,7 +727,6 @@ mod tests {
             forked[1].1.fault_stats.crashes > 0,
             "fault arms must actually crash"
         );
-        set_canonical_output(false);
     }
 
     #[test]

@@ -88,7 +88,6 @@ fn unread_common_flags_exit_2() {
         (fig04, &["--seed", "2"], "--seed"),
         (fig04, &["--scale", "0.01"], "--scale"),
         (fig04, &["--threads", "2"], "--threads"),
-        (fig04, &["--canonical"], "--canonical"),
         (fig10, &["--seed", "2", "--scale", "0.01"], "--seed"),
         (fig10, &["--scale", "0.01"], "--scale"),
         (
@@ -106,17 +105,32 @@ fn unread_common_flags_exit_2() {
 fn a_flag_is_not_a_value() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("flag-as-value");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let _ = std::fs::remove_file(dir.join("--canonical"));
+    let _ = std::fs::remove_file(dir.join("--seed"));
     let out = Command::new(env!("CARGO_BIN_EXE_fig04_decode_latency"))
-        .args(["--json", "--canonical"])
+        .args(["--json", "--seed"])
         .current_dir(&dir)
         .output()
         .expect("fig04_decode_latency runs");
     assert_rejected(&out, "--json");
-    assert!(
-        !dir.join("--canonical").exists(),
-        "wrote a file named --canonical"
-    );
+    assert!(!dir.join("--seed").exists(), "wrote a file named --seed");
+}
+
+/// Figure rows carry no host time, so no binary has a flag to zero it.
+#[test]
+fn the_removed_canonical_flag_exits_2() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig11_serving"),
+        env!("CARGO_BIN_EXE_fig14_autoscaling"),
+        env!("CARGO_BIN_EXE_fig15_cost_latency"),
+        env!("CARGO_BIN_EXE_fig16_scalability"),
+        env!("CARGO_BIN_EXE_fig17_churn"),
+        env!("CARGO_BIN_EXE_probe"),
+    ] {
+        assert_rejected(
+            &run(bin, &["--scale", "0.001", "--canonical"]),
+            "--canonical",
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The parallel sweep harness must be a pure reordering of work: running the
 //! same arms serially and across worker threads yields byte-identical
-//! results (minus wall-clock timing, which measures real time by design).
+//! results.
 
 use llumnix_bench::{
     build_trace, run_arm, run_arms, set_thread_override, ArmResult, ArmSpec, DEFAULT_SEED,
@@ -28,23 +28,13 @@ fn arm_specs() -> Vec<ArmSpec> {
     arms
 }
 
-/// Serializes the results with the real-time field zeroed, so byte equality
-/// means simulation equality.
-fn canonical_json(results: &[ArmResult]) -> String {
-    let mut rows = results.to_vec();
-    for row in &mut rows {
-        row.sim_wall_secs = 0.0;
-    }
-    llumnix_metrics::to_json(&rows)
-}
-
 #[test]
 fn parallel_sweep_matches_serial_byte_for_byte() {
     let serial: Vec<ArmResult> = arm_specs()
         .into_iter()
         .map(|arm| run_arm(arm.config, arm.trace, arm.rate, arm.cv).0)
         .collect();
-    let serial_json = canonical_json(&serial);
+    let serial_json = llumnix_metrics::to_json(&serial);
 
     for threads in [1, 2, 4, 7] {
         set_thread_override(threads);
@@ -53,7 +43,7 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
             .map(|(arm, _)| arm)
             .collect();
         assert_eq!(
-            canonical_json(&parallel),
+            llumnix_metrics::to_json(&parallel),
             serial_json,
             "run_arms diverged from the serial sweep at {threads} threads"
         );

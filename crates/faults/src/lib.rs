@@ -20,8 +20,6 @@
 //! - Targets are stored as abstract *ranks* ([`PlannedFault::target_rank`]),
 //!   resolved against the live instance roster (insertion-order walk, modulo
 //!   fleet size) only at fire time. The plan itself is fleet-agnostic.
-//! - [`FaultPlan::fingerprint`] folds every field into a stable 64-bit hash
-//!   so tests and benches can assert byte-identical schedules cheaply.
 //!
 //! Each fault class is an independent Poisson process: inter-arrival gaps are
 //! exponential with the configured fleet-wide rate, truncated at the horizon.
@@ -157,17 +155,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    fn class_tag(&self) -> u64 {
-        match self {
-            FaultKind::Crash { .. } => 0,
-            FaultKind::Slowdown { .. } => 1,
-            FaultKind::LinkFailure { .. } => 2,
-            FaultKind::SchedulerOutage { .. } => 3,
-        }
-    }
-}
-
 /// One scheduled fault.
 ///
 /// `target_rank` is resolved against the live roster at fire time
@@ -211,7 +198,7 @@ impl FaultPlan {
     pub fn generate(cfg: &FaultPlanConfig, rng: &SimRng) -> Self {
         let mut faults = Vec::new();
         let mut crash = rng.split("faults/crash");
-        Self::poisson_stream(
+        faults.extend(Self::poisson_stream(
             cfg.crash_rate_per_hour,
             cfg.start_offset,
             cfg.horizon,
@@ -219,12 +206,11 @@ impl FaultPlan {
             |_| FaultKind::Crash {
                 restart_after: cfg.restart_delay,
             },
-        )
-        .append_to(&mut faults);
+        ));
 
         let mut slow = rng.split("faults/slowdown");
         let (lo, hi) = cfg.slowdown_factor;
-        Self::poisson_stream(
+        faults.extend(Self::poisson_stream(
             cfg.slowdown_rate_per_hour,
             cfg.start_offset,
             cfg.horizon,
@@ -233,11 +219,10 @@ impl FaultPlan {
                 factor: r.uniform_range(lo, hi),
                 duration: cfg.slowdown_duration,
             },
-        )
-        .append_to(&mut faults);
+        ));
 
         let mut link = rng.split("faults/link");
-        Self::poisson_stream(
+        faults.extend(Self::poisson_stream(
             cfg.link_failure_rate_per_hour,
             cfg.start_offset,
             cfg.horizon,
@@ -245,8 +230,7 @@ impl FaultPlan {
             |_| FaultKind::LinkFailure {
                 duration: cfg.link_down_duration,
             },
-        )
-        .append_to(&mut faults);
+        ));
 
         // Stable sort: within a timestamp the class order above is preserved,
         // so the merged schedule is a pure function of (seed, cfg).
@@ -260,10 +244,10 @@ impl FaultPlan {
         horizon: SimDuration,
         rng: &mut SimRng,
         mut kind: impl FnMut(&mut SimRng) -> FaultKind,
-    ) -> Stream {
+    ) -> Vec<PlannedFault> {
         let mut out = Vec::new();
         if rate_per_hour <= 0.0 {
-            return Stream(out);
+            return out;
         }
         let rate_per_sec = rate_per_hour / 3600.0;
         // The offset translates the whole window: the same exponential draws
@@ -282,7 +266,7 @@ impl FaultPlan {
                 kind: kind(rng),
             });
         }
-        Stream(out)
+        out
     }
 
     /// Number of scheduled faults.
@@ -312,60 +296,6 @@ impl FaultPlan {
             .filter(|f| matches!(f.kind, FaultKind::Crash { .. }))
             .count()
     }
-
-    /// A stable 64-bit digest of the whole schedule (FNV-1a over every
-    /// field). Two plans are byte-identical iff their fingerprints match,
-    /// which is how tests assert the seed → schedule contract.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.faults.len() as u64);
-        for f in &self.faults {
-            h.write(f.at.as_micros());
-            h.write(f.target_rank);
-            h.write(f.kind.class_tag());
-            match f.kind {
-                FaultKind::Crash { restart_after } => {
-                    h.write(restart_after.map_or(u64::MAX, SimDuration::as_micros));
-                }
-                FaultKind::Slowdown { factor, duration } => {
-                    h.write(factor.to_bits());
-                    h.write(duration.as_micros());
-                }
-                FaultKind::LinkFailure { duration } | FaultKind::SchedulerOutage { duration } => {
-                    h.write(duration.as_micros());
-                }
-            }
-        }
-        h.finish()
-    }
-}
-
-struct Stream(Vec<PlannedFault>);
-
-impl Stream {
-    fn append_to(mut self, out: &mut Vec<PlannedFault>) {
-        out.append(&mut self.0);
-    }
-}
-
-/// Minimal FNV-1a over u64 words; explicit constants, no platform hashers.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -386,7 +316,6 @@ mod tests {
         let a = FaultPlan::generate(&cfg, &SimRng::new(42));
         let b = FaultPlan::generate(&cfg, &SimRng::new(42));
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(!a.is_empty());
     }
 
@@ -395,7 +324,7 @@ mod tests {
         let cfg = churn_cfg();
         let a = FaultPlan::generate(&cfg, &SimRng::new(42));
         let b = FaultPlan::generate(&cfg, &SimRng::new(43));
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -458,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn scripted_plans_sort_stably_and_fingerprint_every_kind() {
+    fn scripted_plans_sort_stably_and_tell_every_kind_apart() {
         let at = |secs| SimTime::from_secs(secs);
         let down = SimDuration::from_secs(5);
         let fault = |secs, target_rank, kind| PlannedFault {
@@ -485,11 +414,11 @@ mod tests {
             vec![link, crash, outage]
         );
         // An outage and a link failure of the same duration, time and rank
-        // differ only in their kind, and the fingerprint tells them apart.
+        // differ only in their kind, and the plans tell them apart.
         let as_link =
             FaultPlan::from_faults(vec![fault(4, 0, FaultKind::LinkFailure { duration: down })]);
         let as_outage = FaultPlan::from_faults(vec![outage]);
-        assert_ne!(as_link.fingerprint(), as_outage.fingerprint());
+        assert_ne!(as_link, as_outage);
     }
 
     #[test]

@@ -28,7 +28,6 @@ proptest! {
         let a = FaultPlan::generate(&c, &SimRng::new(seed));
         let b = FaultPlan::generate(&c, &SimRng::new(seed));
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.fingerprint(), b.fingerprint());
 
         let end = SimTime::ZERO + c.horizon;
         let mut prev = SimTime::ZERO;

@@ -71,10 +71,9 @@ type EndpointCounts = BTreeMap<InstanceId, (u32, u32)>;
 
 /// Drives all live migrations in a cluster.
 ///
-/// All bookkeeping lives in `BTreeMap`s: the teardown scans
-/// ([`MigrationCoordinator::migrating_from`],
-/// [`MigrationCoordinator::abort_for_failed_instance`]) iterate these maps
-/// and feed their order into the event queue, so the iteration order must be
+/// All bookkeeping lives in `BTreeMap`s: the teardown scan
+/// ([`MigrationCoordinator::abort_for_failed_instance`]) iterates these maps
+/// and feeds its order into the event queue, so the iteration order must be
 /// a pure function of the simulation state, never of a hasher seed.
 ///
 /// `Clone` supports the sim-level snapshot/fork capability: a clone carries
@@ -135,18 +134,6 @@ impl MigrationCoordinator {
     /// Whether `request` is mid-migration.
     pub fn is_migrating(&self, request: RequestId) -> bool {
         self.by_request.contains_key(&request)
-    }
-
-    /// All requests currently migrating out of `instance`.
-    pub fn migrating_from(&self, instance: InstanceId) -> Vec<RequestId> {
-        if !self.is_migration_source(instance) {
-            return Vec::new();
-        }
-        self.active
-            .values()
-            .filter(|m| m.src == instance)
-            .map(|m| m.request)
-            .collect()
     }
 
     /// Whether any active migration moves a request out of `instance`. O(1).
@@ -955,14 +942,12 @@ mod tests {
         else {
             panic!("refused");
         };
-        assert_eq!(coord.migrating_from(InstanceId(0)), vec![RequestId(1)]);
-        assert!(coord.migrating_from(InstanceId(1)).is_empty());
         assert_eq!(coord.endpoints(id), Some((InstanceId(0), InstanceId(1))));
         assert_eq!(
             coord.lookup_by_request(RequestId(1)),
             Some((id, InstanceId(0), InstanceId(1)))
         );
-        // Endpoint counters agree with the listings on both sides.
+        // Endpoint counters agree with the lookup on both sides.
         assert!(coord.is_migration_source(InstanceId(0)));
         assert!(!coord.is_migration_source(InstanceId(1)));
         assert!(coord.touches(InstanceId(0)));
@@ -972,12 +957,12 @@ mod tests {
         assert!(!coord.touches(InstanceId(0)));
         assert!(!coord.touches(InstanceId(1)));
         assert!(!coord.is_migration_source(InstanceId(0)));
-        assert!(coord.migrating_from(InstanceId(0)).is_empty());
+        assert_eq!(coord.lookup_by_request(RequestId(1)), None);
     }
 
-    /// Regression for the `BTreeMap` conversion: the teardown scans iterate
-    /// the active set, and their order feeds the event queue. With several
-    /// in-flight migrations both listings must come back in ascending
+    /// Regression for the `BTreeMap` conversion: the teardown scan iterates
+    /// the active set, and its order feeds the event queue. With several
+    /// in-flight migrations the aborts must come back in ascending
     /// (creation) order every time — under the old `HashMap` books the order
     /// was a function of the hasher seed.
     #[test]
@@ -992,12 +977,8 @@ mod tests {
             let out = coord.start(RequestId(req), &mut src[0], &mut rest[dst - 1], t);
             assert!(matches!(out, StartOutcome::Started { .. }), "{out:?}");
         }
-        // `migrating_from` lists by ascending MigrationId = start order.
-        assert_eq!(
-            coord.migrating_from(InstanceId(0)),
-            vec![RequestId(7), RequestId(3), RequestId(5)]
-        );
-        // A source failure aborts them in the same deterministic order.
+        // A source failure aborts them by ascending MigrationId = start
+        // order.
         let (src, rest) = engines.split_at_mut(1);
         let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
         for e in rest.iter_mut() {

@@ -18,8 +18,6 @@
 use llumnix_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::specs::ModelSpec;
-
 /// A batch summary handed to the cost model for a decode step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeBatch {
@@ -122,41 +120,6 @@ impl CalibratedCostModel {
             prefill_base_ms: 20.0,
             prefill_per_token_ms: 0.38,
             prefill_quadratic_ms: 3.0e-7,
-        }
-    }
-
-    /// Picks the calibrated model matching a [`ModelSpec`] by name, falling
-    /// back to a first-principles derivation for unknown specs.
-    pub fn for_model(spec: &ModelSpec) -> Self {
-        match spec.name.as_str() {
-            "LLaMA-7B" => Self::llama_7b_a10(),
-            "LLaMA-30B" => Self::llama_30b_4xa10(),
-            _ => Self::derived(spec),
-        }
-    }
-
-    /// First-principles derivation: decode base from weight traffic over
-    /// aggregate memory bandwidth, prefill slope from FLOPs over aggregate
-    /// compute (assuming A10-class devices at 50% efficiency).
-    pub fn derived(spec: &ModelSpec) -> Self {
-        let gpus = spec.tensor_parallel.max(1) as f64;
-        let bw = 600e9 * gpus;
-        let flops = 125e12 * 0.5 * gpus;
-        let weight_ms = spec.weight_bytes() as f64 / bw * 1e3;
-        let tp_overhead_ms = if spec.tensor_parallel > 1 {
-            spec.layers as f64 * 0.1
-        } else {
-            0.0
-        };
-        let flops_per_token = 2.0 * spec.params as f64;
-        CalibratedCostModel {
-            name: format!("{}@derived", spec.name),
-            decode_base_ms: weight_ms + tp_overhead_ms,
-            decode_per_seq_ms: 0.2,
-            decode_per_token_ms: spec.kv_bytes_per_token() as f64 / bw * 1e3,
-            prefill_base_ms: 10.0 * gpus.sqrt(),
-            prefill_per_token_ms: flops_per_token / flops * 1e3,
-            prefill_quadratic_ms: 1.5e-7 * (spec.layers as f64 / 32.0),
         }
     }
 }
@@ -357,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_model_close_to_calibrated_7b() {
-        let d = CalibratedCostModel::derived(&ModelSpec::llama_7b());
-        let c = seven_b();
-        let ratio = d.decode_base_ms / c.decode_base_ms;
-        assert!(
-            (0.7..1.4).contains(&ratio),
-            "derived base {:.1} vs calibrated {:.1}",
-            d.decode_base_ms,
-            c.decode_base_ms
-        );
-    }
-
-    #[test]
     fn memo_matches_model_at_bucket_floor_and_is_order_independent() {
         let m = seven_b();
         let mut memo = DecodeCostMemo::new();
@@ -454,24 +404,5 @@ mod tests {
                 "{batch:?}"
             );
         }
-    }
-
-    #[test]
-    fn for_model_dispatches_by_name() {
-        assert_eq!(
-            CalibratedCostModel::for_model(&ModelSpec::llama_7b()).name,
-            "LLaMA-7B@A10"
-        );
-        assert_eq!(
-            CalibratedCostModel::for_model(&ModelSpec::llama_30b()).name,
-            "LLaMA-30B@4xA10"
-        );
-        let custom = ModelSpec {
-            name: "Custom-7B".into(),
-            ..ModelSpec::llama_7b()
-        };
-        assert!(CalibratedCostModel::for_model(&custom)
-            .name
-            .ends_with("@derived"));
     }
 }

@@ -56,11 +56,6 @@ impl ModelSpec {
     pub fn kv_bytes_per_token(&self) -> u64 {
         2 * self.layers as u64 * self.hidden as u64 * self.dtype_bytes as u64
     }
-
-    /// Total bytes of model weights.
-    pub fn weight_bytes(&self) -> u64 {
-        self.params * self.dtype_bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
     fn llama_30b_is_tensor_parallel() {
         let m = ModelSpec::llama_30b();
         assert_eq!(m.tensor_parallel, 4);
-        assert!(m.weight_bytes() > 60 * (1u64 << 30));
         assert!(m.kv_bytes_per_token() > ModelSpec::llama_7b().kv_bytes_per_token());
     }
 }

@@ -66,28 +66,4 @@ proptest! {
         let unfused = t.copy_time(a, &m, TransferMode::GlooUnfused);
         prop_assert!(unfused >= small, "fusion can only help");
     }
-
-    /// The derived cost model stays within sane bounds for arbitrary model
-    /// shapes (no negative or absurd step times).
-    #[test]
-    fn derived_model_sane(
-        layers in 8u32..128,
-        hidden in 512u32..16_384,
-        params in 1_000_000_000u64..200_000_000_000,
-        tp in 1u32..9,
-    ) {
-        let spec = ModelSpec {
-            name: "arbitrary".into(),
-            layers,
-            hidden,
-            params,
-            dtype_bytes: 2,
-            tensor_parallel: tp,
-        };
-        let m = CalibratedCostModel::derived(&spec);
-        prop_assert!(m.decode_base_ms > 0.0 && m.decode_base_ms < 10_000.0);
-        prop_assert!(m.prefill_per_token_ms > 0.0);
-        let step = m.decode_step(DecodeBatch { num_seqs: 8, total_tokens: 4_096 });
-        prop_assert!(!step.is_zero());
-    }
 }

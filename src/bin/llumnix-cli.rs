@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use llumnix::metrics::{fmt_secs, sparkline_annotated, to_csv, LatencyReport, Table};
-use llumnix::model::{CalibratedCostModel, CostModel, DecodeBatch, InstanceSpec};
+use llumnix::model::{CostModel, DecodeBatch, InstanceSpec};
 use llumnix::prelude::*;
 
 fn main() -> ExitCode {
@@ -433,12 +433,11 @@ fn cmd_info(flags: &Flags) -> Result<(), String> {
         InstanceSpec::llama_7b_a10(),
         InstanceSpec::llama_30b_4xa10(),
     ] {
-        let cost = CalibratedCostModel::for_model(&spec.model);
-        let lone = cost.decode_step(DecodeBatch {
+        let lone = spec.cost.decode_step(DecodeBatch {
             num_seqs: 1,
             total_tokens: 256,
         });
-        let full = cost.decode_step(DecodeBatch {
+        let full = spec.cost.decode_step(DecodeBatch {
             num_seqs: 32,
             total_tokens: spec.geometry.capacity_tokens() as u64,
         });
