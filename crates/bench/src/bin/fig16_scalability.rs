@@ -21,12 +21,10 @@
 //! `--huge` appends 4096- and 10 240-instance arms, kept out of the default
 //! sweep for their wall-clock cost.
 
-use llumnix_bench::{
-    run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Flag, ForkArm, ForkGroup,
-};
-use llumnix_core::{FaultPlan, SchedulerKind, ServingConfig};
+use llumnix_bench::{run_arms, ArmResult, ArmSpec, BenchOpts, Flag};
+use llumnix_core::{SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
-use llumnix_sim::{SimDuration, SimRng, SimTime};
+use llumnix_sim::SimRng;
 use llumnix_workload::{Arrivals, FixedLength, LengthDist, TraceSpec};
 
 fn main() {
@@ -36,18 +34,11 @@ fn main() {
         Flag::Json,
         Flag::Threads,
         Flag::Switch("--huge"),
-        Flag::Switch("--forked"),
     ]);
     // `--huge` extends the sweep past the doubling ladder to 4096 and 10 240
     // instances. Those fleets live behind the flag and scale the per-fleet
     // request count sub-linearly to fit the nightly budget.
     let huge = opts.switch("--huge");
-    // `--forked` reruns the sweep through the snapshot/fork harness: each
-    // arm runs a quarter of its nominal duration, snapshots, and finishes
-    // from the resumed copy. The arms share nothing (they differ from
-    // t = 0), so this is the determinism guard for snapshot/resume at
-    // sweep scale — CI byte-diffs the JSON against the cold run's.
-    let forked = opts.switch("--forked");
     // (fleet size, arrival rates): the paper's rate sweep at 64 instances,
     // then the peak per-instance rate (550/64 ≈ 8.6 req/s) carried to the
     // larger fleets.
@@ -92,29 +83,7 @@ fn main() {
             }
         }
     }
-    let results = if forked {
-        run_arms_forked(
-            arms.into_iter()
-                .map(|a| {
-                    // A quarter of the nominal trace duration (n / rate).
-                    let warmup = SimTime::ZERO
-                        + SimDuration::from_millis((250.0 * a.trace.len() as f64 / a.rate) as u64);
-                    ForkGroup {
-                        config: a.config,
-                        trace: a.trace,
-                        warmup,
-                        rate: a.rate,
-                        cv: a.cv,
-                        arms: vec![ForkArm {
-                            plan: FaultPlan::empty(),
-                        }],
-                    }
-                })
-                .collect(),
-        )
-    } else {
-        run_arms(arms)
-    };
+    let results = run_arms(arms);
 
     let mut table = Table::new(
         "Figure 16: 64-1024 instances, 64-token inputs/outputs",

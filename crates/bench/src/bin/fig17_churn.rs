@@ -28,14 +28,13 @@
 //! fleet takes load fault-free, then crashes, stragglers and link outages
 //! hit the fully loaded, draining fleet — where recovery actually has work
 //! to redispatch. The fault-free prefix is identical across the three fault
-//! profiles, so `--forked` runs it once per (fleet, scheduler) pair and
-//! forks the profiles from a snapshot; the JSON output is byte-identical
-//! with and without the flag, and the prefix is roughly half of each arm's
-//! compute (see EXPERIMENTS.md for the measured wall-clock ratio).
+//! profiles, so the sweep runs it once per (fleet, scheduler) pair and
+//! forks the profiles from a snapshot ([`run_arms_forked`]). Each row is
+//! byte-identical to a cold run configured with its plan from t = 0, and the
+//! prefix is roughly half of each arm's compute.
 
 use llumnix_bench::{
-    build_trace, mean_p99, run_arms, run_arms_forked, ArmResult, ArmSpec, BenchOpts, Flag, ForkArm,
-    ForkGroup,
+    build_trace, mean_p99, run_arms_forked, ArmResult, BenchOpts, Flag, ForkGroup,
 };
 use llumnix_core::{AutoScaleConfig, FaultPlan, FaultPlanConfig, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
@@ -87,18 +86,10 @@ fn main() {
         Flag::Json,
         Flag::Threads,
         Flag::Switch("--huge"),
-        Flag::Switch("--forked"),
     ]);
     // `--huge` appends 4096- and 10 240-instance Llumnix arms, kept out of
     // the default sweep for their wall-clock cost.
     let huge = opts.switch("--huge");
-    // `--forked` shares each (fleet, scheduler) pair's fault-free warmup
-    // across its three fault profiles via snapshot/fork instead of running
-    // the common prefix three times. Every fault plan begins strictly after
-    // the warmup in *both* modes (a pure time translation of the schedule),
-    // so the JSON output is byte-identical with and without the flag — CI
-    // diffs the two.
-    let forked = opts.switch("--forked");
     let mut fleets: Vec<(usize, &[SchedulerKind])> = vec![
         (64, &[SchedulerKind::InfaasPlusPlus, SchedulerKind::Llumnix]),
         (
@@ -113,7 +104,6 @@ fn main() {
         fleets.push((10_240, &[SchedulerKind::Llumnix]));
     }
 
-    let mut arms: Vec<ArmSpec> = Vec::new();
     let mut groups: Vec<ForkGroup> = Vec::new();
     // Parallel to the flattened results: (fleet, profile, planned crashes, n).
     let mut meta: Vec<(usize, &str, usize, usize)> = Vec::new();
@@ -121,9 +111,9 @@ fn main() {
         let n = opts.scaled(1_000 * fleet / 64);
         let rate = RATE_PER_INSTANCE * fleet as f64;
         // The shared fault-free prefix: the nominal arrival window
-        // (n / rate). Every fault plan is translated to begin 1 s after it,
-        // so the cold and forked runs face the identical fault schedule
-        // (`with_start_offset` is a pure time translation).
+        // (n / rate). Every fault plan is translated to begin 1 s after it
+        // (`with_start_offset` is a pure time translation), so each fork
+        // faces the schedule a cold run configured with its plan would.
         let warmup_ms = (1_000.0 * n as f64 / rate) as u64;
         let warmup = SimTime::ZERO + SimDuration::from_millis(warmup_ms);
         let offset = SimDuration::from_millis(warmup_ms) + SimDuration::from_secs(1);
@@ -152,38 +142,23 @@ fn main() {
             scale_cfg.min_instances = (fleet / 8).max(1) as u32;
             let config = ServingConfig::new(kind, (fleet / 4) as u32).with_autoscale(scale_cfg);
             let trace = build_trace("L-L", n, Arrivals::gamma(rate, 4.0), 0.0, opts.seed);
-            if forked {
-                groups.push(ForkGroup {
-                    config,
-                    trace,
-                    warmup,
-                    rate,
-                    cv: 4.0,
-                    arms: plans
-                        .iter()
-                        .map(|(_, plan)| ForkArm { plan: plan.clone() })
-                        .collect(),
-                });
-            } else {
-                for (_, plan) in &plans {
-                    arms.push(ArmSpec {
-                        config: config.clone().with_faults(plan.clone()),
-                        trace: trace.clone(),
-                        rate,
-                        cv: 4.0,
-                    });
-                }
-            }
+            groups.push(ForkGroup {
+                config,
+                trace,
+                warmup,
+                rate,
+                cv: 4.0,
+                arms: plans.iter().map(|(_, plan)| plan.clone()).collect(),
+            });
             for (profile, plan) in &plans {
                 meta.push((fleet, profile, plan.crash_count(), n));
             }
         }
     }
-    let results = if forked {
-        run_arms_forked(groups)
-    } else {
-        run_arms(arms)
-    };
+    let results = run_arms_forked(groups).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let mut table = Table::new(
         "Figure 17: auto-scaling churn under faults (L-L, Gamma CV 4)",

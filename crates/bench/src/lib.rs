@@ -15,7 +15,7 @@ use llumnix_core::{
     run_serving, FaultPlan, SchedulerKind, ServingConfig, ServingOutput, ServingSim, SimSnapshot,
 };
 use llumnix_metrics::LatencyReport;
-use llumnix_sim::SimRng;
+use llumnix_sim::{SimRng, SimTime};
 use llumnix_workload::{presets, Arrivals, Trace};
 use serde::Serialize;
 
@@ -459,17 +459,6 @@ impl ArmLabels {
 
 // ---- forked sweeps --------------------------------------------------------
 
-/// One forked arm of a [`ForkGroup`]: the fault plan it activates at the
-/// shared fork point ([`FaultPlan::empty`] for the fault-free arm).
-///
-/// Every planned fault must fire strictly after the group's warmup — build
-/// plans with [`llumnix_core::FaultPlanConfig::with_start_offset`] leaving
-/// margin over [`ForkGroup::warmup`].
-pub struct ForkArm {
-    /// Fault plan activated at the fork point.
-    pub plan: FaultPlan,
-}
-
 /// A group of sweep arms sharing one warmed-up simulation prefix.
 ///
 /// The group runs `config` (which must carry **no** fault plan) over `trace`
@@ -484,14 +473,51 @@ pub struct ForkGroup {
     /// The workload trace shared by every arm.
     pub trace: Trace,
     /// Simulated time to run before snapshotting.
-    pub warmup: llumnix_sim::SimTime,
+    pub warmup: SimTime,
     /// Request rate label (req/s).
     pub rate: f64,
     /// Arrival-CV label (1.0 for Poisson).
     pub cv: f64,
-    /// The arms forked from the shared snapshot.
-    pub arms: Vec<ForkArm>,
+    /// The fault plan each arm activates at the fork point
+    /// ([`FaultPlan::empty`] for a fault-free arm). No planned fault may fire
+    /// before `warmup`: build plans with
+    /// [`llumnix_core::FaultPlanConfig::with_start_offset`].
+    pub arms: Vec<FaultPlan>,
 }
+
+/// Why [`run_arms_forked`] rejects its groups. It checks every group before
+/// it runs any, so a bad arm costs no warmup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForkError {
+    /// The group's config carries a fault plan, which its forks would share.
+    PlanInConfig {
+        /// The group's index.
+        group: usize,
+    },
+    /// The arm's first fault fires before its group's warmup ends.
+    FaultBeforeWarmup {
+        /// The group's index.
+        group: usize,
+        /// The arm's index within its group.
+        arm: usize,
+    },
+}
+
+impl std::fmt::Display for ForkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ForkError::PlanInConfig { group } => {
+                write!(f, "fork group {group}: its config carries a fault plan")
+            }
+            ForkError::FaultBeforeWarmup { group, arm } => write!(
+                f,
+                "fork group {group}, arm {arm}: the first fault fires before the warmup ends"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ForkError {}
 
 /// A task of a forked sweep: warm a group up (which queues its forks), or
 /// run one fork to completion.
@@ -534,11 +560,11 @@ fn warm_group(slot: usize, group: ForkGroup) -> Vec<ForkTask> {
     let mut tasks = Vec::with_capacity(arms.len() + 1);
     if !arms.is_empty() {
         let snapshot: SimSnapshot = sim.snapshot();
-        for (slot, arm) in (slot..).zip(arms) {
+        for (slot, plan) in (slot..).zip(arms) {
             tasks.push(ForkTask::Fork {
                 slot,
                 sim: Box::new(ServingSim::resume(&snapshot)),
-                plan: arm.plan,
+                plan,
                 labels: labels.clone(),
             });
         }
@@ -546,7 +572,7 @@ fn warm_group(slot: usize, group: ForkGroup) -> Vec<ForkTask> {
     tasks.push(ForkTask::Fork {
         slot: slot + tasks.len(),
         sim: Box::new(sim),
-        plan: last.plan,
+        plan: last,
         labels,
     });
     tasks
@@ -561,7 +587,24 @@ fn warm_group(slot: usize, group: ForkGroup) -> Vec<ForkTask> {
 /// the moment it finishes, so workers never idle behind the slowest warmup
 /// (a two-phase barrier would stall the whole fleet on the largest group's
 /// prefix and give most of the saved work back).
-pub fn run_arms_forked(groups: Vec<ForkGroup>) -> Vec<(ArmResult, ServingOutput)> {
+///
+/// # Errors
+///
+/// Returns a [`ForkError`], before any group runs, if a group's config
+/// carries a fault plan or an arm's first fault fires before its group's
+/// warmup ends.
+pub fn run_arms_forked(
+    groups: Vec<ForkGroup>,
+) -> Result<Vec<(ArmResult, ServingOutput)>, ForkError> {
+    for (group, g) in groups.iter().enumerate() {
+        if !g.config.fault_plan.is_empty() {
+            return Err(ForkError::PlanInConfig { group });
+        }
+        let early = |plan: &FaultPlan| plan.get(0).is_some_and(|f| f.at < g.warmup);
+        if let Some(arm) = g.arms.iter().position(early) {
+            return Err(ForkError::FaultBeforeWarmup { group, arm });
+        }
+    }
     let mut slots = 0;
     let tasks = groups
         .into_iter()
@@ -574,7 +617,7 @@ pub fn run_arms_forked(groups: Vec<ForkGroup>) -> Vec<(ArmResult, ServingOutput)
             }
         })
         .collect();
-    sweep(tasks, slots, |task| match task {
+    Ok(sweep(tasks, slots, |task| match task {
         ForkTask::Warm { slot, group } => Step::Queue(warm_group(slot, *group)),
         ForkTask::Fork {
             slot,
@@ -585,7 +628,7 @@ pub fn run_arms_forked(groups: Vec<ForkGroup>) -> Vec<(ArmResult, ServingOutput)
             sim.activate_faults(plan);
             Step::Fill(slot, labels.package(sim.run()))
         }
-    })
+    }))
 }
 
 /// Builds one of the paper's named traces (`S-S`, `M-M`, …, `ShareGPT`).
@@ -675,7 +718,7 @@ mod tests {
     #[test]
     fn forked_sweep_matches_cold_byte_for_byte() {
         use llumnix_core::FaultPlanConfig;
-        use llumnix_sim::{SimDuration, SimTime};
+        use llumnix_sim::SimDuration;
 
         let trace = build_trace("S-S", 150, Arrivals::poisson(5.0), 0.0, 7);
         let base = ServingConfig::new(SchedulerKind::Llumnix, 3)
@@ -691,7 +734,7 @@ mod tests {
                 .with_start_offset(SimDuration::from_secs(10));
             FaultPlan::generate(&cfg, &SimRng::new(7))
         };
-        let plans = [FaultPlan::empty(), plan(400.0), plan(900.0)];
+        let plans = vec![FaultPlan::empty(), plan(400.0), plan(900.0)];
         let cold = run_arms(
             plans
                 .iter()
@@ -709,11 +752,12 @@ mod tests {
             warmup,
             rate: 5.0,
             cv: 1.0,
-            arms: plans.into_iter().map(|plan| ForkArm { plan }).collect(),
-        }]);
+            arms: plans,
+        }])
+        .expect("every plan starts after the warmup");
         assert_eq!(cold.len(), forked.len());
         for ((ca, co), (fa, fo)) in cold.iter().zip(&forked) {
-            // The serialized rows are what CI byte-diffs.
+            // The serialized rows are what the figures write.
             assert_eq!(
                 llumnix_metrics::to_json(ca),
                 llumnix_metrics::to_json(fa),
@@ -729,8 +773,13 @@ mod tests {
         );
     }
 
+    /// The worker count is process-wide, so the tests that set it take
+    /// turns.
+    static WORKERS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn parallel_map_preserves_order_at_any_width() {
+        let _turn = WORKERS.lock().unwrap_or_else(PoisonError::into_inner);
         let items: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 4, 8] {
@@ -739,5 +788,33 @@ mod tests {
             assert_eq!(got, expect, "threads = {threads}");
         }
         set_thread_override(0);
+    }
+
+    #[test]
+    fn a_panicking_queued_task_fails_the_sweep() {
+        let _turn = WORKERS.lock().unwrap_or_else(PoisonError::into_inner);
+        set_thread_override(2);
+        let (done, outcome) = std::sync::mpsc::channel();
+        // Not joined: a hung sweep must fail the test, not hang it too.
+        std::thread::spawn(move || {
+            // Task 0 queues task 1, which panics. The other worker, finding
+            // the queue empty, waits for task 1 to end, since it might queue
+            // more; unless the panic ends it, it waits forever, whenever it
+            // got there.
+            let swept = std::panic::catch_unwind(|| {
+                sweep(vec![0], 2, |task| match task {
+                    0 => Step::Queue(vec![1]),
+                    _ => panic!("a queued task panicked"),
+                }) as Vec<()>
+            });
+            let _ = done.send(swept.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+        });
+        let swept = outcome.recv_timeout(std::time::Duration::from_secs(120));
+        set_thread_override(0);
+        match swept {
+            Ok(Err(message)) => assert_eq!(message.as_deref(), Some("a queued task panicked")),
+            Ok(Ok(_)) => panic!("the sweep returned; its queued task panicked"),
+            Err(_) => panic!("the sweep still runs two minutes after its queued task panicked"),
+        }
     }
 }

@@ -115,21 +115,27 @@ fn a_flag_is_not_a_value() {
     assert!(!dir.join("--seed").exists(), "wrote a file named --seed");
 }
 
-/// Figure rows carry no host time, so no binary has a flag to zero it.
+/// Figure rows carry no host time, so no binary has a flag to zero it, and
+/// fig16 and fig17 each run one path, so neither has a flag to pick it.
 #[test]
 fn the_removed_canonical_flag_exits_2() {
+    let fig16 = env!("CARGO_BIN_EXE_fig16_scalability");
+    let fig17 = env!("CARGO_BIN_EXE_fig17_churn");
     for bin in [
         env!("CARGO_BIN_EXE_fig11_serving"),
         env!("CARGO_BIN_EXE_fig14_autoscaling"),
         env!("CARGO_BIN_EXE_fig15_cost_latency"),
-        env!("CARGO_BIN_EXE_fig16_scalability"),
-        env!("CARGO_BIN_EXE_fig17_churn"),
+        fig16,
+        fig17,
         env!("CARGO_BIN_EXE_probe"),
     ] {
         assert_rejected(
             &run(bin, &["--scale", "0.001", "--canonical"]),
             "--canonical",
         );
+    }
+    for bin in [fig16, fig17] {
+        assert_rejected(&run(bin, &["--scale", "0.001", "--forked"]), "--forked");
     }
 }
 

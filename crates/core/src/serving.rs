@@ -284,10 +284,6 @@ pub struct ServingSim {
     /// (see [`tick_scale`]). Constant for a run.
     sample_interval: SimDuration,
     migration_interval: SimDuration,
-    /// Initial events (arrivals, ticks, fault chain) have been seeded. Flips
-    /// on the first `run`/`run_until` call, so a snapshot taken before any
-    /// progress forks cleanly.
-    seeded: bool,
     /// The run crossed `max_sim_time` and must not process further events.
     halted: bool,
 }
@@ -392,32 +388,30 @@ impl ServingSim {
             slow_until: BTreeMap::new(),
             order_scratch: Vec::new(),
             events_processed: 0,
-            seeded: false,
             halted: false,
         };
         for _ in 0..sim.config.initial_instances {
             sim.launch_instance(SimTime::ZERO, None);
         }
+        sim.seed_events();
         sim
     }
 
     /// Runs the simulation to completion and returns the measurements.
     pub fn run(mut self) -> ServingOutput {
-        self.ensure_seeded();
         self.run_events_until(None);
         self.into_output()
     }
 
     /// Advances the simulation until the next event would fire at or after
-    /// `until`, and returns the simulation time reached. Seeds the initial
-    /// events on the first call; [`Self::run`] completes the run afterwards.
+    /// `until`, and returns the simulation time reached; [`Self::run`]
+    /// completes the run afterwards.
     ///
     /// The snapshot/fork workflow: `run_until(t)`, [`Self::snapshot`] the
     /// warm prefix, then [`Self::resume`] each fork — optionally activating
     /// a fault plan via [`Self::activate_faults`] — and `run` it to
     /// completion.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
-        self.ensure_seeded();
         self.run_events_until(Some(until));
         self.now
     }
@@ -444,13 +438,18 @@ impl ServingSim {
     /// config carried none — the forked-sweep path for sharing a fault-free
     /// warmup across fault arms.
     ///
-    /// The injected `PlannedFault(0)` event takes the tie-break slot below
-    /// every pending event, exactly where seeding would have put it, so a
-    /// fork that activates a plan matches the cold run configured with the
+    /// The plan's first fault takes the queue's first slot
+    /// ([`EventQueue::push_first`]), exactly where [`Self::new`] puts it, so
+    /// a fork that activates a plan matches the cold run configured with the
     /// same plan from t = 0 — provided every planned fault fires strictly
     /// after the fork point (build seeded plans with
     /// [`llumnix_faults::FaultPlanConfig::with_start_offset`], and script
     /// entries after it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sim already has a fault plan, or if the plan's first
+    /// fault lies before the current simulation time.
     pub fn activate_faults(&mut self, plan: FaultPlan) {
         assert!(
             self.config.fault_plan.get(0).is_none(),
@@ -466,23 +465,7 @@ impl ServingSim {
             self.now
         );
         self.config.fault_plan = plan;
-        if self.seeded {
-            self.queue
-                .push_below_pending(first.at, Event::PlannedFault(0));
-        }
-        // Not seeded yet: seed_events picks the plan up normally.
-    }
-
-    fn ensure_seeded(&mut self) {
-        if self.seeded {
-            return;
-        }
-        self.seeded = true;
-        if self.trace.is_empty() {
-            self.halted = true;
-            return;
-        }
-        self.seed_events();
+        self.queue.push_first(first.at, Event::PlannedFault(0));
     }
 
     fn run_events_until(&mut self, until: Option<SimTime>) {
@@ -504,20 +487,21 @@ impl ServingSim {
         }
     }
 
+    /// Seeds the initial events. An empty trace has nothing to serve, so its
+    /// run halts at once.
     fn seed_events(&mut self) {
-        // The fault chain seeds first, before any same-instant arrival or
-        // tick, so `PlannedFault(0)` holds the lowest pending sequence
-        // number — the slot `activate_faults` reproduces when a fork injects
-        // a plan mid-run. (A uniform seq shift of the other seeds, so their
-        // relative order — and every fault-free schedule — is unchanged.)
+        let Some(first_arrival) = self.trace.requests.first() else {
+            self.halted = true;
+            return;
+        };
+        // Planned faults chain like arrivals: exactly one in-queue event at
+        // a time, so a long fault horizon cannot keep a drained simulation
+        // alive. The chain's first event takes the queue's first slot, the
+        // one `activate_faults` gives a plan that a fork adds mid-run.
         if let Some(first) = self.config.fault_plan.get(0) {
-            // Planned faults chain like arrivals: exactly one in-queue event
-            // at a time, so a long fault horizon cannot keep a drained
-            // simulation alive.
-            self.queue.push(first.at, Event::PlannedFault(0));
+            self.queue.push_first(first.at, Event::PlannedFault(0));
         }
-        self.queue
-            .push(self.trace.requests[0].arrival, Event::Arrival(0));
+        self.queue.push(first_arrival.arrival, Event::Arrival(0));
         self.queue
             .push(SimTime::ZERO + self.sample_interval, Event::Sample);
         if self.config.scheduler.uses_migration() {
@@ -2170,8 +2154,8 @@ mod tests {
         let trace = tiny_trace(120, 4.0, 45);
         let cfg = tiny_config(SchedulerKind::Llumnix, 4);
         let cold = run_serving(cfg.clone(), trace.clone());
-        // Snapshot of an unseeded sim: resume seeds on its first run, and
-        // two resumes of one snapshot fork fully independent runs.
+        // Snapshot of a sim that has processed no event yet: two resumes of
+        // one snapshot fork fully independent runs.
         let sim = ServingSim::new(cfg, trace);
         let snap = sim.snapshot();
         let a = ServingSim::resume(&snap).run();
@@ -2245,6 +2229,45 @@ mod tests {
         let mut fork = ServingSim::resume(&warm.snapshot());
         fork.activate_faults(plan);
         assert_outputs_bitwise(&cold, &fork.run());
+    }
+
+    #[test]
+    fn a_forked_first_fault_on_a_tick_instant_matches_the_cold_run() {
+        let trace = tiny_trace(200, 5.0, 49);
+        let base = tiny_config(SchedulerKind::Llumnix, 3);
+        // The first fault fires at 12 s, with a sample and a migration tick;
+        // the cold run pops it before both.
+        let restart_after = Some(SimDuration::from_secs(2));
+        let plan = FaultPlan::from_faults(vec![
+            scripted(12, 0, FaultKind::Crash { restart_after }),
+            scripted(20, 1, FaultKind::Crash { restart_after }),
+        ]);
+        let cold = run_serving(base.clone().with_faults(plan.clone()), trace.clone());
+        assert_eq!(cold.fault_stats.crashes, 2);
+        let mut warm = ServingSim::new(base, trace);
+        warm.run_until(SimTime::from_secs(12));
+        assert_eq!(warm.queue.peek_time(), Some(SimTime::from_secs(12)));
+        let mut fork = ServingSim::resume(&warm.snapshot());
+        fork.activate_faults(plan);
+        assert_outputs_bitwise(&cold, &fork.run());
+    }
+
+    #[test]
+    fn a_plan_activated_before_any_progress_matches_the_cold_run() {
+        let trace = tiny_trace(150, 5.0, 50);
+        let base = tiny_config(SchedulerKind::Llumnix, 3);
+        // A crash on the first sample and migration tick leads the plan.
+        let crash = FaultKind::Crash {
+            restart_after: None,
+        };
+        let mut faults: Vec<PlannedFault> = churn_plan(50, 900.0).iter().copied().collect();
+        faults.push(scripted(1, 2, crash));
+        let plan = FaultPlan::from_faults(faults);
+        assert_eq!(plan.get(0), Some(&scripted(1, 2, crash)));
+        let cold = run_serving(base.clone().with_faults(plan.clone()), trace.clone());
+        let mut sim = ServingSim::new(base, trace);
+        sim.activate_faults(plan);
+        assert_outputs_bitwise(&cold, &sim.run());
     }
 
     #[test]

@@ -115,7 +115,8 @@ impl FaultPlanConfig {
         self
     }
 
-    /// Delays the whole schedule so no fault fires before `offset`.
+    /// Delays the whole schedule, a pure time translation, so no fault fires
+    /// before `offset`: how a plan activated on a fork starts after its warmup.
     pub fn with_start_offset(mut self, offset: SimDuration) -> Self {
         self.start_offset = offset;
         self

@@ -7,7 +7,8 @@
 //! It is one binary heap keyed `(time, seq)`, where `seq` is a per-queue push
 //! counter, packed into one `u128` so that each heap comparison is a single
 //! integer compare. Step completions rarely share a microsecond, so batching
-//! them by firing time would cost more than it saves (DESIGN.md §7.4).
+//! them by firing time would cost more than it saves (DESIGN.md §7.4). The
+//! counter starts at 1: `seq` 0 is reserved for [`EventQueue::push_first`].
 //!
 //! `pop` leaves the entry it returns at the root, and the next `push`
 //! overwrites that vacated root and sifts it down once, instead of the heap
@@ -49,10 +50,6 @@ impl<E> Scheduled<E> {
 
     fn at(&self) -> SimTime {
         SimTime::from_micros((self.key() >> 64) as u64)
-    }
-
-    fn seq(&self) -> u64 {
-        self.key() as u64
     }
 }
 
@@ -105,7 +102,7 @@ pub struct EventQueue<E> {
     /// Debug builds: no pending key is below this. A pop asserts its key is
     /// at least this and raises it past that key, and an insert lowers it to
     /// the new key, so keys pop strictly increasing unless a push lands below
-    /// the last one popped (as [`EventQueue::push_below_pending`] may).
+    /// the last one popped (as [`EventQueue::push_first`] may).
     #[cfg(debug_assertions)]
     floor: u128,
 }
@@ -122,7 +119,7 @@ impl<E: Clone> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             vacated: false,
-            next_seq: 0,
+            next_seq: 1,
             #[cfg(debug_assertions)]
             floor: 0,
         }
@@ -163,45 +160,16 @@ impl<E: Clone> EventQueue<E> {
         self.push(at, payload);
     }
 
-    /// Schedules `payload` at `at`, ordered *before* every currently-pending
-    /// event in same-instant tie-breaks.
+    /// Schedules `payload` at `at` with the reserved `seq` 0, so it pops
+    /// before every other event at the same instant, whenever those were
+    /// pushed. At most one such event may be pending: two would tie on the
+    /// whole key.
     ///
-    /// A plain [`EventQueue::push`] takes the next sequence number, so among
-    /// events firing at the same instant it pops *after* everything already
-    /// pending. Forking a snapshot sometimes needs the opposite: an event
-    /// injected mid-run (e.g. re-activating a fault plan) must occupy the
-    /// tie-break slot it would have held had it been scheduled at seed time —
-    /// below every pending seed and re-armed event. This inserts with a
-    /// sequence number strictly smaller than the pending minimum; if that
-    /// minimum is already 0, every pending sequence number (and the counter)
-    /// is first shifted up by one — a uniform shift, so no relative order
-    /// changes. The vacated root is not pending, so it is dropped first.
-    pub fn push_below_pending(&mut self, at: SimTime, payload: E) {
-        self.drop_vacated();
-        let seq = match self.heap.iter().map(Scheduled::seq).min() {
-            // Nothing pending: plain push semantics.
-            None => {
-                self.push(at, payload);
-                return;
-            }
-            Some(0) => {
-                self.shift_pending_seqs_up();
-                0
-            }
-            Some(m) => m - 1,
-        };
-        self.insert(Scheduled::new(at, seq, payload));
-    }
-
-    /// Adds 1 to every pending sequence number (and the counter). Uniform, so
-    /// relative order is untouched; frees seq 0 for [`Self::push_below_pending`].
-    fn shift_pending_seqs_up(&mut self) {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        for s in &mut entries {
-            s.inverted_key = !pack(s.at(), s.seq() + 1);
-        }
-        self.heap = entries.into();
-        self.next_seq += 1;
+    /// This is the slot of a run's first planned fault, so a fork that
+    /// activates a plan mid-run orders it exactly as a run configured with
+    /// the plan from the start does.
+    pub fn push_first(&mut self, at: SimTime, payload: E) {
+        self.insert(Scheduled::new(at, 0, payload));
     }
 
     /// Removes and returns the earliest event, if any.
@@ -242,12 +210,6 @@ impl<E: Clone> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.vacated = false;
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +246,8 @@ mod tests {
         q.push(SimTime::from_secs(3), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        q.clear();
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), ())));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), ())));
         assert!(q.is_empty());
     }
 
@@ -326,31 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn push_below_pending_wins_same_instant_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(10);
-        q.push(t, 1);
-        q.push(t, 2);
-        // Pops before both pending same-time events despite being pushed last.
-        q.push_below_pending(t, 0);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn push_below_pending_shifts_when_seq_zero_pending() {
-        // The very first push holds seq 0, exercising the uniform-shift path.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(10);
-        q.push(t, 1); // seq 0
-        q.push(t, 2); // seq 1
-        q.push(SimTime::from_millis(5), 3); // seq 2, earlier time
-        q.push_below_pending(t, 0); // must take over seq 0 at time t
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
     fn a_push_after_a_pop_fills_the_vacated_root() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(1), 1);
@@ -370,28 +308,42 @@ mod tests {
     }
 
     #[test]
-    fn push_below_pending_ignores_the_popped_root() {
+    fn push_first_wins_same_instant_ties() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(1), 0); // seq 0
-        q.push(SimTime::from_millis(2), 1); // seq 1
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 0)));
-        // The popped seq 0 is not pending: the pending minimum is 1, so the
-        // injected event takes seq 0 and nothing shifts.
-        q.push_below_pending(SimTime::from_millis(2), 2);
-        let mut seqs: Vec<u64> = q.heap.iter().map(Scheduled::seq).collect();
-        seqs.sort_unstable();
-        assert_eq!((seqs, q.next_seq), (vec![0, 1], 2));
+        let t = SimTime::from_millis(10);
+        q.push(t, 1);
+        q.push(t, 2);
+        q.push(SimTime::from_millis(5), 3);
+        // Pushed last: ahead of every pending same-instant event, behind an
+        // earlier one.
+        q.push_first(t, 0);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![2, 1]);
+        assert_eq!(order, vec![3, 0, 1, 2]);
     }
 
     #[test]
-    fn push_below_pending_on_empty_queue_is_plain_push() {
+    fn push_first_into_an_empty_queue_leads_later_ties() {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(10);
-        q.push_below_pending(t, 0);
+        q.push_first(t, 0);
         q.push(t, 1);
+        q.push(t, 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 1]);
+        assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn push_first_fills_the_popped_root() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(2);
+        q.push(SimTime::from_millis(1), 0);
+        q.push(t, 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 0)));
+        // The popped entry is not pending: the injected one overwrites it,
+        // so the heap does not grow.
+        q.push_first(t, 2);
+        assert_eq!((q.heap.len(), q.len()), (2, 2));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![2, 1]);
     }
 }

@@ -82,55 +82,68 @@ proptest! {
     }
 
     /// The queue against a sort-based reference: a list kept stably sorted
-    /// by time, where `push` appends and `push_below_pending` prepends before
-    /// sorting, and `pop` takes the front. Every pop agrees, and so does a
-    /// clone taken mid-stream: drained as is, or after a
-    /// `push_below_pending` of its own. The length agrees after every
-    /// operation. Times come from a tiny range so that same-instant ties
-    /// dominate.
+    /// by time, where `push` appends and `push_first` prepends before
+    /// sorting, and `pop` takes the front. As its contract demands, at most
+    /// one `push_first` entry is pending at a time; while one is, the
+    /// operation that would add another does nothing. Every pop agrees, and
+    /// so does a clone taken mid-stream: drained as is, or after a
+    /// `push_first` of its own. The length agrees after every operation.
+    /// Times come from a tiny range so that same-instant ties dominate.
     ///
     /// `peek_time` drops the root a `pop` leaves in place, so it is checked
     /// after only some operations, and one operation pops and pushes with
     /// nothing in between: a push often fills the root the pop vacated, and
-    /// clones and `push_below_pending` run while one is in place.
+    /// clones and `push_first` run while one is in place.
     #[test]
     fn queue_matches_a_stable_sort_reference(
         ops in prop::collection::vec((0u8..10, 0u64..4), 1..400)
     ) {
         let mut q = EventQueue::new();
         let mut reference: Vec<(SimTime, usize)> = Vec::new();
-        let below = |reference: &mut Vec<(SimTime, usize)>, entry| {
-            reference.insert(0, entry);
+        // The payload of the pending `push_first` entry, if any.
+        let mut first: Option<usize> = None;
+        let add = |reference: &mut Vec<(SimTime, usize)>, at_front: bool, entry| {
+            reference.insert(if at_front { 0 } else { reference.len() }, entry);
             reference.sort_by_key(|&(at, _)| at);
+        };
+        let pop = |reference: &mut Vec<(SimTime, usize)>, first: &mut Option<usize>| {
+            let popped = (!reference.is_empty()).then(|| reference.remove(0));
+            if popped.is_some_and(|(_, e)| Some(e) == *first) {
+                *first = None;
+            }
+            popped
         };
         for (i, &(op, t)) in ops.iter().enumerate() {
             let at = SimTime::from_micros(t);
             match op {
                 0..=2 => {
                     q.push(at, i);
-                    reference.push((at, i));
-                    reference.sort_by_key(|&(at, _)| at);
+                    add(&mut reference, false, (at, i));
                 }
                 3 => {
-                    q.push_below_pending(at, i);
-                    below(&mut reference, (at, i));
+                    if first.is_none() {
+                        q.push_first(at, i);
+                        add(&mut reference, true, (at, i));
+                        first = Some(i);
+                    }
                 }
                 4 | 5 => {
-                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    let want = pop(&mut reference, &mut first);
                     prop_assert_eq!(q.pop(), want, "op {}", i);
                 }
                 6 => {
-                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    let want = pop(&mut reference, &mut first);
                     prop_assert_eq!(q.pop(), want, "op {}", i);
                     q.push(at, i);
-                    reference.push((at, i));
-                    reference.sort_by_key(|&(at, _)| at);
+                    add(&mut reference, false, (at, i));
                 }
                 7 => {
                     let mut clone = q.clone();
-                    clone.push_below_pending(at, i);
                     let mut want = reference.clone();
-                    below(&mut want, (at, i));
+                    if first.is_none() {
+                        clone.push_first(at, i);
+                        add(&mut want, true, (at, i));
+                    }
                     let rest: Vec<_> = std::iter::from_fn(|| clone.pop()).collect();
                     prop_assert_eq!(rest, want, "clone at op {}", i);
                 }

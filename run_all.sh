@@ -16,9 +16,6 @@ $BIN fig13_priorities -- --json results/fig13.json | tee results/fig13.txt
 $BIN fig14_autoscaling -- --json results/fig14.json | tee results/fig14.txt
 $BIN fig15_cost_latency -- --json results/fig15.json | tee results/fig15.txt
 $BIN fig16_scalability -- --json results/fig16.json | tee results/fig16.txt
-# --forked shares each (fleet, scheduler) pair's fault-free warmup across
-# its fault profiles via snapshot/fork — byte-identical output (CI-diffed
-# against the cold run), ~15 % less wall-clock.
-$BIN fig17_churn -- --forked --json results/fig17.json | tee results/fig17.txt
+$BIN fig17_churn -- --json results/fig17.json | tee results/fig17.txt
 $BIN ablations | tee results/ablations.txt
 echo ALL_DONE
