@@ -444,12 +444,16 @@ impl ServingSim {
     /// same plan from t = 0 — provided every planned fault fires strictly
     /// after the fork point (build seeded plans with
     /// [`llumnix_faults::FaultPlanConfig::with_start_offset`], and script
-    /// entries after it).
+    /// entries after it). A fault at the fork point itself would pop after
+    /// the events of that instant the warmup already processed, not before
+    /// them as in the cold run, so it is rejected, unless no event has been
+    /// processed yet.
     ///
     /// # Panics
     ///
     /// Panics if the sim already has a fault plan, or if the plan's first
-    /// fault lies before the current simulation time.
+    /// fault lies at or before the current simulation time once an event
+    /// has been processed.
     pub fn activate_faults(&mut self, plan: FaultPlan) {
         assert!(
             self.config.fault_plan.get(0).is_none(),
@@ -459,8 +463,8 @@ impl ServingSim {
             return; // Empty plan: nothing to schedule (the "none" arm).
         };
         assert!(
-            first.at >= self.now,
-            "fault plan begins at {:?}, before the fork point {:?}",
+            first.at > self.now || self.events_processed == 0,
+            "fault plan begins at {:?}, not after the fork point {:?}",
             first.at,
             self.now
         );
@@ -529,7 +533,8 @@ impl ServingSim {
             "fault ledger inconsistent at shutdown: {:?}",
             self.fault_stats
         );
-        // Every request completed or aborted, unless the run halted at
+        // Every request completed or aborted, and every migration committed
+        // or aborted with its reservation released, unless the run halted at
         // `max_sim_time` with work still in flight.
         if !self.halted {
             assert_eq!(
@@ -539,6 +544,19 @@ impl ServingSim {
                 self.records.len(),
                 self.aborted
             );
+            assert_eq!(
+                self.coordinator.active_count(),
+                0,
+                "migrations active at shutdown"
+            );
+            for (id, l) in self.store.iter() {
+                let held = (l.engine.reserved_blocks(), l.engine.migrating());
+                assert_eq!(
+                    held,
+                    (0, false),
+                    "engine {id:?} holds a migration at shutdown"
+                );
+            }
         }
         let mut fault_stats = self.fault_stats;
         fault_stats.recovery_latency = self.recovery_acc.finish();
@@ -797,7 +815,10 @@ impl ServingSim {
         let Some(&dst) = self.pairs.get(&src) else {
             return;
         };
-        if self.coordinator.is_migration_source(src) {
+        let Some(llumlet) = self.store.get(src) else {
+            return;
+        };
+        if llumlet.engine.is_migration_source() {
             return;
         }
         if self.link_impaired(src) || self.link_impaired(dst) {
@@ -805,9 +826,6 @@ impl ServingSim {
             // once the outage expires.
             return;
         }
-        let Some(llumlet) = self.store.get(src) else {
-            return;
-        };
         let coordinator = &self.coordinator;
         let Some(victim) = llumlet.select_migration_victim_with(self.config.victim_policy, |id| {
             coordinator.is_migrating(id)
@@ -954,20 +972,21 @@ impl ServingSim {
     }
 
     /// Dead-instance teardown: aborts in-flight migrations touching
-    /// `id` via the Figure 7 failure paths (counting each abort reason),
-    /// evicts it from the dispatch index, the pairing table, and the fault
-    /// maps, and returns the metas of every request it held — running batch,
-    /// pending prefills, queue, and draining set — in the engine's
-    /// deterministic roster order.
+    /// `id` via the Figure 7 failure paths, in creation order, each on its
+    /// one surviving peer (counting each abort reason), evicts it from the
+    /// dispatch index, the pairing table, and the fault maps, and returns
+    /// the metas of every request it held — running batch, pending
+    /// prefills, queue, and draining set — in the engine's deterministic
+    /// roster order.
     fn teardown_failed_instance(&mut self, id: InstanceId) -> Vec<RequestMeta> {
-        let mut peers = self.store.peers_mut(id);
-        let aborted_migrations = self.coordinator.abort_for_failed_instance(id, &mut peers);
-        drop(peers);
-        for (_, _, reason) in &aborted_migrations {
-            match reason {
+        for (mid, peer) in self.coordinator.migrations_touching(id) {
+            let peer = self
+                .store
+                .get_mut(peer)
+                .expect("a migration's peer is live");
+            match self.coordinator.abort_for_crash(mid, id, &mut peer.engine) {
                 AbortReason::SourceFailed => self.fault_stats.aborts_source_failed += 1,
-                AbortReason::DestinationFailed => self.fault_stats.aborts_destination_failed += 1,
-                _ => {}
+                _ => self.fault_stats.aborts_destination_failed += 1,
             }
         }
         let llumlet = self.store.remove(id).expect("teardown of live instance");
@@ -1321,7 +1340,7 @@ impl ServingSim {
         if !llumlet.terminating || !llumlet.is_drained() || llumlet.engine.step_in_flight() {
             return;
         }
-        if self.coordinator.touches(id) {
+        if llumlet.engine.migrating() {
             // Wait for in-flight migrations (out of *or into* this
             // instance) to settle; commits re-check via this function.
             return;
@@ -2250,6 +2269,25 @@ mod tests {
         let mut fork = ServingSim::resume(&warm.snapshot());
         fork.activate_faults(plan);
         assert_outputs_bitwise(&cold, &fork.run());
+    }
+
+    /// A fork whose first fault fires at the instant of the last event the
+    /// warmup processed would pop it after that event, where the cold run
+    /// pops it first, so `activate_faults` rejects it.
+    #[test]
+    #[should_panic(expected = "not after the fork point")]
+    fn a_fault_at_the_fork_instant_is_rejected() {
+        let trace = tiny_trace(200, 5.0, 49);
+        let mut warm = ServingSim::new(tiny_config(SchedulerKind::Llumnix, 3), trace);
+        let now = warm.run_until(SimTime::from_micros(12_050_000));
+        assert!(now > SimTime::from_secs(12) && warm.events_processed > 0);
+        warm.activate_faults(FaultPlan::from_faults(vec![PlannedFault {
+            at: now,
+            target_rank: 0,
+            kind: FaultKind::Crash {
+                restart_after: None,
+            },
+        }]));
     }
 
     #[test]

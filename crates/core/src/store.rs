@@ -182,28 +182,6 @@ impl InstanceStore {
         }
     }
 
-    /// Mutable engine references for every live instance except `excluding`,
-    /// keyed by id (the coordinator's failure-recovery view). Marks every
-    /// returned instance dirty.
-    pub fn peers_mut(
-        &mut self,
-        excluding: InstanceId,
-    ) -> std::collections::BTreeMap<InstanceId, &mut InstanceEngine> {
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            if id != excluding {
-                let slot = self.slot(id).expect("order entries are live");
-                self.mark_dirty(id, slot);
-            }
-        }
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut())
-            .filter(|l| l.engine.id != excluding)
-            .map(|l| (l.engine.id, &mut l.engine))
-            .collect()
-    }
-
     /// Iterates live llumlets in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (InstanceId, &Llumlet)> {
         self.order.iter().map(move |&id| {
@@ -286,23 +264,6 @@ mod tests {
         let _ = s.get(InstanceId(0));
         s.take_dirty(&mut dirty);
         assert!(dirty.is_empty(), "shared access does not dirty");
-    }
-
-    #[test]
-    fn peers_mut_excludes_one_and_marks_the_rest_dirty() {
-        let mut s = InstanceStore::new();
-        for i in 0..4 {
-            s.insert(InstanceId(i), llumlet(i));
-        }
-        let mut dirty = Vec::new();
-        s.take_dirty(&mut dirty);
-        assert_eq!(dirty.len(), 4, "inserts dirty every instance");
-        let peers = s.peers_mut(InstanceId(1));
-        let ids: Vec<u32> = peers.keys().map(|i| i.0).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
-        drop(peers);
-        s.take_dirty(&mut dirty);
-        assert_eq!(dirty, vec![InstanceId(0), InstanceId(2), InstanceId(3)]);
     }
 
     #[test]

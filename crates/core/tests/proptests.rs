@@ -142,20 +142,20 @@ proptest! {
                 Op::SetTerminating(t) => llumlet.terminating = t,
                 Op::AdvanceMillis(ms) => now += llumnix_sim::SimDuration::from_millis(ms),
                 Op::Reserve(blocks) => {
-                    if let Ok(r) = llumlet.engine.reserve_blocks(blocks) {
-                        reservations.push(r);
+                    if llumlet.engine.reserve_blocks(blocks).is_ok() {
+                        reservations.push(blocks);
                     }
                 }
                 Op::GrowReservation(i, blocks) => {
-                    if !reservations.is_empty() {
-                        let r = reservations[i % reservations.len()];
-                        let _ = llumlet.engine.grow_reservation(r, blocks);
+                    if !reservations.is_empty() && llumlet.engine.reserve_blocks(blocks).is_ok() {
+                        let k = i % reservations.len();
+                        reservations[k] += blocks;
                     }
                 }
                 Op::ReleaseReservation(i) => {
                     if !reservations.is_empty() {
-                        let r = reservations.swap_remove(i % reservations.len());
-                        prop_assert!(llumlet.engine.release_reservation(r).is_ok());
+                        let blocks = reservations.swap_remove(i % reservations.len());
+                        llumlet.engine.release_reservation(blocks);
                     }
                 }
             }

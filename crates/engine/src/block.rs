@@ -9,10 +9,6 @@
 use crate::id_hash::IdMap;
 use crate::request::RequestId;
 
-/// Identifier for a migration reservation on a destination instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ReservationId(pub u64);
-
 /// Errors from block-manager operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockError {
@@ -25,8 +21,6 @@ pub enum BlockError {
     },
     /// The request holds no allocation.
     UnknownRequest(RequestId),
-    /// The reservation does not exist.
-    UnknownReservation(ReservationId),
     /// The request already holds an allocation.
     AlreadyAllocated(RequestId),
 }
@@ -38,9 +32,6 @@ impl core::fmt::Display for BlockError {
                 write!(f, "out of blocks: requested {requested}, free {free}")
             }
             BlockError::UnknownRequest(id) => write!(f, "no allocation for {id}"),
-            BlockError::UnknownReservation(ReservationId(id)) => {
-                write!(f, "no reservation {id}")
-            }
             BlockError::AlreadyAllocated(id) => write!(f, "{id} already allocated"),
         }
     }
@@ -54,9 +45,11 @@ impl std::error::Error for BlockError {}
 /// `SeqState::blocks_held`) and moves blocks with the counting calls:
 /// [`BlockManager::take`] at admission and decode growth,
 /// [`BlockManager::give_back`] when a request lets its blocks go, and
-/// [`BlockManager::take_reservation`] at a migration commit. The manager
-/// keeps only the running `used` total and the reservations, so
-/// [`BlockManager::reconciles`] checks it against the caller's records.
+/// [`BlockManager::take_reservation`] at a migration commit. Reservations
+/// are counted the same way: the migration coordinator keeps each
+/// migration's reserved blocks, and the manager keeps only their total. So
+/// the manager holds two running totals, `used` and `reserved`, and
+/// [`BlockManager::reconciles`] checks them against the caller's records.
 ///
 /// The id-keyed calls ([`BlockManager::allocate`], [`BlockManager::grow`],
 /// [`BlockManager::release`], [`BlockManager::blocks_of`] and
@@ -72,13 +65,14 @@ impl std::error::Error for BlockError {}
 ///
 /// let mut bm = BlockManager::new(10);
 /// bm.take(4).unwrap();
-/// let reservation = bm.reserve(3).unwrap();
+/// bm.reserve(3).unwrap();
 /// assert_eq!(bm.free_blocks(), 3);
 /// // The reservation becomes a counted allocation at migration commit.
-/// let held = bm.take_reservation(reservation).unwrap();
-/// assert!(bm.reconciles(4 + held));
-/// bm.give_back(held);
-/// assert_eq!(bm.free_blocks(), 6);
+/// bm.take_reservation(3);
+/// assert_eq!(bm.reserved_blocks(), 0);
+/// assert!(bm.reconciles(4 + 3));
+/// bm.give_back(4 + 3);
+/// assert_eq!(bm.free_blocks(), 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockManager {
@@ -87,9 +81,10 @@ pub struct BlockManager {
     /// reservations: a running ledger, so [`BlockManager::free_blocks`] is
     /// O(1). [`BlockManager::reconciles`] re-sums it.
     used: u32,
+    /// Blocks held by migration reservations, the part of `used` that no
+    /// request holds yet.
+    reserved: u32,
     allocations: IdMap<RequestId, u32>,
-    reservations: IdMap<ReservationId, u32>,
-    next_reservation: u64,
 }
 
 impl BlockManager {
@@ -98,9 +93,8 @@ impl BlockManager {
         BlockManager {
             total,
             used: 0,
+            reserved: 0,
             allocations: IdMap::default(),
-            reservations: IdMap::default(),
-            next_reservation: 0,
         }
     }
 
@@ -119,13 +113,9 @@ impl BlockManager {
         self.allocations.values().sum()
     }
 
-    /// Blocks held by migration reservations (a full re-sum).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a sum does not depend on visit order"
-    )]
+    /// Blocks held by migration reservations.
     pub fn reserved_blocks(&self) -> u32 {
-        self.reservations.values().sum()
+        self.reserved
     }
 
     /// Free (unallocated, unreserved) blocks.
@@ -164,13 +154,11 @@ impl BlockManager {
         self.used -= blocks;
     }
 
-    /// Commits a reservation as a counted allocation (migration commit on
-    /// the destination) and returns its block count, for the caller's
-    /// record. The blocks stay in use throughout.
-    pub fn take_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
-        self.reservations
-            .remove(&id)
-            .ok_or(BlockError::UnknownReservation(id))
+    /// Commits `blocks` of the reservations as a counted allocation
+    /// (migration commit on the destination). The blocks stay in use
+    /// throughout.
+    pub fn take_reservation(&mut self, blocks: u32) {
+        self.reserved -= blocks;
     }
 
     /// Allocates exactly `blocks` to `id` (all-or-nothing). The request must
@@ -207,63 +195,41 @@ impl BlockManager {
     }
 
     /// Reserves `blocks` for an incoming migration stage (destination side of
-    /// the pre-allocate handshake). Fails without side effects when space is
+    /// the pre-allocate handshake): at its start, and again for each later
+    /// stage's growth. Fails without side effects when space is
     /// insufficient, which makes the source abort the migration.
-    pub fn reserve(&mut self, blocks: u32) -> Result<ReservationId, BlockError> {
+    pub fn reserve(&mut self, blocks: u32) -> Result<(), BlockError> {
         self.fits(blocks)?;
-        let id = ReservationId(self.next_reservation);
-        self.next_reservation += 1;
-        self.reservations.insert(id, blocks);
+        self.reserved += blocks;
         self.used += blocks;
-        Ok(id)
-    }
-
-    /// Grows an existing reservation by `extra` blocks (later stages).
-    pub fn grow_reservation(&mut self, id: ReservationId, extra: u32) -> Result<(), BlockError> {
-        if !self.reservations.contains_key(&id) {
-            return Err(BlockError::UnknownReservation(id));
-        }
-        self.fits(extra)?;
-        *self.reservations.get_mut(&id).expect("checked above") += extra;
-        self.used += extra;
         Ok(())
     }
 
-    /// Aborts a reservation, returning its blocks to the free pool.
-    pub fn release_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
-        let blocks = self
-            .reservations
-            .remove(&id)
-            .ok_or(BlockError::UnknownReservation(id))?;
+    /// Returns `blocks` of the reservations to the free pool (an aborted
+    /// migration's).
+    pub fn release_reservation(&mut self, blocks: u32) {
+        self.reserved -= blocks;
         self.used -= blocks;
-        Ok(blocks)
     }
 
-    /// Commits a reservation: its blocks become `req`'s allocation (migration
-    /// commit on the destination). The blocks stay in use throughout.
-    pub fn commit_reservation(
-        &mut self,
-        id: ReservationId,
-        req: RequestId,
-    ) -> Result<u32, BlockError> {
+    /// Commits `blocks` of the reservations as `req`'s id-keyed allocation
+    /// (migration commit on the destination). The blocks stay in use
+    /// throughout.
+    pub fn commit_reservation(&mut self, blocks: u32, req: RequestId) -> Result<(), BlockError> {
         if self.allocations.contains_key(&req) {
             return Err(BlockError::AlreadyAllocated(req));
         }
-        let blocks = self
-            .reservations
-            .remove(&id)
-            .ok_or(BlockError::UnknownReservation(id))?;
+        self.reserved -= blocks;
         self.allocations.insert(req, blocks);
-        Ok(blocks)
+        Ok(())
     }
 
     /// Internal consistency check: the running `used` ledger equals `held`
     /// (the blocks the caller's records hold through the counting calls)
-    /// plus the re-summed id-keyed allocations and reservations, and never
-    /// exceeds `total`.
+    /// plus the re-summed id-keyed allocations and the reservations, and
+    /// never exceeds `total`.
     pub fn reconciles(&self, held: u32) -> bool {
-        self.used == held + self.allocated_blocks() + self.reserved_blocks()
-            && self.used <= self.total
+        self.used == held + self.allocated_blocks() + self.reserved && self.used <= self.total
     }
 
     /// [`BlockManager::reconciles`] for a manager used only through the
@@ -336,13 +302,14 @@ mod tests {
     #[test]
     fn reservations_hold_space() {
         let mut bm = BlockManager::new(10);
-        let r = bm.reserve(6).unwrap();
+        bm.reserve(6).unwrap();
         assert_eq!(bm.free_blocks(), 4);
         // Allocation can't take reserved space.
         assert!(bm.allocate(rid(1), 5).is_err());
-        bm.grow_reservation(r, 2).unwrap();
+        bm.reserve(2).unwrap();
         assert_eq!(bm.reserved_blocks(), 8);
-        assert_eq!(bm.release_reservation(r).unwrap(), 8);
+        bm.release_reservation(8);
+        assert_eq!(bm.reserved_blocks(), 0);
         assert_eq!(bm.free_blocks(), 10);
         assert!(bm.check_invariants());
     }
@@ -350,13 +317,12 @@ mod tests {
     #[test]
     fn commit_turns_reservation_into_allocation() {
         let mut bm = BlockManager::new(10);
-        let r = bm.reserve(6).unwrap();
-        let blocks = bm.commit_reservation(r, rid(7)).unwrap();
-        assert_eq!(blocks, 6);
+        bm.reserve(6).unwrap();
+        bm.commit_reservation(6, rid(7)).unwrap();
         assert_eq!(bm.blocks_of(rid(7)), 6);
+        // The reservation is consumed, and its blocks stay in use.
         assert_eq!(bm.reserved_blocks(), 0);
-        // The reservation is consumed.
-        assert!(bm.release_reservation(r).is_err());
+        assert_eq!(bm.free_blocks(), 4);
         assert!(bm.check_invariants());
     }
 
@@ -364,9 +330,9 @@ mod tests {
     fn commit_rejects_existing_allocation_and_keeps_reservation() {
         let mut bm = BlockManager::new(10);
         bm.allocate(rid(7), 2).unwrap();
-        let r = bm.reserve(3).unwrap();
+        bm.reserve(3).unwrap();
         assert_eq!(
-            bm.commit_reservation(r, rid(7)).unwrap_err(),
+            bm.commit_reservation(3, rid(7)).unwrap_err(),
             BlockError::AlreadyAllocated(rid(7))
         );
         // Reservation untouched by the failed commit.
@@ -393,23 +359,24 @@ mod tests {
         assert_eq!(ledger(&bm), 4);
         bm.grow(rid(1), 3).unwrap();
         assert_eq!(ledger(&bm), 7);
-        let r = bm.reserve(5).unwrap();
+        bm.reserve(5).unwrap();
         assert_eq!(ledger(&bm), 12);
-        bm.grow_reservation(r, 2).unwrap();
+        bm.reserve(2).unwrap();
         assert_eq!(ledger(&bm), 14);
         // Failed calls move nothing.
         assert!(bm.grow(rid(1), 7).is_err());
-        assert!(bm.grow_reservation(r, 7).is_err());
         assert!(bm.allocate(rid(2), 7).is_err());
         assert!(bm.reserve(7).is_err());
         assert_eq!(ledger(&bm), 14);
+        assert_eq!(bm.reserved_blocks(), 7);
         // Commit moves blocks from reservation to allocation: still in use.
-        assert_eq!(bm.commit_reservation(r, rid(2)).unwrap(), 7);
+        bm.commit_reservation(7, rid(2)).unwrap();
         assert_eq!(ledger(&bm), 14);
-        let r2 = bm.reserve(6).unwrap();
+        bm.reserve(6).unwrap();
         assert_eq!(ledger(&bm), 20);
-        assert_eq!(bm.release_reservation(r2).unwrap(), 6);
+        bm.release_reservation(6);
         assert_eq!(ledger(&bm), 14);
+        assert_eq!(bm.reserved_blocks(), 0);
         assert_eq!(bm.release(rid(1)).unwrap(), 7);
         assert_eq!(bm.release(rid(2)).unwrap(), 7);
         assert_eq!(ledger(&bm), 0);
@@ -428,15 +395,12 @@ mod tests {
                 free: 4
             }
         );
-        let r = bm.reserve(3).unwrap();
+        bm.reserve(3).unwrap();
         assert_eq!(bm.free_blocks(), 1);
         assert!(bm.reconciles(6));
-        assert_eq!(bm.take_reservation(r).unwrap(), 3);
+        bm.take_reservation(3);
         assert_eq!(bm.free_blocks(), 1, "a commit keeps its blocks in use");
-        assert_eq!(
-            bm.take_reservation(r).unwrap_err(),
-            BlockError::UnknownReservation(r)
-        );
+        assert_eq!(bm.reserved_blocks(), 0);
         assert!(bm.reconciles(9));
         assert!(!bm.reconciles(8) && !bm.reconciles(10));
         bm.give_back(9);

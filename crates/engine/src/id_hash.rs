@@ -1,9 +1,9 @@
 //! A fixed hasher for the engine's id-keyed maps, and [`IdMap`], the one
 //! alias they are declared through.
 //!
-//! The keys are simulator-assigned integer ids ([`crate::RequestId`],
-//! [`crate::ReservationId`]), never external input, so there is nothing for
-//! SipHash's flooding resistance to defend. One multiply-rotate per id (the
+//! The keys are simulator-assigned request ids ([`crate::RequestId`]), never
+//! external input, so there is nothing for SipHash's flooding resistance to
+//! defend. One multiply-rotate per id (the
 //! FxHash mix) is enough to spread sequential ids over the table, and a
 //! fixed seed makes table layout the same in every process.
 
@@ -18,7 +18,7 @@ pub(crate) struct IdHasher(u64);
 /// remove history, so the audit bans iterating it (DESIGN.md §8).
 #[expect(
     clippy::disallowed_types,
-    reason = "point lookups by simulator-assigned id; nothing iterates these maps except the two order-insensitive ledger re-sums in block.rs"
+    reason = "point lookups by simulator-assigned id; nothing iterates these maps except the order-insensitive ledger re-sum in block.rs"
 )]
 pub(crate) type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
 

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use llumnix_model::{CostModel, DecodeBatch, DecodeCostMemo, InstanceSpec, PrefillBatch};
 use llumnix_sim::{SimDuration, SimTime};
 
-use crate::block::{BlockError, BlockManager, ReservationId};
+use crate::block::{BlockError, BlockManager};
 use crate::id_hash::IdMap;
 use crate::queue::{QueueOrder, WaitQueue};
 use crate::request::{Phase, Priority, RequestId, RequestMeta, SeqState};
@@ -159,7 +159,10 @@ pub struct InstanceEngine {
     /// Drains deferred to the step boundary. A `BTreeSet` so the boundary
     /// flush emits `Drained` events in id order, not hasher order.
     drain_requested: BTreeSet<RequestId>,
-    active_migrations: u32,
+    /// Active migrations out of and into this instance. The coordinator
+    /// keeps each migration; the engine keeps only these totals.
+    migrations_out: u32,
+    migrations_in: u32,
     finished: Vec<SeqState>,
     pending_events: Vec<EngineEvent>,
 }
@@ -184,7 +187,8 @@ impl InstanceEngine {
             in_flight: None,
             step: Vec::new(),
             drain_requested: BTreeSet::new(),
-            active_migrations: 0,
+            migrations_out: 0,
+            migrations_in: 0,
             finished: Vec::new(),
             pending_events: Vec::new(),
         }
@@ -673,52 +677,67 @@ impl InstanceEngine {
         s
     }
 
-    /// Installs a migrated-in request: its reservation becomes a live
-    /// allocation and it joins the running batch directly (no re-prefill —
-    /// the KV arrived with it).
-    pub fn insert_migrated(
-        &mut self,
-        mut state: SeqState,
-        reservation: ReservationId,
-    ) -> Result<(), BlockError> {
+    /// Installs a migrated-in request: `blocks` of the reservations, the
+    /// migration's own, become its allocation, and it joins the running
+    /// batch directly (no re-prefill — the KV arrived with it).
+    pub fn insert_migrated(&mut self, mut state: SeqState, blocks: u32) {
         debug_assert!(
             self.states.slot(state.meta.id).is_none(),
             "duplicate {}",
             state.meta.id
         );
-        let blocks = self.blocks.take_reservation(reservation)?;
+        self.blocks.take_reservation(blocks);
         state.blocks_held = blocks;
         state.phase = Phase::Running;
         self.residents.add(&state);
         let slot = self.states.insert(state);
         self.running.push(slot);
-        Ok(())
     }
 
-    /// Reserves blocks for an incoming migration stage.
-    pub fn reserve_blocks(&mut self, blocks: u32) -> Result<ReservationId, BlockError> {
+    /// Reserves blocks for an incoming migration stage: its start, or a
+    /// later stage's growth.
+    pub fn reserve_blocks(&mut self, blocks: u32) -> Result<(), BlockError> {
         self.blocks.reserve(blocks)
     }
 
-    /// Grows an incoming migration's reservation.
-    pub fn grow_reservation(&mut self, id: ReservationId, extra: u32) -> Result<(), BlockError> {
-        self.blocks.grow_reservation(id, extra)
+    /// Releases `blocks` of the reservations, an aborted migration's.
+    pub fn release_reservation(&mut self, blocks: u32) {
+        self.blocks.release_reservation(blocks);
     }
 
-    /// Releases an aborted migration's reservation.
-    pub fn release_reservation(&mut self, id: ReservationId) -> Result<u32, BlockError> {
-        self.blocks.release_reservation(id)
+    /// Blocks held by the reservations of incoming migrations.
+    pub fn reserved_blocks(&self) -> u32 {
+        self.blocks.reserved_blocks()
     }
 
-    /// Registers that a migration started touching this instance.
-    pub fn migration_started(&mut self) {
-        self.active_migrations += 1;
+    /// Counts a migration out of this instance.
+    pub fn migration_out_started(&mut self) {
+        self.migrations_out += 1;
     }
 
-    /// Registers that a migration stopped touching this instance.
-    pub fn migration_ended(&mut self) {
-        debug_assert!(self.active_migrations > 0);
-        self.active_migrations = self.active_migrations.saturating_sub(1);
+    /// Counts a migration into this instance.
+    pub fn migration_in_started(&mut self) {
+        self.migrations_in += 1;
+    }
+
+    /// Uncounts a committed or aborted migration out of this instance.
+    pub fn migration_out_ended(&mut self) {
+        self.migrations_out -= 1;
+    }
+
+    /// Uncounts a committed or aborted migration into this instance.
+    pub fn migration_in_ended(&mut self) {
+        self.migrations_in -= 1;
+    }
+
+    /// Whether a migration moves a request out of this instance.
+    pub fn is_migration_source(&self) -> bool {
+        self.migrations_out > 0
+    }
+
+    /// Whether a migration moves a request out of or into this instance.
+    pub fn migrating(&self) -> bool {
+        self.migrations_out + self.migrations_in > 0
     }
 
     /// Stretches a step by the migration overhead while a migration
@@ -726,7 +745,7 @@ impl InstanceEngine {
     /// what `mul_f64(1.0)` returns for every duration below 2^50 µs, without
     /// its float round trip.
     fn with_overhead(&self, duration: SimDuration) -> SimDuration {
-        if self.active_migrations > 0 {
+        if self.migrating() {
             duration.mul_f64(MIGRATION_OVERHEAD_FACTOR)
         } else {
             duration
@@ -1287,8 +1306,9 @@ mod tests {
 
         let mut dst = engine(1024);
         let blocks = dst.spec().geometry.blocks_for_tokens(state.cached_tokens);
-        let r = dst.reserve_blocks(blocks).expect("space");
-        dst.insert_migrated(state, r).expect("commit");
+        dst.reserve_blocks(blocks).expect("space");
+        dst.insert_migrated(state, blocks);
+        assert_eq!(dst.reserved_blocks(), 0);
         assert_eq!(dst.running_ids(), &[RequestId(1)]);
         // No prefill needed: next step is a decode.
         let plan = dst.poll_step(t).expect("decode");
@@ -1313,13 +1333,15 @@ mod tests {
         e.complete_step(t);
         let base = e.poll_step(t).expect("decode").duration;
         e.complete_step(t + base);
-        e.migration_started();
+        e.migration_in_started();
+        assert!(e.migrating() && !e.is_migration_source());
         let slowed = e.poll_step(t + base).expect("decode").duration;
         assert!(slowed > base);
         let ratio = slowed.as_secs_f64() / base.as_secs_f64();
         assert!((ratio - 1.01).abs() < 1e-3, "overhead ratio {ratio}");
         e.complete_step(t + base + slowed);
-        e.migration_ended();
+        e.migration_in_ended();
+        assert!(!e.migrating());
         let back = e.poll_step(t + base + slowed).expect("decode").duration;
         // The sequence grew by two tokens meanwhile, so compare ratios.
         let back_ratio = back.as_secs_f64() / base.as_secs_f64();
@@ -1334,7 +1356,8 @@ mod tests {
         let p = e.poll_step(SimTime::ZERO).expect("prefill");
         let mut now = p.finish_at();
         e.complete_step(now);
-        e.migration_started();
+        e.migration_out_started();
+        assert!(e.migrating() && e.is_migration_source());
         // 74 then 76 batched tokens: one bucket, so the second step's price
         // comes from the memo.
         for _ in 0..2 {
@@ -1428,14 +1451,14 @@ mod tests {
             e.complete_step(t);
             // Force a preemption by draining blocks via a fake reservation.
             let free = e.free_blocks();
-            let _r = e.reserve_blocks(free).expect("reserve all");
+            e.reserve_blocks(free).expect("reserve all");
             // Next decode growth fails -> the lone request preempts itself.
             assert!(e.poll_step(t).is_none());
             let s = e.state(RequestId(1)).expect("state");
             assert_eq!(s.phase, Phase::Waiting);
             assert_eq!(s.preemptions, 1);
             // Release the pressure and readmit.
-            let _ = e.release_reservation(_r);
+            e.release_reservation(free);
             let plan = e.poll_step(t).expect("readmission step");
             plan.duration
         };
@@ -1502,8 +1525,8 @@ mod tests {
         let state = src.finish_migration_out(RequestId(9));
         let generated = state.generated;
         let blocks = e.spec().geometry.blocks_for_tokens(state.cached_tokens);
-        let r = e.reserve_blocks(blocks).expect("space");
-        e.insert_migrated(state, r).expect("commit");
+        e.reserve_blocks(blocks).expect("space");
+        e.insert_migrated(state, blocks);
         assert_eq!(e.in_flight_ids(), &[RequestId(1), RequestId(2)]);
         e.complete_step(d.finish_at());
         assert!(e.in_flight_ids().is_empty());
@@ -1558,7 +1581,7 @@ mod tests {
         e.add_request(meta(2, 40, 8, 0), SimTime::ZERO);
         let p = e.poll_step(SimTime::ZERO).expect("prefill");
         e.complete_step(p.finish_at());
-        let _r = e.reserve_blocks(3).expect("space");
+        e.reserve_blocks(3).expect("space");
         assert!(e.check_invariants());
         for delta in [1, u32::MAX] {
             let mut drifted = e.clone();

@@ -4,7 +4,9 @@
 //! inference engine (paper §2): continuous batching, paged KV-cache blocks
 //! with dynamic allocation, all-at-once prefill admission, recompute-style
 //! preemption — plus the hooks Llumnix's live migration needs (reservations,
-//! drain, snapshot, commit).
+//! drain, snapshot, commit). An engine keeps only per-instance totals of its
+//! migrations: the blocks reserved for incoming ones and the count of
+//! migrations out and in. The migration coordinator keeps each migration.
 
 #![warn(missing_docs)]
 
@@ -14,7 +16,7 @@ mod instance;
 mod queue;
 mod request;
 
-pub use block::{BlockError, BlockManager, ReservationId};
+pub use block::{BlockError, BlockManager};
 pub use instance::{
     DrainOutcome, EngineConfig, EngineEvent, InstanceEngine, InstanceId, PreemptionMode, StepKind,
     StepPlan,

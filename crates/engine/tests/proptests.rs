@@ -2,7 +2,7 @@
 
 use llumnix_engine::{
     BlockManager, EngineConfig, InstanceEngine, InstanceId, Priority, PriorityPair, RequestId,
-    RequestMeta, ReservationId, WaitQueue,
+    RequestMeta, WaitQueue,
 };
 use llumnix_model::InstanceSpec;
 use llumnix_sim::SimTime;
@@ -32,7 +32,8 @@ fn block_op() -> impl Strategy<Value = BlockOp> {
 
 proptest! {
     /// Under any operation sequence, allocated + reserved + free == total,
-    /// and failed operations leave no residue.
+    /// the reserved total equals the sum of the live reservations, and
+    /// failed operations leave no residue.
     #[test]
     fn block_manager_conserves_blocks(ops in prop::collection::vec(block_op(), 1..200)) {
         let mut bm = BlockManager::new(120);
@@ -43,23 +44,24 @@ proptest! {
                 BlockOp::Grow(id, n) => { let _ = bm.grow(RequestId(id), n); }
                 BlockOp::Release(id) => { let _ = bm.release(RequestId(id)); }
                 BlockOp::Reserve(n) => {
-                    if let Ok(r) = bm.reserve(n) {
-                        reservations.push(r);
+                    if bm.reserve(n).is_ok() {
+                        reservations.push(n);
                     }
                 }
                 BlockOp::ReleaseReservation(i) => {
                     if i < reservations.len() {
-                        let r = reservations.swap_remove(i);
-                        let _ = bm.release_reservation(r);
+                        bm.release_reservation(reservations.swap_remove(i));
                     }
                 }
                 BlockOp::Commit(i, id) => {
-                    if i < reservations.len() {
-                        let r = reservations.swap_remove(i);
-                        let _ = bm.commit_reservation(r, RequestId(id));
+                    if i < reservations.len()
+                        && bm.commit_reservation(reservations[i], RequestId(id)).is_ok()
+                    {
+                        reservations.swap_remove(i);
                     }
                 }
             }
+            prop_assert_eq!(bm.reserved_blocks(), reservations.iter().sum::<u32>());
             prop_assert!(bm.check_invariants(), "block conservation violated");
             prop_assert_eq!(
                 bm.free_blocks(),
@@ -140,17 +142,18 @@ proptest! {
     /// and undrains, and migration reservations and commits, the engine's
     /// running ledgers match a recount after every operation: queued demand
     /// equals a walk of the queue, free blocks equal the total minus every
-    /// tracked request's `blocks_held` and every reservation, and the
-    /// resident blocks and
-    /// high-priority count equal a walk of the running batch and the
-    /// admitted requests. Planning and completing a step are separate
+    /// tracked request's `blocks_held` and every reservation, the reserved
+    /// total equals the sum of the live reservations, and the resident
+    /// blocks and high-priority count equal a walk of the running batch and
+    /// the admitted requests. Planning and completing a step are separate
     /// operations, so aborts, drains and commits also land mid-step.
     #[test]
     fn engine_ledgers_match_a_recount(ops in prop::collection::vec(engine_op(), 1..120)) {
         let spec = InstanceSpec::tiny_for_tests(1024);
         let geometry = spec.geometry;
         let mut engine = InstanceEngine::new(InstanceId(0), spec, EngineConfig::default());
-        let mut reservations: Vec<(ReservationId, u32)> = Vec::new();
+        // The blocks of each live reservation, as the coordinator keeps them.
+        let mut reservations: Vec<u32> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut finish_at = None;
         let mut next_id = 0u64;
@@ -198,27 +201,24 @@ proptest! {
                     let draining = engine.draining_ids();
                     if !draining.is_empty() && !reservations.is_empty() {
                         let state = engine.finish_migration_out(draining[i % draining.len()]);
-                        let (r, _) = reservations.swap_remove(j % reservations.len());
-                        prop_assert!(engine.insert_migrated(state, r).is_ok());
+                        let blocks = reservations.swap_remove(j % reservations.len());
+                        engine.insert_migrated(state, blocks);
                     }
                 }
                 EngineOp::Reserve(blocks) => {
-                    if let Ok(r) = engine.reserve_blocks(blocks) {
-                        reservations.push((r, blocks));
+                    if engine.reserve_blocks(blocks).is_ok() {
+                        reservations.push(blocks);
                     }
                 }
                 EngineOp::GrowReservation(i, extra) => {
-                    if !reservations.is_empty() {
+                    if !reservations.is_empty() && engine.reserve_blocks(extra).is_ok() {
                         let k = i % reservations.len();
-                        if engine.grow_reservation(reservations[k].0, extra).is_ok() {
-                            reservations[k].1 += extra;
-                        }
+                        reservations[k] += extra;
                     }
                 }
                 EngineOp::ReleaseReservation(i) => {
                     if !reservations.is_empty() {
-                        let (r, blocks) = reservations.swap_remove(i % reservations.len());
-                        prop_assert_eq!(engine.release_reservation(r), Ok(blocks));
+                        engine.release_reservation(reservations.swap_remove(i % reservations.len()));
                     }
                 }
             }
@@ -237,7 +237,8 @@ proptest! {
                 prop_assert_eq!(engine.physical_blocks_of(id), held);
                 allocated += held;
             }
-            let reserved: u32 = reservations.iter().map(|&(_, blocks)| blocks).sum();
+            let reserved: u32 = reservations.iter().sum();
+            prop_assert_eq!(engine.reserved_blocks(), reserved, "op {:?}", op);
             prop_assert_eq!(
                 engine.free_blocks(),
                 engine.total_blocks() - allocated - reserved,

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use llumnix_engine::{DrainOutcome, InstanceEngine, InstanceId, Phase, RequestId, ReservationId};
+use llumnix_engine::{DrainOutcome, InstanceEngine, InstanceId, Phase, RequestId};
 use llumnix_model::{CostModel, TransferMode};
 use llumnix_sim::{SimDuration, SimTime};
 
@@ -37,13 +37,14 @@ enum MigPhase {
     },
 }
 
-/// One active migration.
+/// One active migration: the only record of it. The endpoint engines keep
+/// only totals, their migrations out and in and their reserved blocks.
 #[derive(Debug, Clone)]
 struct Migration {
     request: RequestId,
     src: InstanceId,
     dst: InstanceId,
-    reservation: ReservationId,
+    /// Blocks reserved for it on the destination.
     reserved_blocks: u32,
     copied_tokens: u32,
     stages: u32,
@@ -65,31 +66,23 @@ pub struct CoordinatorStats {
     pub total_stages: u64,
 }
 
-/// Per-instance counts of active migrations using the instance as a source
-/// (`.0`) or destination (`.1`). Entries are removed when both hit zero.
-type EndpointCounts = BTreeMap<InstanceId, (u32, u32)>;
-
 /// Drives all live migrations in a cluster.
 ///
-/// All bookkeeping lives in `BTreeMap`s: the teardown scan
-/// ([`MigrationCoordinator::abort_for_failed_instance`]) iterates these maps
-/// and feeds its order into the event queue, so the iteration order must be
-/// a pure function of the simulation state, never of a hasher seed.
+/// All bookkeeping lives in `BTreeMap`s: the crash scan
+/// ([`MigrationCoordinator::migrations_touching`]) iterates the active set,
+/// and the order of its aborts sets the order in which drained requests
+/// rejoin their source's batch, so the iteration order must be a pure
+/// function of the simulation state, never of a hasher seed.
 ///
 /// `Clone` supports the sim-level snapshot/fork capability: a clone carries
-/// every reservation, handshake stage, and endpoint counter, so forked runs
-/// resume mid-migration byte-identically.
+/// every reservation and handshake stage, so forked runs resume
+/// mid-migration byte-identically.
 #[derive(Clone)]
 pub struct MigrationCoordinator {
     config: MigrationConfig,
     next_id: u64,
     active: BTreeMap<MigrationId, Migration>,
     by_request: BTreeMap<RequestId, MigrationId>,
-    /// Incrementally maintained src/dst counters so the per-tick teardown
-    /// and scale-down checks ([`MigrationCoordinator::touches`],
-    /// [`MigrationCoordinator::is_migration_source`]) are O(1) instead of a
-    /// scan over every active migration.
-    endpoint_counts: EndpointCounts,
     stats: CoordinatorStats,
 }
 
@@ -101,7 +94,6 @@ impl MigrationCoordinator {
             next_id: 0,
             active: BTreeMap::new(),
             by_request: BTreeMap::new(),
-            endpoint_counts: BTreeMap::new(),
             stats: CoordinatorStats::default(),
         }
     }
@@ -136,56 +128,22 @@ impl MigrationCoordinator {
         self.by_request.contains_key(&request)
     }
 
-    /// Whether any active migration moves a request out of `instance`. O(1).
-    pub fn is_migration_source(&self, instance: InstanceId) -> bool {
-        let fast = self
-            .endpoint_counts
-            .get(&instance)
-            .is_some_and(|&(src, _)| src > 0);
-        debug_assert_eq!(
-            fast,
-            self.active.values().any(|m| m.src == instance),
-            "endpoint counters diverged from the active set (source side)"
-        );
-        fast
+    /// The active migrations with an endpoint at `instance`, in creation
+    /// order, each with its other endpoint. O(active): a crash's scan.
+    pub fn migrations_touching(&self, instance: InstanceId) -> Vec<(MigrationId, InstanceId)> {
+        self.active
+            .iter()
+            .filter(|(_, m)| m.src == instance || m.dst == instance)
+            .map(|(&id, m)| (id, if m.src == instance { m.dst } else { m.src }))
+            .collect()
     }
 
-    /// Whether any active migration uses `instance` as source or
-    /// destination (it must not be torn down while one does). O(1).
-    pub fn touches(&self, instance: InstanceId) -> bool {
-        let fast = self
-            .endpoint_counts
-            .get(&instance)
-            .is_some_and(|&(src, dst)| src > 0 || dst > 0);
-        debug_assert_eq!(
-            fast,
-            self.active
-                .values()
-                .any(|m| m.src == instance || m.dst == instance),
-            "endpoint counters diverged from the active set"
-        );
-        fast
-    }
-
-    /// Registers a started migration's endpoints in the counters.
-    fn count_endpoints(&mut self, src: InstanceId, dst: InstanceId) {
-        self.endpoint_counts.entry(src).or_default().0 += 1;
-        self.endpoint_counts.entry(dst).or_default().1 += 1;
-    }
-
-    /// Unregisters a finished/aborted migration's endpoints.
-    fn uncount_endpoints(&mut self, src: InstanceId, dst: InstanceId) {
-        for (id, is_src) in [(src, true), (dst, false)] {
-            let e = self.endpoint_counts.get_mut(&id).expect("counted at start");
-            if is_src {
-                e.0 -= 1;
-            } else {
-                e.1 -= 1;
-            }
-            if *e == (0, 0) {
-                self.endpoint_counts.remove(&id);
-            }
-        }
+    /// Removes a migration's records, counting it as aborted.
+    fn remove_aborted(&mut self, id: MigrationId) -> Option<Migration> {
+        let m = self.active.remove(&id)?;
+        self.by_request.remove(&m.request);
+        self.stats.aborted += 1;
+        Some(m)
     }
 
     // ---- protocol steps ---------------------------------------------------
@@ -212,12 +170,11 @@ impl MigrationCoordinator {
         }
         let cached = state.cached_tokens;
         let blocks = src.spec().geometry.blocks_for_tokens(cached);
-        let reservation = match dst.reserve_blocks(blocks) {
-            Ok(r) => r,
-            Err(_) => return StartOutcome::Refused(AbortReason::DestinationOutOfMemory),
-        };
-        src.migration_started();
-        dst.migration_started();
+        if dst.reserve_blocks(blocks).is_err() {
+            return StartOutcome::Refused(AbortReason::DestinationOutOfMemory);
+        }
+        src.migration_out_started();
+        dst.migration_in_started();
         let transfer = &src.spec().transfer;
         let copy = transfer.copy_time(cached, &src.spec().model, TransferMode::GlooFused);
         let stage_done_at = now + transfer.handshake_rtt + copy;
@@ -229,7 +186,6 @@ impl MigrationCoordinator {
                 request,
                 src: src.id,
                 dst: dst.id,
-                reservation,
                 reserved_blocks: blocks,
                 copied_tokens: cached,
                 stages: 1,
@@ -237,7 +193,6 @@ impl MigrationCoordinator {
             },
         );
         self.by_request.insert(request, id);
-        self.count_endpoints(src.id, dst.id);
         self.stats.started += 1;
         StartOutcome::Started { id, stage_done_at }
     }
@@ -271,17 +226,14 @@ impl MigrationCoordinator {
         let m = self.active.get_mut(&id).expect("present");
         let delta = cached_now.saturating_sub(m.copied_tokens);
         // Pre-allocate for the delta (plus one in-flight token of slack).
-        let target_blocks = src.spec().geometry.blocks_for_tokens(cached_now + 1);
-        if target_blocks > m.reserved_blocks {
-            let extra = target_blocks - m.reserved_blocks;
-            if dst.grow_reservation(m.reservation, extra).is_err() {
+        let needed = src.spec().geometry.blocks_for_tokens(cached_now + 1);
+        if needed > m.reserved_blocks {
+            if dst.reserve_blocks(needed - m.reserved_blocks).is_err() {
                 self.abort(id, src, dst, AbortReason::DestinationOutOfMemory);
                 return Some(StageOutcome::Aborted(AbortReason::DestinationOutOfMemory));
             }
-            let m = self.active.get_mut(&id).expect("present");
-            m.reserved_blocks = target_blocks;
+            m.reserved_blocks = needed;
         }
-        let m = self.active.get_mut(&id).expect("present");
         let transfer = src.spec().transfer.clone();
         let copy = transfer.copy_time(delta, &src.spec().model, TransferMode::GlooFused);
         let step_estimate = src.spec().cost.decode_step(src.decode_batch_hint());
@@ -385,25 +337,21 @@ impl MigrationCoordinator {
         let needed = src.spec().geometry.blocks_for_tokens(state.cached_tokens);
         let m = self.active.get_mut(&id).expect("present");
         if needed > m.reserved_blocks {
-            let extra = needed - m.reserved_blocks;
-            if dst.grow_reservation(m.reservation, extra).is_err() {
+            if dst.reserve_blocks(needed - m.reserved_blocks).is_err() {
                 self.abort(id, src, dst, AbortReason::DestinationOutOfMemory);
                 return CommitResult::AbortedAtCommit(AbortReason::DestinationOutOfMemory);
             }
-            let m = self.active.get_mut(&id).expect("present");
             m.reserved_blocks = needed;
         }
         let m = self.active.remove(&id).expect("present");
         self.by_request.remove(&m.request);
-        self.uncount_endpoints(m.src, m.dst);
         let mut state = src.finish_migration_out(m.request);
         let downtime = now.since(drain_time);
         state.migrations += 1;
         state.migration_downtime += downtime;
-        dst.insert_migrated(state, m.reservation)
-            .expect("reservation grown to fit at commit");
-        src.migration_ended();
-        dst.migration_ended();
+        dst.insert_migrated(state, m.reserved_blocks);
+        src.migration_out_ended();
+        dst.migration_in_ended();
         self.stats.committed += 1;
         self.stats.total_downtime += downtime;
         self.stats.total_stages += m.stages as u64;
@@ -425,78 +373,52 @@ impl MigrationCoordinator {
         dst: &mut InstanceEngine,
         _reason: AbortReason,
     ) {
-        let Some(m) = self.active.remove(&id) else {
-            return;
-        };
-        self.by_request.remove(&m.request);
-        self.uncount_endpoints(m.src, m.dst);
-        let _ = dst.release_reservation(m.reservation);
-        // A drain that has not executed yet must not fire for a dead
-        // migration, and a request already drained goes back into the batch —
-        // its KV blocks were never released at the source.
-        src.cancel_drain(m.request);
-        if let Some(s) = src.state(m.request) {
-            if s.phase == Phase::Draining {
-                src.undrain(m.request);
-            }
+        if let Some(m) = self.remove_aborted(id) {
+            m.release_destination(dst);
+            m.restore_source(src);
         }
-        src.migration_ended();
-        dst.migration_ended();
-        self.stats.aborted += 1;
     }
 
-    /// Aborts every migration touching a failed instance. The caller passes
-    /// the surviving peer engine per migration via `peers`; migrations whose
-    /// peer also failed are simply dropped.
-    ///
-    /// Returns the aborted migration ids with their abort reasons.
-    pub fn abort_for_failed_instance(
+    /// Aborts the active migration `id`, whose endpoint `failed` crashed;
+    /// `peer` is its other endpoint, which survives. A failed source takes
+    /// the request with it, so the destination releases its reservation; a
+    /// failed destination leaves the request on the source, which resumes
+    /// it. Returns the abort reason.
+    pub fn abort_for_crash(
         &mut self,
+        id: MigrationId,
         failed: InstanceId,
-        peers: &mut BTreeMap<InstanceId, &mut InstanceEngine>,
-    ) -> Vec<(MigrationId, RequestId, AbortReason)> {
-        let affected: Vec<MigrationId> = self
-            .active
-            .iter()
-            .filter(|(_, m)| m.src == failed || m.dst == failed)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut out = Vec::new();
-        for id in affected {
-            let m = self.active.remove(&id).expect("present");
-            self.by_request.remove(&m.request);
-            self.uncount_endpoints(m.src, m.dst);
-            let reason = if m.src == failed {
-                AbortReason::SourceFailed
-            } else {
-                AbortReason::DestinationFailed
-            };
-            match reason {
-                AbortReason::SourceFailed => {
-                    // The request died with its source; release the
-                    // destination's reservation.
-                    if let Some(dst) = peers.get_mut(&m.dst) {
-                        let _ = dst.release_reservation(m.reservation);
-                        dst.migration_ended();
-                    }
-                }
-                AbortReason::DestinationFailed => {
-                    // The request survives on the source; cancel any pending
-                    // drain and resume it if it was already drained.
-                    if let Some(src) = peers.get_mut(&m.src) {
-                        src.cancel_drain(m.request);
-                        if src.state(m.request).map(|s| s.phase) == Some(Phase::Draining) {
-                            src.undrain(m.request);
-                        }
-                        src.migration_ended();
-                    }
-                }
-                _ => unreachable!("failure reasons only"),
-            }
-            self.stats.aborted += 1;
-            out.push((id, m.request, reason));
+        peer: &mut InstanceEngine,
+    ) -> AbortReason {
+        let m = self.remove_aborted(id).expect("an active migration");
+        if m.src == failed {
+            m.release_destination(peer);
+            AbortReason::SourceFailed
+        } else {
+            m.restore_source(peer);
+            AbortReason::DestinationFailed
         }
-        out
+    }
+}
+
+impl Migration {
+    /// The destination's half of an abort: the reservation goes back to
+    /// its free pool.
+    fn release_destination(&self, dst: &mut InstanceEngine) {
+        dst.release_reservation(self.reserved_blocks);
+        dst.migration_in_ended();
+    }
+
+    /// The source's half of an abort: a drain that has not executed yet
+    /// must not fire for a dead migration, and a request already drained
+    /// goes back into the batch — its KV blocks were never released at the
+    /// source.
+    fn restore_source(&self, src: &mut InstanceEngine) {
+        src.cancel_drain(self.request);
+        if src.state(self.request).map(|s| s.phase) == Some(Phase::Draining) {
+            src.undrain(self.request);
+        }
+        src.migration_out_ended();
     }
 }
 
@@ -598,6 +520,10 @@ mod tests {
         assert!(dst.running_ids().contains(&RequestId(1)));
         assert!(src.check_invariants() && dst.check_invariants());
         assert_eq!(src.free_blocks(), src.total_blocks());
+        // The reservation became the request's blocks, and neither engine
+        // counts the migration any more.
+        assert_eq!(dst.reserved_blocks(), 0);
+        assert!(!src.migrating() && !dst.migrating());
         assert!(!coord.is_migrating(RequestId(1)));
         assert_eq!(coord.stats().committed, 1);
     }
@@ -617,6 +543,8 @@ mod tests {
         );
         assert_eq!(coord.active_count(), 0);
         assert!(dst.check_invariants());
+        assert_eq!(dst.reserved_blocks(), 0);
+        assert!(!src.migrating() && !dst.migrating());
     }
 
     #[test]
@@ -666,6 +594,8 @@ mod tests {
         assert_eq!(outcome, StageOutcome::Aborted(AbortReason::RequestFinished));
         // Reservation fully released.
         assert_eq!(dst.free_blocks(), dst.total_blocks());
+        assert_eq!(dst.reserved_blocks(), 0);
+        assert!(!src.migrating() && !dst.migrating());
         assert_eq!(coord.stats().aborted, 1);
         assert_eq!(coord.active_count(), 0);
     }
@@ -801,21 +731,28 @@ mod tests {
     }
 
     #[test]
-    fn abort_for_failed_instance_source_side() {
+    fn crash_of_the_source_releases_the_destination() {
         let mut src = engine(0, 4096);
         let mut dst = engine(1, 4096);
         let t = start_running(&mut src, meta(1, 512, 100));
         let mut coord = MigrationCoordinator::new(MigrationConfig::default());
-        let StartOutcome::Started { .. } = coord.start(RequestId(1), &mut src, &mut dst, t) else {
+        let StartOutcome::Started { id, .. } = coord.start(RequestId(1), &mut src, &mut dst, t)
+        else {
             panic!("refused");
         };
-        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
-        peers.insert(InstanceId(1), &mut dst);
-        let aborted = coord.abort_for_failed_instance(InstanceId(0), &mut peers);
-        assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].2, AbortReason::SourceFailed);
+        assert_eq!(
+            coord.migrations_touching(InstanceId(0)),
+            vec![(id, InstanceId(1))]
+        );
+        assert_eq!(
+            coord.abort_for_crash(id, InstanceId(0), &mut dst),
+            AbortReason::SourceFailed
+        );
         assert_eq!(dst.free_blocks(), dst.total_blocks());
+        assert_eq!(dst.reserved_blocks(), 0);
+        assert!(!dst.migrating());
         assert_eq!(coord.active_count(), 0);
+        assert_eq!(coord.stats().aborted, 1);
     }
 
     #[test]
@@ -833,7 +770,7 @@ mod tests {
         };
         // Fill the destination's remaining blocks behind the reservation.
         let free = dst.free_blocks();
-        let _hog = dst.reserve_blocks(free).expect("fill destination");
+        dst.reserve_blocks(free).expect("fill destination");
         // Decode at the source so the delta needs extra blocks.
         let mut now = t;
         for _ in 0..40 {
@@ -853,7 +790,9 @@ mod tests {
         // The migration's own 8-block reservation (120 tokens) was released;
         // only the hog reservation remains.
         assert_eq!(dst.free_blocks(), 8);
-        let _ = dst.release_reservation(_hog);
+        assert_eq!(dst.reserved_blocks(), free);
+        assert!(!src.migrating() && !dst.migrating());
+        dst.release_reservation(free);
         assert_eq!(dst.free_blocks(), dst.total_blocks());
         // The request keeps running at the source, untouched.
         assert_eq!(
@@ -947,22 +886,26 @@ mod tests {
             coord.lookup_by_request(RequestId(1)),
             Some((id, InstanceId(0), InstanceId(1)))
         );
-        // Endpoint counters agree with the lookup on both sides.
-        assert!(coord.is_migration_source(InstanceId(0)));
-        assert!(!coord.is_migration_source(InstanceId(1)));
-        assert!(coord.touches(InstanceId(0)));
-        assert!(coord.touches(InstanceId(1)));
-        assert!(!coord.touches(InstanceId(7)));
+        assert_eq!(
+            coord.migrations_touching(InstanceId(1)),
+            vec![(id, InstanceId(0))]
+        );
+        assert!(coord.migrations_touching(InstanceId(7)).is_empty());
+        // Each engine's totals agree with the lookup.
+        assert!(src.is_migration_source() && src.migrating());
+        assert!(!dst.is_migration_source() && dst.migrating());
+        assert_eq!(dst.reserved_blocks(), 32, "512 tokens of 16");
         coord.abort(id, &mut src, &mut dst, AbortReason::DestinationFailed);
-        assert!(!coord.touches(InstanceId(0)));
-        assert!(!coord.touches(InstanceId(1)));
-        assert!(!coord.is_migration_source(InstanceId(0)));
+        assert!(!src.is_migration_source() && !src.migrating());
+        assert!(!dst.migrating());
+        assert_eq!(dst.reserved_blocks(), 0);
+        assert!(coord.migrations_touching(InstanceId(0)).is_empty());
         assert_eq!(coord.lookup_by_request(RequestId(1)), None);
     }
 
-    /// Regression for the `BTreeMap` conversion: the teardown scan iterates
-    /// the active set, and its order feeds the event queue. With several
-    /// in-flight migrations the aborts must come back in ascending
+    /// Regression for the `BTreeMap` conversion: the crash scan iterates
+    /// the active set, and its order sets the order of the aborts. With
+    /// several in-flight migrations they must come back in ascending
     /// (creation) order every time — under the old `HashMap` books the order
     /// was a function of the hasher seed.
     #[test]
@@ -970,34 +913,43 @@ mod tests {
         let mut engines: Vec<InstanceEngine> = (0..4).map(|i| engine(i, 4096)).collect();
         let mut coord = MigrationCoordinator::new(MigrationConfig::default());
         // Three migrations out of instance 0, started for requests 7, 3, 5
-        // (ids deliberately not in insertion order).
-        for (req, dst) in [(7u64, 1usize), (3, 2), (5, 3)] {
+        // to instances 3, 1, 2: neither list is sorted, so creation order
+        // differs from both id orders.
+        for (req, dst) in [(7u64, 3usize), (3, 1), (5, 2)] {
             let t = start_running(&mut engines[0], meta(req, 256, 100));
             let (src, rest) = engines.split_at_mut(1);
             let out = coord.start(RequestId(req), &mut src[0], &mut rest[dst - 1], t);
             assert!(matches!(out, StartOutcome::Started { .. }), "{out:?}");
         }
-        // A source failure aborts them by ascending MigrationId = start
+        // A source failure scans them by ascending MigrationId = start
         // order.
-        let (src, rest) = engines.split_at_mut(1);
-        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
-        for e in rest.iter_mut() {
-            peers.insert(e.id, e);
-        }
-        let aborted = coord.abort_for_failed_instance(InstanceId(0), &mut peers);
-        let order: Vec<(MigrationId, RequestId)> =
-            aborted.iter().map(|&(id, req, _)| (id, req)).collect();
+        let touching = coord.migrations_touching(InstanceId(0));
         assert_eq!(
-            order,
+            touching,
             vec![
-                (MigrationId(0), RequestId(7)),
-                (MigrationId(1), RequestId(3)),
-                (MigrationId(2), RequestId(5)),
+                (MigrationId(0), InstanceId(3)),
+                (MigrationId(1), InstanceId(1)),
+                (MigrationId(2), InstanceId(2)),
             ]
         );
-        drop(peers);
-        let _ = src;
+        for ((mid, _), req) in touching.iter().zip([7, 3, 5]) {
+            assert_eq!(
+                coord.lookup_by_request(RequestId(req)).map(|(id, ..)| id),
+                Some(*mid)
+            );
+        }
+        // Each abort reaches its one surviving peer.
+        let (_, rest) = engines.split_at_mut(1);
+        for (mid, peer) in touching {
+            let peer = &mut rest[peer.0 as usize - 1];
+            assert_eq!(
+                coord.abort_for_crash(mid, InstanceId(0), peer),
+                AbortReason::SourceFailed
+            );
+            assert!(!peer.migrating() && peer.reserved_blocks() == 0);
+        }
         assert_eq!(coord.active_count(), 0);
+        assert_eq!(coord.stats().aborted, 3);
     }
 
     /// Brings a fresh migration to the FinalCopy phase on an idle source
@@ -1060,9 +1012,9 @@ mod tests {
         let mut dst = engine(1, 4096);
         let (mut coord, id, commit_at) = reach_final_copy(&mut src, &mut dst);
         src.state_mut(RequestId(1)).expect("draining").cached_tokens += 64;
-        // Fill the destination so grow_reservation must fail.
+        // Fill the destination so the reservation cannot grow.
         let free = dst.free_blocks();
-        let hog = dst.reserve_blocks(free).expect("fill destination");
+        dst.reserve_blocks(free).expect("fill destination");
         let result = coord.on_commit(id, &mut src, &mut dst, commit_at);
         assert_eq!(
             result,
@@ -1073,13 +1025,14 @@ mod tests {
         let s = src.state(RequestId(1)).expect("still at source");
         assert_eq!(s.phase, Phase::Running);
         assert!(src.running_ids().contains(&RequestId(1)));
-        let _ = dst.release_reservation(hog);
+        assert_eq!(dst.reserved_blocks(), free);
+        dst.release_reservation(free);
         assert_eq!(dst.free_blocks(), dst.total_blocks());
         assert!(dst.state(RequestId(1)).is_none());
         assert_eq!(coord.stats().committed, 0);
         assert_eq!(coord.stats().aborted, 1);
         assert_eq!(coord.active_count(), 0);
-        assert!(!coord.touches(InstanceId(0)) && !coord.touches(InstanceId(1)));
+        assert!(!src.migrating() && !dst.migrating());
         // A replayed commit event is stale.
         assert_eq!(
             coord.on_commit(id, &mut src, &mut dst, commit_at),
@@ -1113,9 +1066,10 @@ mod tests {
         // observes the Preempted event and aborts the migration.
         coord.abort(id, &mut src, &mut dst, AbortReason::RequestPreempted);
         assert_eq!(dst.free_blocks(), dst.total_blocks());
+        assert_eq!(dst.reserved_blocks(), 0);
         assert_eq!(coord.stats().aborted, 1);
         assert_eq!(coord.active_count(), 0);
-        assert!(!coord.touches(InstanceId(0)) && !coord.touches(InstanceId(1)));
+        assert!(!src.migrating() && !dst.migrating());
         // The cancelled drain must not fire at the step boundary.
         let events = src.complete_step(step_end);
         assert!(
@@ -1154,16 +1108,12 @@ mod tests {
             .on_stage_done(id, &mut src, &mut dst, stage_done_at)
             .expect("active");
         assert_eq!(outcome, StageOutcome::DrainRequested);
-        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
-        peers.insert(InstanceId(0), &mut src);
-        let aborted = coord.abort_for_failed_instance(InstanceId(1), &mut peers);
-        drop(peers);
         assert_eq!(
-            aborted,
-            vec![(id, RequestId(1), AbortReason::DestinationFailed)]
+            coord.abort_for_crash(id, InstanceId(1), &mut src),
+            AbortReason::DestinationFailed
         );
         assert_eq!(coord.active_count(), 0);
-        assert!(!coord.touches(InstanceId(0)));
+        assert!(!src.migrating());
         // The cancelled drain must not fire at the step boundary.
         let events = src.complete_step(step_end);
         assert!(
@@ -1185,16 +1135,15 @@ mod tests {
         let mut src = engine(0, 4096);
         let mut dst = engine(1, 4096);
         let (mut coord, id, commit_at) = reach_final_copy(&mut src, &mut dst);
-        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
-        peers.insert(InstanceId(1), &mut dst);
-        let aborted = coord.abort_for_failed_instance(InstanceId(0), &mut peers);
-        assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].2, AbortReason::SourceFailed);
-        drop(peers);
+        assert_eq!(
+            coord.abort_for_crash(id, InstanceId(0), &mut dst),
+            AbortReason::SourceFailed
+        );
         assert_eq!(dst.free_blocks(), dst.total_blocks());
+        assert_eq!(dst.reserved_blocks(), 0);
         assert_eq!(coord.stats().aborted, 1);
         assert_eq!(coord.active_count(), 0);
-        assert!(!coord.touches(InstanceId(0)) && !coord.touches(InstanceId(1)));
+        assert!(!dst.migrating());
         assert_eq!(
             coord.on_commit(id, &mut src, &mut dst, commit_at),
             CommitResult::Stale
@@ -1212,19 +1161,17 @@ mod tests {
             src.state(RequestId(1)).expect("state").phase,
             Phase::Draining
         );
-        let mut peers: BTreeMap<InstanceId, &mut InstanceEngine> = BTreeMap::new();
-        peers.insert(InstanceId(0), &mut src);
-        let aborted = coord.abort_for_failed_instance(InstanceId(1), &mut peers);
-        assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].2, AbortReason::DestinationFailed);
-        drop(peers);
+        assert_eq!(
+            coord.abort_for_crash(id, InstanceId(1), &mut src),
+            AbortReason::DestinationFailed
+        );
         assert_eq!(
             src.state(RequestId(1)).expect("state").phase,
             Phase::Running
         );
         assert!(src.running_ids().contains(&RequestId(1)));
         assert_eq!(coord.stats().aborted, 1);
-        assert!(!coord.touches(InstanceId(0)) && !coord.touches(InstanceId(1)));
+        assert!(!src.migrating());
         assert_eq!(
             coord.on_commit(id, &mut src, &mut dst, commit_at),
             CommitResult::Stale

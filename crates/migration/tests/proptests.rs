@@ -74,9 +74,11 @@ proptest! {
         let mut coord = MigrationCoordinator::new(MigrationConfig::default());
         let outcome = coord.start(RequestId(1), &mut src, &mut dst, now);
         let StartOutcome::Started { id, mut stage_done_at } = outcome else {
-            // Refused: nothing may have been reserved.
+            // Refused: nothing may have been reserved or counted.
             prop_assert!(dst.check_invariants());
             prop_assert!(src.check_invariants());
+            prop_assert_eq!(dst.reserved_blocks(), 0);
+            prop_assert!(!src.migrating() && !dst.migrating());
             return Ok(());
         };
         // Drive the race to completion.
@@ -154,11 +156,11 @@ proptest! {
         }
         prop_assert!(src.check_invariants());
         prop_assert!(dst.check_invariants());
-        // No reservation leaks on the destination: free + allocations add up.
-        prop_assert_eq!(
-            dst.free_blocks() + (dst.total_blocks() - dst.free_blocks()),
-            dst.total_blocks()
-        );
+        // No reservation leaks, and neither engine still counts the
+        // migration.
+        prop_assert_eq!(src.reserved_blocks(), 0);
+        prop_assert_eq!(dst.reserved_blocks(), 0);
+        prop_assert!(!src.migrating() && !dst.migrating());
         prop_assert_eq!(coord.active_count(), 0);
         let stats = coord.stats();
         prop_assert_eq!(stats.started, stats.committed + stats.aborted);
