@@ -13,6 +13,7 @@
 //! through the Figure 7 handshake.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use llumnix_engine::{
     EngineConfig, EngineEvent, InstanceEngine, InstanceId, PriorityPair, RequestId, RequestMeta,
@@ -224,6 +225,8 @@ enum Event {
 #[derive(Clone)]
 pub struct ServingSim {
     config: ServingConfig,
+    /// `config.spec`, shared by every engine the run launches.
+    spec: Arc<InstanceSpec>,
     trace: Trace,
     high_ids: BTreeSet<u64>,
     queue: EventQueue<Event>,
@@ -349,6 +352,7 @@ impl ServingSim {
             config.autoscale.is_some(),
         ));
         let mut sim = ServingSim {
+            spec: Arc::new(config.spec.clone()),
             coordinator: MigrationCoordinator::new(MigrationConfig::default()),
             central: CentralScheduler::default(),
             scaler: config.autoscale.map(AutoScaler::new),
@@ -1014,7 +1018,7 @@ impl ServingSim {
     fn launch_instance(&mut self, now: SimTime, startup: Option<SimDuration>) -> InstanceId {
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
-        let engine = InstanceEngine::new(id, self.config.spec.clone(), self.config.engine.clone());
+        let engine = InstanceEngine::new(id, Arc::clone(&self.spec), self.config.engine.clone());
         let starting_until = startup.map(|d| now + d);
         // `insert` marks the instance dirty, so the next refresh indexes it
         // and, if it is still starting, queues its online re-check.

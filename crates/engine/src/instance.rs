@@ -11,7 +11,9 @@
 //! the destination, drain/snapshot/commit on the source, and a small
 //! decode-overhead factor while migrations are in flight (§6.2 measures ≈1%).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use llumnix_model::{CostModel, DecodeBatch, DecodeCostMemo, InstanceSpec, PrefillBatch};
 use llumnix_sim::{SimDuration, SimTime};
@@ -125,7 +127,8 @@ pub enum DrainOutcome {
 pub struct InstanceEngine {
     /// Instance id.
     pub id: InstanceId,
-    spec: InstanceSpec,
+    /// Shared by every engine of a run; nothing mutates it.
+    spec: Arc<InstanceSpec>,
     config: EngineConfig,
     /// The free pool. Each request's own count is its
     /// `SeqState::blocks_held`; [`InstanceEngine::check_invariants`]
@@ -150,12 +153,15 @@ pub struct InstanceEngine {
     /// Per-request state, in a slab indexed by slot.
     states: Slab,
     in_flight: Option<StepPlan>,
-    /// The in-flight step's requests in batch order as `(slot, id)`, empty
-    /// when idle. One buffer reused by every step, so planning a step
-    /// allocates nothing. An abort mid-step frees a slot that a later
-    /// request can take before the step completes, so completion skips an
-    /// entry whose slot no longer holds its id.
+    /// The in-flight step's requests in batch order as `(slot, id)`. One
+    /// buffer reused by every step, so planning a step allocates nothing.
+    /// Empty when idle, except that a decode run keeps it, the running batch
+    /// as planned, from step to step. An abort mid-step frees a slot that a
+    /// later request can take before the step completes, so completion
+    /// skips an entry whose slot no longer holds its id.
     step: Vec<(u32, RequestId)>,
+    /// The decode run in progress, if any.
+    run: Option<DecodeRun>,
     /// Drains deferred to the step boundary. A `BTreeSet` so the boundary
     /// flush emits `Drained` events in id order, not hasher order.
     drain_requested: BTreeSet<RequestId>,
@@ -168,8 +174,9 @@ pub struct InstanceEngine {
 }
 
 impl InstanceEngine {
-    /// Creates an idle instance.
-    pub fn new(id: InstanceId, spec: InstanceSpec, config: EngineConfig) -> Self {
+    /// Creates an idle instance. A run's engines can share one spec.
+    pub fn new(id: InstanceId, spec: impl Into<Arc<InstanceSpec>>, config: EngineConfig) -> Self {
+        let spec = spec.into();
         let blocks = BlockManager::new(spec.geometry.total_blocks);
         let waiting = WaitQueue::with_order(config.queue_order);
         InstanceEngine {
@@ -186,6 +193,7 @@ impl InstanceEngine {
             states: Slab::default(),
             in_flight: None,
             step: Vec::new(),
+            run: None,
             drain_requested: BTreeSet::new(),
             migrations_out: 0,
             migrations_in: 0,
@@ -203,6 +211,7 @@ impl InstanceEngine {
 
     /// Enqueues a newly dispatched request.
     pub fn add_request(&mut self, meta: RequestMeta, now: SimTime) {
+        self.settle();
         debug_assert!(self.states.slot(meta.id).is_none(), "duplicate {}", meta.id);
         let state = SeqState::new(meta, now);
         self.queued_demand += self.demand_blocks(&state);
@@ -218,6 +227,7 @@ impl InstanceEngine {
     /// Aborts a request wherever it is (failure injection / cancellations).
     /// Returns its state if it was known.
     pub fn abort_request(&mut self, id: RequestId) -> Option<SeqState> {
+        self.settle();
         self.drain_requested.remove(&id);
         let slot = self.states.slot(id)?;
         if self.waiting.remove(id) {
@@ -252,16 +262,29 @@ impl InstanceEngine {
     /// satisfied, and returns the planned step. The caller schedules a
     /// completion event at `plan.finish_at()` and then calls
     /// [`InstanceEngine::complete_step`].
+    ///
+    /// Within a decode run a step that grows no block is priced from the
+    /// run's token count alone: admission would admit nothing and the batch
+    /// is unchanged, so the plan is the one the full pass would make.
     pub fn poll_step(&mut self, now: SimTime) -> Option<StepPlan> {
         if self.in_flight.is_some() {
             return None;
         }
-        debug_assert!(self.step.is_empty(), "idle engine with step entries");
-        self.admit(now);
-        let plan = if !self.prefill_pending.is_empty() {
-            Some(self.plan_prefill(now))
-        } else {
-            self.plan_decode(now)
+        let plan = match self.run {
+            Some(run) if run.plans_cheaply() => {
+                debug_assert!(self.run_holds(&run), "decode run drifted");
+                Some(self.price_decode(run.tokens, now))
+            }
+            _ => {
+                self.settle();
+                debug_assert!(self.step.is_empty(), "idle engine with step entries");
+                self.admit(now);
+                if !self.prefill_pending.is_empty() {
+                    Some(self.plan_prefill(now))
+                } else {
+                    self.plan_decode(now)
+                }
+            }
         };
         self.in_flight = plan;
         plan
@@ -358,6 +381,7 @@ impl InstanceEngine {
     }
 
     /// Plans one decode iteration, preempting if block growth cannot fit.
+    /// A plan that preempted nothing starts a decode run.
     fn plan_decode(&mut self, now: SimTime) -> Option<StepPlan> {
         // Grow each sequence's allocation for the token this step appends.
         // Victims are chosen lowest-execution-priority first, then latest
@@ -374,16 +398,35 @@ impl InstanceEngine {
                     .saturating_sub(s.blocks_held)
             }
         };
-        let total_tokens = loop {
+        let mut preempted = false;
+        let (total_tokens, room, left) = loop {
             if self.running.is_empty() {
-                return None;
+                if !preempted {
+                    return None;
+                }
+                // The batch preempted itself away and its blocks are free
+                // again: admit now (or abort a request that can never fit)
+                // rather than idle with queued work until the next kick.
+                self.admit(now);
+                return (!self.prefill_pending.is_empty()).then(|| self.plan_prefill(now));
             }
-            // One pass sums the growth and the batch's tokens; growing
+            // One pass sums the growth and the batch's tokens and finds the
+            // steps until the next growth and the next finish; growing
             // changes no request's length.
-            let (needed, tokens) = self.running.iter().fold((0u32, 0u64), |(n, t), &slot| {
-                let s = self.states.get(slot);
-                (n + growth(s), t + s.total_len() as u64)
-            });
+            let (needed, tokens, room, left) = self.running.iter().fold(
+                (0u32, 0u64, u32::MAX, u32::MAX),
+                |(n, t, room, left), &slot| {
+                    let s = self.states.get(slot);
+                    let grow = growth(s);
+                    let held = (s.blocks_held + grow) * geometry.block_tokens;
+                    (
+                        n + grow,
+                        t + s.total_len() as u64,
+                        room.min(held - s.cached_tokens),
+                        left.min(s.meta.output_len.saturating_sub(s.generated)),
+                    )
+                },
+            );
             if self.blocks.take(needed).is_ok() {
                 if needed > 0 {
                     for &slot in &self.running {
@@ -392,36 +435,100 @@ impl InstanceEngine {
                     }
                     self.residents.blocks += needed;
                 }
-                break tokens;
+                break (tokens, room, left);
             }
+            preempted = true;
             if !self.preempt_one(now) {
                 // Only one request left and it still cannot grow: it can
                 // never proceed here. Preempt it too; admission will abort
                 // it if it cannot ever fit.
-                if let Some(&slot) = self.running.first() {
-                    self.preempt(slot, now);
-                    continue;
-                }
-                return None;
+                let slot = *self.running.first().expect("non-empty running");
+                self.preempt(slot, now);
             }
         };
-        let batch = DecodeBatch {
-            num_seqs: self.running.len() as u32,
-            total_tokens,
-        };
-        let compute = self.decode_cost.decode_step(&self.spec.cost, batch);
-        let duration = self.with_overhead(compute);
+        // Preemption freed blocks after admission ran, so the next step
+        // may admit: only a plan that preempted nothing starts a run.
+        if !preempted {
+            self.run = Some(DecodeRun::new(total_tokens, room, left));
+        }
+        let plan = self.price_decode(total_tokens, now);
         let states = &self.states;
         self.step.extend(
             self.running
                 .iter()
                 .map(|&slot| (slot, states.get(slot).meta.id)),
         );
-        Some(StepPlan {
+        Some(plan)
+    }
+
+    /// Prices a decode step over the running batch holding `total_tokens`.
+    fn price_decode(&mut self, total_tokens: u64, now: SimTime) -> StepPlan {
+        let batch = DecodeBatch {
+            num_seqs: self.running.len() as u32,
+            total_tokens,
+        };
+        let compute = self.decode_cost.decode_step(&self.spec.cost, batch);
+        StepPlan {
             kind: StepKind::Decode,
             started: now,
-            duration,
-        })
+            duration: self.with_overhead(compute),
+        }
+    }
+
+    /// Ends the decode run, if any: applies its completed steps to every
+    /// batch member, and drops the step buffer the run kept unless a step
+    /// is in flight (that step then completes in full).
+    fn settle(&mut self) {
+        let Some(run) = self.run else {
+            return;
+        };
+        self.run = None;
+        for &slot in &self.running {
+            run.apply(self.states.get_mut(slot));
+        }
+        if self.in_flight.is_none() {
+            self.step.clear();
+        }
+    }
+
+    /// Whether a live decode run matches the engine: the step buffer is the
+    /// running batch in order, nothing awaits prefill or a drain, admission
+    /// would do nothing, and the run's token count and its growth and
+    /// finish bounds match a walk of the batch.
+    fn run_holds(&self, run: &DecodeRun) -> bool {
+        let block_tokens = self.spec.geometry.block_tokens;
+        let members = self.running.iter().map(|&slot| self.states.get(slot));
+        let tokens: u64 = members
+            .clone()
+            .map(|s| u64::from(s.total_len() + run.done))
+            .sum();
+        let room = members
+            .clone()
+            .map(|s| (s.blocks_held * block_tokens).saturating_sub(s.cached_tokens))
+            .min();
+        let left = members
+            .map(|s| s.meta.output_len.saturating_sub(s.generated))
+            .min();
+        let admission_idle = self.running.len() >= MAX_BATCH_SIZE
+            || self.waiting.head().is_none_or(|head| {
+                let s = self.states.by_id(head).expect("queued request has state");
+                let needed = self.demand_blocks(s);
+                needed > self.blocks.free_blocks() && needed <= self.blocks.total_blocks()
+            });
+        self.prefill_pending.is_empty()
+            && self.drain_requested.is_empty()
+            && admission_idle
+            && tokens == run.tokens
+            && room == Some(run.grows_after)
+            && left == Some(run.finishes_at)
+            && run.done <= run.grows_after
+            && run.done < run.finishes_at
+            && self.step.len() == self.running.len()
+            && self
+                .step
+                .iter()
+                .zip(&self.running)
+                .all(|(&(slot, id), &member)| slot == member && self.states.get(slot).meta.id == id)
     }
 
     /// Preempts the best victim among running requests, if more than one is
@@ -485,11 +592,23 @@ impl InstanceEngine {
 
     /// Completes the in-flight step, applying token/bookkeeping effects.
     ///
+    /// A decode run's step that finishes no request only counts in the run,
+    /// which applies the counted steps to the batch when it ends.
+    ///
     /// # Panics
     ///
     /// Panics if no step is in flight (a scheduling logic error).
     pub fn complete_step(&mut self, now: SimTime) -> Vec<EngineEvent> {
-        let plan = self.in_flight.take().expect("complete_step without a step");
+        let plan = self.in_flight.expect("complete_step without a step");
+        if let Some(run) = self.run.as_mut().filter(|run| run.completes_lazily()) {
+            run.complete(plan.duration, now, self.running.len());
+            self.in_flight = None;
+            return std::mem::take(&mut self.pending_events);
+        }
+        // Settled while the step is still in flight, a run keeps its buffer:
+        // the step's requests.
+        self.settle();
+        self.in_flight = None;
         let mut events = std::mem::take(&mut self.pending_events);
         let mut step = std::mem::take(&mut self.step);
         match plan.kind {
@@ -601,6 +720,7 @@ impl InstanceEngine {
     /// Requests that a running request leave the batch for its final
     /// migration stage.
     pub fn request_drain(&mut self, id: RequestId) -> DrainOutcome {
+        self.settle();
         let Some(slot) = self.running_slot(id) else {
             return DrainOutcome::NotRunning;
         };
@@ -630,12 +750,14 @@ impl InstanceEngine {
     /// Cancels a pending (not yet executed) drain request, e.g. when the
     /// migration that asked for it aborts before the step boundary.
     pub fn cancel_drain(&mut self, id: RequestId) {
+        self.settle();
         self.drain_requested.remove(&id);
     }
 
     /// Re-inserts a drained request into the batch (migration aborted after
     /// the drain, e.g. destination failure).
     pub fn undrain(&mut self, id: RequestId) {
+        self.settle();
         let slot = self.states.slot(id).expect("undrain unknown request");
         let s = self.states.get_mut(slot);
         assert_eq!(s.phase, Phase::Draining, "undrain of non-draining {id}");
@@ -644,32 +766,50 @@ impl InstanceEngine {
         self.running.push(slot);
     }
 
-    /// Read-only state of a resident request.
-    pub fn state(&self, id: RequestId) -> Option<&SeqState> {
-        Some(self.states.get(self.states.slot(id)?))
+    /// The state of a tracked request, with the decode run's completed
+    /// steps applied (to a copy) if it is in the batch.
+    pub fn state(&self, id: RequestId) -> Option<Cow<'_, SeqState>> {
+        self.states.slot(id).map(|slot| self.settled(slot))
+    }
+
+    /// The state in `slot`, or a copy with the decode run's completed steps
+    /// applied if the request is in the batch and the run has any.
+    fn settled(&self, slot: u32) -> Cow<'_, SeqState> {
+        let s = self.states.get(slot);
+        match &self.run {
+            Some(run) if run.done > 0 && s.phase == Phase::Running => {
+                let mut s = s.clone();
+                run.apply(&mut s);
+                Cow::Owned(s)
+            }
+            _ => Cow::Borrowed(s),
+        }
     }
 
     /// Mutable state access for the migration coordinator's accounting. The
     /// resident ledgers assume callers leave `blocks_held` and the priority
     /// of a running or admitted request alone.
     pub fn state_mut(&mut self, id: RequestId) -> Option<&mut SeqState> {
+        self.settle();
         Some(self.states.get_mut(self.states.slot(id)?))
     }
 
     /// Running requests eligible to migrate out (decoding, not already
     /// draining), as `(id, execution priority, current length)`.
     pub fn migratable_requests(&self) -> Vec<(RequestId, crate::request::Priority, u32)> {
+        let lag = self.run.map_or(0, |run| run.done);
         self.running
             .iter()
             .map(|&slot| self.states.get(slot))
             .filter(|s| !self.drain_requested.contains(&s.meta.id))
-            .map(|s| (s.meta.id, s.meta.priority.execution, s.total_len()))
+            .map(|s| (s.meta.id, s.meta.priority.execution, s.total_len() + lag))
             .collect()
     }
 
     /// Removes a migrated-out request entirely, releasing its blocks
     /// (the source side of the migration commit). Returns its state.
     pub fn finish_migration_out(&mut self, id: RequestId) -> SeqState {
+        self.settle();
         let slot = self.states.slot(id).expect("migrating request has state");
         let mut s = self.states.remove(slot);
         self.blocks.give_back(s.blocks_held);
@@ -681,6 +821,7 @@ impl InstanceEngine {
     /// migration's own, become its allocation, and it joins the running
     /// batch directly (no re-prefill — the KV arrived with it).
     pub fn insert_migrated(&mut self, mut state: SeqState, blocks: u32) {
+        self.settle();
         debug_assert!(
             self.states.slot(state.meta.id).is_none(),
             "duplicate {}",
@@ -697,11 +838,13 @@ impl InstanceEngine {
     /// Reserves blocks for an incoming migration stage: its start, or a
     /// later stage's growth.
     pub fn reserve_blocks(&mut self, blocks: u32) -> Result<(), BlockError> {
+        self.settle();
         self.blocks.reserve(blocks)
     }
 
     /// Releases `blocks` of the reservations, an aborted migration's.
     pub fn release_reservation(&mut self, blocks: u32) {
+        self.settle();
         self.blocks.release_reservation(blocks);
     }
 
@@ -712,21 +855,25 @@ impl InstanceEngine {
 
     /// Counts a migration out of this instance.
     pub fn migration_out_started(&mut self) {
+        self.settle();
         self.migrations_out += 1;
     }
 
     /// Counts a migration into this instance.
     pub fn migration_in_started(&mut self) {
+        self.settle();
         self.migrations_in += 1;
     }
 
     /// Uncounts a committed or aborted migration out of this instance.
     pub fn migration_out_ended(&mut self) {
+        self.settle();
         self.migrations_out -= 1;
     }
 
     /// Uncounts a committed or aborted migration into this instance.
     pub fn migration_in_ended(&mut self) {
+        self.settle();
         self.migrations_in -= 1;
     }
 
@@ -767,12 +914,18 @@ impl InstanceEngine {
     /// Blocks physically held by a request, or 0 if the engine does not
     /// track it.
     pub fn physical_blocks_of(&self, id: RequestId) -> u32 {
-        self.state(id).map_or(0, |s| s.blocks_held)
+        self.states.by_id(id).map_or(0, |s| s.blocks_held)
     }
 
     /// A [`DecodeBatch`] summary of the current running batch, used by the
     /// migration coordinator to estimate the current step time.
     pub fn decode_batch_hint(&self) -> DecodeBatch {
+        if let Some(run) = &self.run {
+            return DecodeBatch {
+                num_seqs: self.running.len() as u32,
+                total_tokens: run.tokens,
+            };
+        }
         DecodeBatch {
             num_seqs: self.running.len() as u32,
             total_tokens: self
@@ -813,16 +966,20 @@ impl InstanceEngine {
     /// Ids in the in-flight step, in batch order; empty when no step is in
     /// flight. A decode step's ids are the running batch as planned.
     pub fn in_flight_ids(&self) -> Vec<RequestId> {
+        if self.in_flight.is_none() {
+            return Vec::new();
+        }
         self.step.iter().map(|&(_, id)| id).collect()
     }
 
-    /// The residents' states: the running batch in batch order, then the
-    /// admitted requests awaiting prefill.
-    pub fn residents(&self) -> impl Iterator<Item = &SeqState> + '_ {
+    /// The residents' states, with the decode run's completed steps applied
+    /// as [`InstanceEngine::state`] does: the running batch in batch order,
+    /// then the admitted requests awaiting prefill.
+    pub fn residents(&self) -> impl Iterator<Item = Cow<'_, SeqState>> + '_ {
         self.running
             .iter()
             .chain(&self.prefill_pending)
-            .map(|&slot| self.states.get(slot))
+            .map(|&slot| self.settled(slot))
     }
 
     /// Blocks held by the residents, the running batch and the admitted
@@ -856,8 +1013,10 @@ impl InstanceEngine {
         let mut seen = BTreeSet::new();
         let mut out: Vec<RequestId> = Vec::with_capacity(self.states.len());
         for id in self
-            .residents()
-            .map(|s| s.meta.id)
+            .running
+            .iter()
+            .chain(&self.prefill_pending)
+            .map(|&slot| self.states.get(slot).meta.id)
             .chain(self.waiting.iter())
         {
             if seen.insert(id) {
@@ -892,7 +1051,7 @@ impl InstanceEngine {
     /// The head-of-line queued request and its block demand, if any.
     pub fn head_of_line_demand(&self) -> Option<(RequestId, u32)> {
         self.waiting.head().map(|id| {
-            let s = self.state(id).expect("queued request has state");
+            let s = self.states.by_id(id).expect("queued request has state");
             (
                 id,
                 self.spec.geometry.blocks_for_tokens(s.required_tokens()),
@@ -914,8 +1073,9 @@ impl InstanceEngine {
     /// Verifies internal invariants (tests and debug assertions): the id map
     /// and the live slots match one to one, the blocks in use equal the
     /// per-request counts plus the reservations, the queued-demand and
-    /// resident ledgers match walks of the queue and of the residents, and
-    /// the running batch is exactly the requests in [`Phase::Running`].
+    /// resident ledgers match walks of the queue and of the residents, the
+    /// running batch is exactly the requests in [`Phase::Running`], and a
+    /// live decode run matches the batch.
     pub fn check_invariants(&self) -> bool {
         if !self.states.is_consistent() {
             return false;
@@ -924,7 +1084,7 @@ impl InstanceEngine {
         let queued: Option<u32> = self
             .waiting
             .iter()
-            .map(|id| self.state(id).map(|s| self.demand_blocks(s)))
+            .map(|id| self.states.by_id(id).map(|s| self.demand_blocks(s)))
             .sum();
         let residents = self.running.iter().chain(&self.prefill_pending).try_fold(
             Residents::default(),
@@ -947,6 +1107,7 @@ impl InstanceEngine {
                     .try_get(slot)
                     .is_some_and(|s| s.phase == Phase::Running)
             })
+            && self.run.is_none_or(|run| self.run_holds(&run))
     }
 }
 
@@ -995,6 +1156,11 @@ impl Slab {
     /// The slot holding `id`, if the engine tracks it.
     fn slot(&self, id: RequestId) -> Option<u32> {
         self.slot_of.get(&id).copied()
+    }
+
+    /// The state of `id`, if the engine tracks it.
+    fn by_id(&self, id: RequestId) -> Option<&SeqState> {
+        self.slot(id).map(|slot| self.get(slot))
     }
 
     /// The state in a slot the caller holds as live.
@@ -1067,6 +1233,90 @@ impl Residents {
     fn remove(&mut self, s: &SeqState) {
         self.blocks -= s.blocks_held;
         self.high -= usize::from(s.meta.priority.execution == Priority::High);
+    }
+}
+
+/// A decode run: the steps from a full decode plan that preempted nothing
+/// up to the first step that grows a block or finishes a request. Until
+/// then the batch, the queue and the free pool stay as that plan left them
+/// (every outside call settles first), so a step is priced from the run's
+/// token count and a completion only counts here. Settling adds the counted
+/// steps to every batch member exactly as that many eager completions
+/// would: token counts by `done`, `decode_compute` by the integer sum of the
+/// planned durations, and the token gaps through their maximum.
+#[derive(Debug, Clone, Copy)]
+struct DecodeRun {
+    /// The batch's tokens with the counted steps applied: the next step's
+    /// `total_tokens`.
+    tokens: u64,
+    /// Completed steps not yet applied to the batch.
+    done: u32,
+    /// Completed steps after which the next step must grow a block.
+    grows_after: u32,
+    /// The completion, counted from one, that finishes a request.
+    finishes_at: u32,
+    /// The counted steps' summed planned durations.
+    compute: SimDuration,
+    /// The first and last counted completion times.
+    first_end: SimTime,
+    last_end: SimTime,
+    /// The largest gap between consecutive counted completions.
+    max_gap: SimDuration,
+}
+
+impl DecodeRun {
+    /// A run whose first step, planned over `tokens`, leaves `room` steps
+    /// before a member needs a block and `left` completions before one
+    /// finishes.
+    fn new(tokens: u64, room: u32, left: u32) -> Self {
+        DecodeRun {
+            tokens,
+            done: 0,
+            grows_after: room,
+            finishes_at: left,
+            compute: SimDuration::ZERO,
+            first_end: SimTime::ZERO,
+            last_end: SimTime::ZERO,
+            max_gap: SimDuration::ZERO,
+        }
+    }
+
+    /// Whether the next step grows no block.
+    fn plans_cheaply(&self) -> bool {
+        self.done < self.grows_after
+    }
+
+    /// Whether the in-flight step finishes no request.
+    fn completes_lazily(&self) -> bool {
+        self.done + 1 < self.finishes_at
+    }
+
+    /// Counts a completed step of `duration` over `num_seqs` requests.
+    fn complete(&mut self, duration: SimDuration, now: SimTime, num_seqs: usize) {
+        if self.done == 0 {
+            self.first_end = now;
+        } else {
+            self.max_gap = self.max_gap.max(now.since(self.last_end));
+        }
+        self.last_end = now;
+        self.done += 1;
+        self.compute += duration;
+        self.tokens += num_seqs as u64;
+    }
+
+    /// Applies the counted steps to one batch member.
+    fn apply(&self, s: &mut SeqState) {
+        if self.done == 0 {
+            return;
+        }
+        s.generated += self.done;
+        s.cached_tokens += self.done;
+        s.decode_compute += self.compute;
+        if let Some(prev) = s.last_token_at {
+            s.max_token_gap = s.max_token_gap.max(self.first_end.since(prev));
+        }
+        s.max_token_gap = s.max_token_gap.max(self.max_gap);
+        s.last_token_at = Some(self.last_end);
     }
 }
 
@@ -1651,5 +1901,213 @@ mod tests {
         assert_still_queued(&e, RequestId(3));
         assert_eq!(e.running_ids(), vec![RequestId(2)]);
         assert!(e.check_invariants());
+    }
+
+    #[test]
+    fn a_batch_that_preempts_itself_away_is_replanned_at_once() {
+        // 6 blocks. r1's 90-token prompt fills them, and at 97 tokens it
+        // needs a 7th, more than the instance holds. With r2 queued behind it
+        // (one block), the poll that preempts r1 aborts it and admits r2;
+        // alone, it leaves the engine without work.
+        for with_r2 in [false, true] {
+            let mut e = engine(96);
+            e.add_request(meta(1, 90, 20, 0), SimTime::ZERO);
+            if with_r2 {
+                e.add_request(meta(2, 10, 4, 1), SimTime::ZERO);
+            }
+            let p = e.poll_step(SimTime::ZERO).expect("prefill");
+            assert_eq!(e.in_flight_ids(), [RequestId(1)]);
+            let mut now = p.finish_at();
+            e.complete_step(now);
+            let plan = loop {
+                let Some(plan) = e.poll_step(now) else {
+                    break None;
+                };
+                if plan.kind == StepKind::Prefill {
+                    break Some(plan);
+                }
+                now = plan.finish_at();
+                e.complete_step(now);
+            };
+            assert_eq!(
+                e.take_pending_events(),
+                [
+                    EngineEvent::Preempted(RequestId(1)),
+                    EngineEvent::Aborted(RequestId(1))
+                ]
+            );
+            let aborted = e.take_finished();
+            assert_eq!(aborted.len(), 1);
+            assert!(aborted[0].aborted && aborted[0].meta.id == RequestId(1));
+            if with_r2 {
+                assert!(plan.is_some());
+                assert_eq!(e.in_flight_ids(), [RequestId(2)]);
+            } else {
+                assert!(plan.is_none() && !e.has_work() && !e.step_in_flight());
+            }
+            assert!(e.check_invariants());
+        }
+    }
+
+    #[test]
+    fn a_plan_that_preempted_starts_no_run_and_the_next_plan_admits() {
+        // 6 blocks. r1 and r2 take 3 each; at 48 cached tokens both need a
+        // 4th, so the plan preempts r2, the later arrival, and grows r1. The
+        // freed blocks fit r3, queued at the head with high priority, but
+        // admission ran before the preemption: only the next plan admits it.
+        let mut e = engine(96);
+        e.add_request(meta(1, 40, 30, 0), SimTime::ZERO);
+        e.add_request(meta(2, 40, 30, 1), SimTime::ZERO);
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        let mut now = p.finish_at();
+        e.complete_step(now);
+        let mut high = meta(3, 10, 4, 2);
+        high.priority = PriorityPair::HIGH;
+        e.add_request(high, now);
+        loop {
+            let d = e.poll_step(now).expect("decode");
+            assert_eq!(d.kind, StepKind::Decode);
+            now = d.finish_at();
+            if !e.take_pending_events().is_empty() {
+                break;
+            }
+            assert!(e.run.is_some());
+            e.complete_step(now);
+        }
+        assert_eq!(e.in_flight_ids(), [RequestId(1)]);
+        assert!(e.run.is_none(), "a plan that preempted started a run");
+        e.complete_step(now);
+        let p = e.poll_step(now).expect("admission");
+        assert_eq!(p.kind, StepKind::Prefill);
+        assert_eq!(e.in_flight_ids(), [RequestId(3)]);
+        assert!(e.check_invariants());
+    }
+
+    /// An idle engine three completed steps into a decode run over r1 and
+    /// r2, with r3 drained out of the batch, four blocks reserved and one
+    /// migration counted each way, all before the run began.
+    fn mid_run() -> (InstanceEngine, SimTime) {
+        let mut e = engine(1024);
+        for (id, input) in [(1, 32), (2, 40), (3, 24)] {
+            e.add_request(meta(id, input, 50, 0), SimTime::ZERO);
+        }
+        let p = e.poll_step(SimTime::ZERO).expect("prefill");
+        let mut now = p.finish_at();
+        e.complete_step(now);
+        assert_eq!(e.request_drain(RequestId(3)), DrainOutcome::Drained);
+        e.reserve_blocks(4).expect("space");
+        e.migration_out_started();
+        e.migration_in_started();
+        for _ in 0..3 {
+            let d = e.poll_step(now).expect("decode");
+            now = d.finish_at();
+            assert!(e.complete_step(now).is_empty());
+        }
+        assert_eq!(e.run.map(|run| run.done), Some(3));
+        assert!(e.check_invariants());
+        (e, now)
+    }
+
+    #[test]
+    fn every_outside_call_settles_a_decode_run() {
+        let (e, now) = mid_run();
+        let r2 = e.state(RequestId(2)).expect("r2").into_owned();
+        assert_eq!((r2.generated, r2.cached_tokens), (4, 43));
+        type Call = fn(&mut InstanceEngine, SimTime);
+        let calls: [(&str, Call); 14] = [
+            ("add_request", |e, now| e.add_request(meta(9, 8, 8, 0), now)),
+            ("abort_request", |e, _| {
+                e.abort_request(RequestId(1));
+            }),
+            ("request_drain", |e, _| {
+                e.request_drain(RequestId(1));
+            }),
+            ("cancel_drain", |e, _| e.cancel_drain(RequestId(1))),
+            ("undrain", |e, _| e.undrain(RequestId(3))),
+            ("state_mut", |e, _| {
+                e.state_mut(RequestId(1));
+            }),
+            ("finish_migration_out", |e, _| {
+                e.finish_migration_out(RequestId(3));
+            }),
+            ("insert_migrated", |e, now| {
+                e.insert_migrated(SeqState::new(meta(9, 8, 8, 0), now), 4);
+            }),
+            ("reserve_blocks", |e, _| {
+                e.reserve_blocks(1).expect("space");
+            }),
+            ("release_reservation", |e, _| e.release_reservation(4)),
+            ("migration_out_started", |e, _| e.migration_out_started()),
+            ("migration_in_started", |e, _| e.migration_in_started()),
+            ("migration_out_ended", |e, _| e.migration_out_ended()),
+            ("migration_in_ended", |e, _| e.migration_in_ended()),
+        ];
+        for (name, call) in calls {
+            let mut c = e.clone();
+            call(&mut c, now);
+            assert!(c.run.is_none(), "{name} left the run live");
+            assert_eq!(c.states.by_id(RequestId(2)), Some(&r2), "{name}");
+        }
+    }
+
+    #[test]
+    fn no_reader_sees_a_decode_run_lag() {
+        let (mut e, mut now) = mid_run();
+        for in_flight in [false, true] {
+            if in_flight {
+                now = e.poll_step(now).expect("decode").finish_at();
+            }
+            let raw = e.states.by_id(RequestId(1)).expect("r1").clone();
+            let r1 = e.state(RequestId(1)).expect("r1");
+            assert_eq!((raw.generated, r1.generated), (1, 4), "r1 lags");
+            let mut settled = e.clone();
+            settled.settle();
+            for id in [1, 2, 3].map(RequestId) {
+                assert_eq!(e.state(id), settled.state(id));
+            }
+            assert!(e.residents().eq(settled.residents()));
+            assert_eq!(e.migratable_requests(), settled.migratable_requests());
+            assert_eq!(e.decode_batch_hint(), settled.decode_batch_hint());
+            assert_eq!(e.in_flight_ids(), settled.in_flight_ids());
+            assert!(settled.check_invariants());
+        }
+        // A settled in-flight step still completes in full.
+        let mut settled = e.clone();
+        settled.settle();
+        e.complete_step(now);
+        settled.complete_step(now);
+        assert_eq!(e.state(RequestId(1)), settled.state(RequestId(1)));
+    }
+
+    #[test]
+    fn a_clone_taken_mid_run_finishes_like_the_original() {
+        let (mut e, now) = mid_run();
+        let mut fork = e.clone();
+        let mut settled = e.clone();
+        settled.settle();
+        let ran = run_to_idle(&mut e, now);
+        assert_eq!(ran, run_to_idle(&mut fork, now));
+        assert_eq!(ran, run_to_idle(&mut settled, now));
+        let finished = e.take_finished();
+        assert_eq!(finished.len(), 2);
+        assert_eq!(finished, fork.take_finished());
+        assert_eq!(finished, settled.take_finished());
+    }
+
+    #[test]
+    fn check_invariants_covers_a_live_run() {
+        let (e, _) = mid_run();
+        let mut tokens = e.clone();
+        tokens.run.as_mut().expect("run").tokens += 1;
+        assert!(!tokens.check_invariants(), "token count drifted");
+        let mut bound = e.clone();
+        bound.run.as_mut().expect("run").grows_after += 1;
+        assert!(!bound.check_invariants(), "growth bound drifted");
+        let mut step = e.clone();
+        step.step.reverse();
+        assert!(!step.check_invariants(), "step buffer out of batch order");
+        let mut drain = e.clone();
+        drain.drain_requested.insert(RequestId(1));
+        assert!(!drain.check_invariants(), "a drain pending in a run");
     }
 }

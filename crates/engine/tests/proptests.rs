@@ -1,11 +1,13 @@
 //! Property tests for the instance engine and block manager.
 
+use std::collections::BTreeMap;
+
 use llumnix_engine::{
-    BlockManager, EngineConfig, InstanceEngine, InstanceId, Priority, PriorityPair, RequestId,
-    RequestMeta, WaitQueue,
+    BlockManager, EngineConfig, EngineEvent, InstanceEngine, InstanceId, Phase, Priority,
+    PriorityPair, RequestId, RequestMeta, SeqState, StepKind, WaitQueue,
 };
 use llumnix_model::InstanceSpec;
-use llumnix_sim::SimTime;
+use llumnix_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// A random block-manager operation.
@@ -147,6 +149,11 @@ proptest! {
     /// blocks and high-priority count equal a walk of the running batch and
     /// the admitted requests. Planning and completing a step are separate
     /// operations, so aborts, drains and commits also land mid-step.
+    ///
+    /// Each tracked request's tokens, read through `state()`, also match a
+    /// replay of the step history (each completed step's kind, planned
+    /// duration, completion time and requests), so a decode run's deferred
+    /// bookkeeping never shows.
     #[test]
     fn engine_ledgers_match_a_recount(ops in prop::collection::vec(engine_op(), 1..120)) {
         let spec = InstanceSpec::tiny_for_tests(1024);
@@ -157,6 +164,10 @@ proptest! {
         let mut now = SimTime::ZERO;
         let mut finish_at = None;
         let mut next_id = 0u64;
+        // The in-flight step as planned, and each tracked request's tokens
+        // as the completed steps say they must be.
+        let mut in_flight: Option<(StepKind, SimDuration, Vec<RequestId>)> = None;
+        let mut history: BTreeMap<RequestId, Tokens> = BTreeMap::new();
         for op in ops {
             match op {
                 EngineOp::Add(input, output, high) => {
@@ -169,17 +180,35 @@ proptest! {
                     };
                     next_id += 1;
                     engine.add_request(meta, now);
+                    history.insert(meta.id, Tokens::default());
                 }
                 EngineOp::Poll => {
                     if let Some(plan) = engine.poll_step(now) {
                         finish_at = Some(plan.finish_at());
+                        in_flight = Some((plan.kind, plan.duration, engine.in_flight_ids()));
                     }
-                    let _ = engine.take_pending_events();
+                    for ev in engine.take_pending_events() {
+                        if let EngineEvent::Preempted(id) = ev {
+                            history.get_mut(&id).expect("tracked").cached_tokens = 0;
+                        }
+                    }
                 }
                 EngineOp::Complete => {
                     if let Some(t) = finish_at.take() {
                         now = t;
+                        let (kind, duration, ids) = in_flight.take().expect("planned");
+                        // A decode step advances the requests still running;
+                        // a prefill step, those still tracked.
+                        let advanced: Vec<(RequestId, u32)> = ids
+                            .into_iter()
+                            .filter_map(|id| engine.state(id))
+                            .filter(|s| kind == StepKind::Prefill || s.phase == Phase::Running)
+                            .map(|s| (s.meta.id, s.meta.input_len))
+                            .collect();
                         engine.complete_step(now);
+                        for (id, input) in advanced {
+                            history.get_mut(&id).expect("tracked").step(kind, input, duration, now);
+                        }
                     }
                     let _ = engine.take_finished();
                 }
@@ -259,7 +288,52 @@ proptest! {
             prop_assert_eq!(engine.resident_high(), resident_high, "op {:?}", op);
             prop_assert_eq!(engine.step_in_flight(), finish_at.is_some());
             prop_assert!(engine.check_invariants(), "op {:?}", op);
+            history.retain(|&id, _| engine.state(id).is_some());
+            for (&id, want) in &history {
+                let got = Tokens::of(&engine.state(id).expect("tracked"));
+                prop_assert_eq!(got, *want, "{} after op {:?}", id, op);
+            }
         }
+    }
+}
+
+/// The token bookkeeping of one request.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tokens {
+    generated: u32,
+    cached_tokens: u32,
+    decode_compute: SimDuration,
+    last_token_at: Option<SimTime>,
+    max_token_gap: SimDuration,
+}
+
+impl Tokens {
+    fn of(s: &SeqState) -> Self {
+        Tokens {
+            generated: s.generated,
+            cached_tokens: s.cached_tokens,
+            decode_compute: s.decode_compute,
+            last_token_at: s.last_token_at,
+            max_token_gap: s.max_token_gap,
+        }
+    }
+
+    /// One completed step that advanced the request: a prefill caches the
+    /// prompt and every generated token, then emits one; a decode step
+    /// caches and emits one.
+    fn step(&mut self, kind: StepKind, input_len: u32, duration: SimDuration, now: SimTime) {
+        match kind {
+            StepKind::Prefill => self.cached_tokens = input_len + self.generated,
+            StepKind::Decode => {
+                self.cached_tokens += 1;
+                self.decode_compute += duration;
+            }
+        }
+        self.generated += 1;
+        if let Some(prev) = self.last_token_at {
+            self.max_token_gap = self.max_token_gap.max(now.since(prev));
+        }
+        self.last_token_at = Some(now);
     }
 }
 

@@ -529,6 +529,26 @@ mod tests {
     }
 
     #[test]
+    fn a_start_mid_decode_run_copies_the_exact_cached_tokens() {
+        let mut src = engine(0, 4096);
+        let mut dst = engine(1, 4096);
+        // The 200-token prompt leaves 8 tokens of room in its 13th block, so
+        // five decode steps stay inside the engine's decode run.
+        let mut now = start_running(&mut src, meta(1, 200, 100));
+        for _ in 0..5 {
+            now = src.poll_step(now).expect("decode").finish_at();
+            src.complete_step(now);
+        }
+        let mut coord = MigrationCoordinator::new(MigrationConfig::default());
+        let out = coord.start(RequestId(1), &mut src, &mut dst, now);
+        let StartOutcome::Started { id, .. } = out else {
+            panic!("refused: {out:?}");
+        };
+        assert_eq!(coord.active[&id].copied_tokens, 205);
+        assert_eq!(src.state(RequestId(1)).expect("running").cached_tokens, 205);
+    }
+
+    #[test]
     fn refused_when_destination_full() {
         let mut src = engine(0, 4096);
         let mut dst = engine(1, 96);
