@@ -7,19 +7,21 @@
 //! decode latency ≈3.8× the P50, and preemption loss accounting for ~70% of
 //! the P99 request's latency.
 //!
-//! The default rate, 0.55 req/s, is the rate at which this reproduction's
-//! cost model (faster than the paper's A10 testbed, so the paper's 0.42
-//! req/s leaves it lighter loaded) reads the paper's 62% memory load at the
+//! The rate, 0.55 req/s, is the rate at which this reproduction's cost
+//! model (faster than the paper's A10 testbed, so the paper's 0.42 req/s
+//! leaves it lighter loaded) reads the paper's 62% memory load at the
 //! default seed. There 5.0% of requests are preempted and the P99/P50
 //! decode ratio is 7.9×, against the paper's 8% and 3.8×: this
-//! reproduction's tail is sharper and rarer (EXPERIMENTS.md). Pass
-//! `--rate` to move the operating point.
+//! reproduction's tail is sharper and rarer (EXPERIMENTS.md).
 
 use llumnix_bench::{build_trace, BenchOpts, Flag};
 use llumnix_core::{run_serving, SchedulerKind, ServingConfig};
 use llumnix_metrics::{percentile, Table};
 use llumnix_workload::Arrivals;
 use serde::Serialize;
+
+/// Arrival rate (req/s) that gives the paper's 62% memory load here.
+const RATE: f64 = 0.55;
 
 #[derive(Serialize)]
 struct Row {
@@ -30,15 +32,9 @@ struct Row {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args(&[
-        Flag::Seed,
-        Flag::Scale,
-        Flag::Json,
-        Flag::Positive("--rate"),
-    ]);
-    let rate = opts.positive("--rate").unwrap_or(0.55);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json]);
     let n = opts.scaled(2_000);
-    let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);
+    let trace = build_trace("M-M", n, Arrivals::poisson(RATE), 0.0, opts.seed);
     // A single instance and no migration: this is plain vLLM behaviour.
     let config = ServingConfig::new(SchedulerKind::RoundRobin, 1);
     let total_blocks = f64::from(config.spec.geometry.total_blocks);
@@ -64,7 +60,7 @@ fn main() {
 
     let mut table = Table::new(
         format!(
-            "Figure 3: preemptions on 1×LLaMA-7B (rate {rate} req/s, mem load {:.0}%, {:.1}% requests preempted)",
+            "Figure 3: preemptions on 1×LLaMA-7B (rate {RATE} req/s, mem load {:.0}%, {:.1}% requests preempted)",
             mem_load * 100.0,
             frac * 100.0
         ),

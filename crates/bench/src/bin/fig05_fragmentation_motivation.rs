@@ -7,14 +7,17 @@
 //! could satisfy the head-of-line queuing requests on at least three
 //! instances — the requests queue *only because of fragmentation*.
 //!
-//! The rate defaults to this model's equivalent of the paper's 1.9 req/s
-//! operating point; pass `--rate` to override.
+//! The rate, 3.4 req/s, is this model's equivalent of the paper's 1.9 req/s
+//! operating point.
 
 use llumnix_bench::{build_trace, BenchOpts, Flag};
 use llumnix_core::{run_serving, SchedulerKind, ServingConfig};
 use llumnix_metrics::Table;
 use llumnix_workload::Arrivals;
 use serde::Serialize;
+
+/// Arrival rate (req/s): the paper's 1.9 req/s operating point here.
+const RATE: f64 = 3.4;
 
 #[derive(Serialize)]
 struct Out {
@@ -27,15 +30,9 @@ struct Out {
 }
 
 fn main() {
-    let opts = BenchOpts::from_args(&[
-        Flag::Seed,
-        Flag::Scale,
-        Flag::Json,
-        Flag::Positive("--rate"),
-    ]);
-    let rate = opts.positive("--rate").unwrap_or(3.4);
+    let opts = BenchOpts::from_args(&[Flag::Seed, Flag::Scale, Flag::Json]);
     let n = opts.scaled(2_000);
-    let trace = build_trace("M-M", n, Arrivals::poisson(rate), 0.0, opts.seed);
+    let trace = build_trace("M-M", n, Arrivals::poisson(RATE), 0.0, opts.seed);
     // The paper's "spreading dispatching policy that dispatches new requests
     // to the instance with the lowest memory load" is INFaaS++'s dispatch.
     let config = ServingConfig::new(SchedulerKind::InfaasPlusPlus, 4);
@@ -58,7 +55,7 @@ fn main() {
         }
     }
     let mut table = Table::new(
-        format!("Figure 5: fragmentation on 4×LLaMA-7B, M-M @ {rate} req/s"),
+        format!("Figure 5: fragmentation on 4×LLaMA-7B, M-M @ {RATE} req/s"),
         &["metric", "value"],
     );
     let frac_queue = with_queue as f64 / queue_points.len().max(1) as f64;
@@ -102,7 +99,7 @@ fn main() {
     }
     println!("{}", excerpt.render());
     opts.maybe_write_json(&Out {
-        rate,
+        rate: RATE,
         samples: queue_points.len(),
         fraction_with_queuing: frac_queue,
         fraction_hol_satisfiable_when_queuing: frac_sat,

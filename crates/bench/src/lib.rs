@@ -7,7 +7,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -31,9 +31,8 @@ pub struct BenchOpts {
     pub json: Option<String>,
     /// Scale factor on request counts (use < 1.0 for quick runs).
     pub scale: f64,
-    /// The binary's own flags given: each switch maps to `None`, each
-    /// positive number to its value.
-    own: BTreeMap<&'static str, Option<f64>>,
+    /// The binary's own switches given.
+    own: BTreeSet<&'static str>,
 }
 
 /// A flag a binary reads. Each binary names every flag it reads, the common
@@ -53,9 +52,6 @@ pub enum Flag {
     Threads,
     /// A binary's own flag without a value, such as fig16's `--huge`.
     Switch(&'static str),
-    /// A binary's own flag whose value is a positive number, such as
-    /// fig03's `--rate`.
-    Positive(&'static str),
 }
 
 impl Flag {
@@ -65,7 +61,7 @@ impl Flag {
             Flag::Scale => "--scale",
             Flag::Json => "--json",
             Flag::Threads => "--threads",
-            Flag::Switch(flag) | Flag::Positive(flag) => flag,
+            Flag::Switch(flag) => flag,
         }
     }
 }
@@ -107,7 +103,7 @@ fn parse_args(args: &[String], flags: &[Flag]) -> Result<BenchOpts, String> {
         seed: DEFAULT_SEED,
         json: None,
         scale: 1.0,
-        own: BTreeMap::new(),
+        own: BTreeSet::new(),
     };
     let mut seen = Vec::new();
     let mut args = args.iter().map(String::as_str);
@@ -132,10 +128,7 @@ fn parse_args(args: &[String], flags: &[Flag]) -> Result<BenchOpts, String> {
                 threads => set_thread_override(threads),
             },
             Flag::Switch(f) => {
-                opts.own.insert(f, None);
-            }
-            Flag::Positive(f) => {
-                opts.own.insert(f, Some(positive(&mut args, arg)?));
+                opts.own.insert(f);
             }
         }
     }
@@ -159,12 +152,7 @@ impl BenchOpts {
 
     /// Whether the switch `flag` was given.
     pub fn switch(&self, flag: &str) -> bool {
-        self.own.contains_key(flag)
-    }
-
-    /// The value given for the positive-number flag `flag`, if any.
-    pub fn positive(&self, flag: &str) -> Option<f64> {
-        self.own.get(flag).copied().flatten()
+        self.own.contains(flag)
     }
 
     /// Applies the scale factor to a request count.
@@ -687,7 +675,7 @@ mod tests {
             seed: 1,
             json: None,
             scale: 0.1,
-            own: BTreeMap::new(),
+            own: BTreeSet::new(),
         };
         assert_eq!(opts.scaled(10_000), 1_000);
         assert_eq!(opts.scaled(50), 10, "floor at 10");
@@ -696,15 +684,13 @@ mod tests {
     #[test]
     fn extra_flags_parse_only_where_declared() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let flags = [Flag::Seed, Flag::Switch("--huge"), Flag::Positive("--rate")];
-        let opts = parse_args(&args(&["--rate", "2.5", "--huge", "--seed", "3"]), &flags)
-            .expect("declared flags parse");
+        let flags = [Flag::Seed, Flag::Switch("--huge")];
+        let opts =
+            parse_args(&args(&["--huge", "--seed", "3"]), &flags).expect("declared flags parse");
         assert!(opts.switch("--huge"));
-        assert_eq!(opts.positive("--rate"), Some(2.5));
         assert_eq!(opts.seed, 3);
         let opts = parse_args(&[], &flags).expect("no flags parse");
         assert!(!opts.switch("--huge"));
-        assert_eq!(opts.positive("--rate"), None);
         assert_eq!(opts.seed, DEFAULT_SEED);
         let err = parse_args(&args(&["--huge"]), &[Flag::Json]).expect_err("undeclared");
         assert_eq!(

@@ -217,14 +217,6 @@ fn keep_smallest(entries: &mut Vec<u128>, n: usize) {
     entries.sort_unstable();
 }
 
-/// Outcome of [`DispatchIndex::update`], used by the caller to schedule the
-/// starting→serving re-check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// The instance entered the `starting` state with this update.
-    pub became_starting: bool,
-}
-
 /// The incremental dispatch/pairing/termination index.
 ///
 /// `Clone` supports the sim-level snapshot/fork capability (every ordering
@@ -270,7 +262,7 @@ impl DispatchIndex {
 
     /// Applies a fresh report: rewrites the instance's leaf in every tracked
     /// ordering, which replays only the matches whose winner changes.
-    pub fn update(&mut self, report: &LoadReport) -> UpdateOutcome {
+    pub fn update(&mut self, report: &LoadReport) {
         let idx = report.id.0 as usize;
         if self.entries.len() <= idx {
             self.entries.resize(idx + 1, None);
@@ -278,9 +270,7 @@ impl DispatchIndex {
         let new_state = membership(report);
         let old = self.entries[idx];
         if old.is_some_and(|old| old.report == *report) {
-            return UpdateOutcome {
-                became_starting: false,
-            };
+            return;
         }
         self.set_leaves(report, new_state == Membership::Serving);
         self.entries[idx] = Some(Entry {
@@ -290,10 +280,6 @@ impl DispatchIndex {
         let was_serving = old.is_some_and(|e| e.state == Membership::Serving);
         if was_serving != (new_state == Membership::Serving) {
             self.order_dirty = true;
-        }
-        UpdateOutcome {
-            became_starting: new_state == Membership::Starting
-                && old.is_none_or(|e| e.state != Membership::Starting),
         }
     }
 
@@ -492,13 +478,12 @@ mod tests {
     fn membership_transitions() {
         let mut ix = DispatchIndex::new(IndexPolicy::all());
         let mut r0 = report(0, 100.0, 0.0);
-        let out = ix.update(&r0);
-        assert!(!out.became_starting);
+        ix.update(&r0);
         let mut r1 = report(1, 5.0, 0.0);
         r1.starting = true;
-        assert!(ix.update(&r1).became_starting);
-        assert!(!ix.update(&r1).became_starting, "no re-trigger");
+        ix.update(&r1);
         ix.sync_order(&[InstanceId(0), InstanceId(1)]);
+        // A starting instance is indexed but takes no dispatch.
         assert_eq!(ix.serving_len(), 1);
         // The starting instance comes online.
         r1.starting = false;

@@ -16,8 +16,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use llumnix_engine::{
-    EngineConfig, EngineEvent, InstanceEngine, InstanceId, PriorityPair, RequestId, RequestMeta,
-    SeqState,
+    EngineConfig, EngineEvent, InstanceEngine, InstanceId, Priority, PriorityPair, RequestId,
+    RequestMeta, SeqState,
 };
 use llumnix_faults::{FaultKind, FaultPlan};
 use llumnix_metrics::{FaultStats, RecordPriority, RequestRecord, SummaryAccumulator, TimeSeries};
@@ -66,8 +66,6 @@ pub struct ServingConfig {
     /// Empty by default. Requests lost to a crash are *re-dispatched*
     /// through the main dispatcher, not aborted.
     pub fault_plan: FaultPlan,
-    /// Hard wall-clock cap on the simulation (guards runaway configs).
-    pub max_sim_time: SimTime,
 }
 
 impl ServingConfig {
@@ -88,7 +86,6 @@ impl ServingConfig {
             victim_policy: VictimPolicy::default(),
             autoscale: None,
             fault_plan: FaultPlan::empty(),
-            max_sim_time: SimTime::from_secs(24 * 3600),
         }
     }
 
@@ -239,9 +236,10 @@ pub struct ServingSim {
     /// Under the `Gradual` queuing rule reports drift with time alone, so
     /// every refresh must revisit the whole fleet instead of the dirty set.
     refresh_all: bool,
-    /// `(serving_from, id)` for instances still in their startup delay: the
-    /// starting → serving transition happens by time passing, not by an
-    /// engine event, so the refresh re-checks them when their deadline hits.
+    /// `(serving_from, id)` for instances still in their startup delay,
+    /// queued at launch: the starting → serving transition happens by time
+    /// passing, not by an engine event, so the refresh re-checks them when
+    /// their deadline hits.
     starting_queue: Vec<(SimTime, InstanceId)>,
     dirty_scratch: Vec<InstanceId>,
     next_instance: u32,
@@ -280,14 +278,13 @@ pub struct ServingSim {
     link_down_until: BTreeMap<InstanceId, SimTime>,
     /// Straggling instances: id → (expiry, latency factor).
     slow_until: BTreeMap<InstanceId, (SimTime, f64)>,
-    order_scratch: Vec<InstanceId>,
     events_processed: u64,
     /// Effective periodic-tick intervals: [`SAMPLE_INTERVAL`] and the
     /// configured migration interval times the fleet-size coarsening factor
     /// (see [`tick_scale`]). Constant for a run.
     sample_interval: SimDuration,
     migration_interval: SimDuration,
-    /// The run crossed `max_sim_time` and must not process further events.
+    /// The run crossed [`MAX_SIM_TIME`] and must not process further events.
     halted: bool,
 }
 
@@ -314,6 +311,10 @@ pub struct SimSnapshot {
 /// Timeline sampling (and scaling-observation) interval, before
 /// [`tick_scale`].
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Hard cap on simulated time (guards runaway configs): a run halts at the
+/// first event past it.
+const MAX_SIM_TIME: SimTime = SimTime::from_secs(24 * 3600);
 
 /// Coarsening factor for the periodic sampling and migration ticks.
 ///
@@ -390,7 +391,6 @@ impl ServingSim {
             crash_lost_at: BTreeMap::new(),
             link_down_until: BTreeMap::new(),
             slow_until: BTreeMap::new(),
-            order_scratch: Vec::new(),
             events_processed: 0,
             halted: false,
         };
@@ -487,7 +487,7 @@ impl ServingSim {
             let (at, event) = self.queue.pop().expect("peeked above");
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
-            if self.now > self.config.max_sim_time {
+            if self.now > MAX_SIM_TIME {
                 self.halted = true;
                 break;
             }
@@ -539,7 +539,7 @@ impl ServingSim {
         );
         // Every request completed or aborted, and every migration committed
         // or aborted with its reservation released, unless the run halted at
-        // `max_sim_time` with work still in flight.
+        // `MAX_SIM_TIME` with work still in flight.
         if !self.halted {
             assert_eq!(
                 self.records.len() as u64 + self.aborted,
@@ -650,14 +650,11 @@ impl ServingSim {
         target
     }
 
+    /// Dispatches trace request `index`, parking it in `undispatched` when
+    /// no instance can take it.
     fn dispatch(&mut self, index: usize) {
         let r = self.trace.requests[index];
-        let high = self.config.scheduler.uses_priorities() && r.high_priority;
-        let Some(target) = self.dispatch_target(high) else {
-            self.undispatched.push_back(index);
-            return;
-        };
-        let priority = if high {
+        let priority = if self.config.scheduler.uses_priorities() && r.high_priority {
             PriorityPair::HIGH
         } else {
             PriorityPair::NORMAL
@@ -669,9 +666,24 @@ impl ServingSim {
             priority,
             arrival: r.arrival,
         };
+        if !self.place(meta) {
+            self.undispatched.push_back(index);
+        }
+    }
+
+    /// Adds `meta` to the instance its dispatch class picks and kicks that
+    /// instance. The class is the request's execution priority, which
+    /// [`Self::dispatch`] sets high only for a high-priority request under a
+    /// priority-aware scheduler. Returns whether a target existed.
+    fn place(&mut self, meta: RequestMeta) -> bool {
+        let high = meta.priority.execution == Priority::High;
+        let Some(target) = self.dispatch_target(high) else {
+            return false;
+        };
         let llumlet = self.store.get_mut(target).expect("dispatch target");
         llumlet.engine.add_request(meta, self.now);
         self.kick(target);
+        true
     }
 
     fn on_step_done(&mut self, id: InstanceId) {
@@ -742,9 +754,7 @@ impl ServingSim {
             // already finished still lands — only in-flight copies die.)
             self.coordinator.abort(mid, se, de, AbortReason::LinkFailed);
             self.fault_stats.aborts_link_failed += 1;
-            self.kick(dst);
-            self.kick(src);
-            self.continue_pair(src);
+            self.migration_ended(src, dst);
             return;
         }
         let outcome = self.coordinator.on_stage_done(mid, se, de, self.now);
@@ -756,12 +766,7 @@ impl ServingSim {
                 self.queue.push(commit_at, Event::MigrationCommit(mid));
             }
             Some(StageOutcome::DrainRequested) | None => {}
-            Some(StageOutcome::Aborted(_)) => {
-                // Space may have been released on the destination.
-                self.kick(dst);
-                self.kick(src);
-                self.continue_pair(src);
-            }
+            Some(StageOutcome::Aborted(_)) => self.migration_ended(src, dst),
         }
     }
 
@@ -774,19 +779,13 @@ impl ServingSim {
         };
         match self.coordinator.on_commit(mid, se, de, self.now) {
             CommitResult::Committed(_) => {
-                self.kick(dst);
-                self.kick(src);
-                self.continue_pair(src);
+                self.migration_ended(src, dst);
                 self.maybe_finish_termination(src);
                 self.maybe_finish_termination(dst);
             }
-            CommitResult::AbortedAtCommit(_) => {
-                // The reservation was released on the destination; the source
-                // keeps (or already finished) the request.
-                self.kick(dst);
-                self.kick(src);
-                self.continue_pair(src);
-            }
+            // The reservation was released on the destination; the source
+            // keeps (or already finished) the request.
+            CommitResult::AbortedAtCommit(_) => self.migration_ended(src, dst),
             CommitResult::Stale => {}
         }
     }
@@ -811,6 +810,14 @@ impl ServingSim {
             self.queue
                 .push(self.now + self.migration_interval, Event::MigrationTick);
         }
+    }
+
+    /// Kicks both ends of a migration that committed or aborted, and lets
+    /// the source's pair start its next migration.
+    fn migration_ended(&mut self, src: InstanceId, dst: InstanceId) {
+        self.kick(dst);
+        self.kick(src);
+        self.continue_pair(src);
     }
 
     /// Starts the next migration from `src` if its pair is set and it has no
@@ -856,17 +863,8 @@ impl ServingSim {
         self.sample_timelines();
         self.autoscale();
         self.retry_undispatched();
-        // Safety net: kick everything (cheap at the sampling rate). Kicks can
-        // remove instances from `self.order` (termination), so iterate a
-        // snapshot — taken into a persistent scratch buffer rather than a
-        // fresh clone per sample.
-        let mut snapshot = std::mem::take(&mut self.order_scratch);
-        snapshot.clear();
-        snapshot.extend_from_slice(self.store.order());
-        for &id in &snapshot {
-            self.kick(id);
-        }
-        self.order_scratch = snapshot;
+        #[cfg(debug_assertions)]
+        self.assert_no_kick_pending();
         if !self.finished_serving() {
             self.queue
                 .push(self.now + self.sample_interval, Event::Sample);
@@ -977,13 +975,18 @@ impl ServingSim {
 
     /// Dead-instance teardown: aborts in-flight migrations touching
     /// `id` via the Figure 7 failure paths, in creation order, each on its
-    /// one surviving peer (counting each abort reason), evicts it from the
-    /// dispatch index, the pairing table, and the fault maps, and returns
-    /// the metas of every request it held — running batch, pending
-    /// prefills, queue, and draining set — in the engine's deterministic
-    /// roster order.
+    /// one surviving peer (counting each abort reason), removes the
+    /// instance, and returns the metas of every request it held — running
+    /// batch, pending prefills, queue, and draining set — in the engine's
+    /// deterministic roster order.
+    ///
+    /// An abort frees a destination's reservation or puts a drained request
+    /// back into the source's batch, so each peer is kicked, after the
+    /// removal: the never-the-last rule of
+    /// [`Self::maybe_finish_termination`] must count the surviving fleet.
     fn teardown_failed_instance(&mut self, id: InstanceId) -> Vec<RequestMeta> {
-        for (mid, peer) in self.coordinator.migrations_touching(id) {
+        let aborted = self.coordinator.migrations_touching(id);
+        for &(mid, peer) in &aborted {
             let peer = self
                 .store
                 .get_mut(peer)
@@ -993,12 +996,10 @@ impl ServingSim {
                 _ => self.fault_stats.aborts_destination_failed += 1,
             }
         }
-        let llumlet = self.store.remove(id).expect("teardown of live instance");
-        self.index.remove(id);
-        self.pairs.remove(&id);
-        self.pairs.retain(|_, d| *d != id);
-        self.slow_until.remove(&id);
-        self.link_down_until.remove(&id);
+        let llumlet = self.remove_instance(id).expect("teardown of live instance");
+        for (_, peer) in aborted {
+            self.kick(peer);
+        }
         llumlet
             .engine
             .tracked_ids()
@@ -1015,17 +1016,38 @@ impl ServingSim {
 
     // ---- helpers -----------------------------------------------------------
 
+    /// Launches an instance, serving after `startup` if given. The fleet's
+    /// previous lone instance is re-checked for removal: a terminating
+    /// instance that finished draining alone waits only for a second one.
     fn launch_instance(&mut self, now: SimTime, startup: Option<SimDuration>) -> InstanceId {
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
+        let lone = (self.store.len() == 1).then(|| self.store.order()[0]);
         let engine = InstanceEngine::new(id, Arc::clone(&self.spec), self.config.engine.clone());
         let starting_until = startup.map(|d| now + d);
-        // `insert` marks the instance dirty, so the next refresh indexes it
-        // and, if it is still starting, queues its online re-check.
+        if let Some(until) = starting_until {
+            self.starting_queue.push((until, id));
+        }
+        // `insert` marks the instance dirty, so the next refresh indexes it.
         self.store
             .insert(id, Llumlet::new(engine, now, starting_until));
         self.sample_instances();
+        if let Some(lone) = lone {
+            self.maybe_finish_termination(lone);
+        }
         id
+    }
+
+    /// Drops `id` from the store, the dispatch index, both ends of the
+    /// pairing table and the fault maps.
+    fn remove_instance(&mut self, id: InstanceId) -> Option<Llumlet> {
+        let llumlet = self.store.remove(id)?;
+        self.index.remove(id);
+        self.pairs.remove(&id);
+        self.pairs.retain(|_, d| *d != id);
+        self.slow_until.remove(&id);
+        self.link_down_until.remove(&id);
+        Some(llumlet)
     }
 
     /// Brings the dispatch index up to date with every instance that could
@@ -1058,11 +1080,7 @@ impl ServingSim {
                 self.index.remove(id);
                 continue;
             };
-            let report = l.report_fresh(self.now, &self.headroom);
-            if self.index.update(&report).became_starting {
-                let until = l.starting_until.expect("starting implies deadline");
-                self.starting_queue.push((until, id));
-            }
+            self.index.update(&l.report_fresh(self.now, &self.headroom));
         }
         self.dirty_scratch = dirty;
         // No-op when the index saw no membership change.
@@ -1316,48 +1334,48 @@ impl ServingSim {
 
     /// Re-dispatches a request aborted off a terminating or crashed instance
     /// through the sim's main dispatcher — same round-robin state, same
-    /// priority-class routing rule as a fresh arrival of that request.
-    /// Returns whether a dispatch target existed.
+    /// priority-class routing rule as a fresh arrival of that request — and
+    /// aborts it when no dispatch target exists. Returns whether one did.
     fn redispatch(&mut self, meta: RequestMeta) -> bool {
-        let high = self.config.scheduler.uses_priorities() && self.high_ids.contains(&meta.id.0);
-        if let Some(target) = self.dispatch_target(high) {
-            self.store
-                .get_mut(target)
-                .expect("target")
-                .engine
-                .add_request(meta, self.now);
-            self.kick(target);
-            true
-        } else {
-            // No instance available: treat as aborted.
+        let placed = self.place(meta);
+        if !placed {
             self.aborted += 1;
-            false
+        }
+        placed
+    }
+
+    /// Removes a terminating instance once it is done (see
+    /// [`termination_done`]), unless it is the last instance.
+    fn maybe_finish_termination(&mut self, id: InstanceId) {
+        if self.store.len() > 1 && self.store.get(id).is_some_and(termination_done) {
+            self.remove_instance(id);
+            self.sample_instances();
         }
     }
 
-    /// Removes a terminating instance once it is fully drained and no
-    /// migration still touches it.
-    fn maybe_finish_termination(&mut self, id: InstanceId) {
-        let Some(llumlet) = self.store.get(id) else {
-            return;
-        };
-        if !llumlet.terminating || !llumlet.is_drained() || llumlet.engine.step_in_flight() {
-            return;
+    /// Debug check, at every sample tick, that each state change kicked the
+    /// instances it touched, so a kick anywhere would change nothing: a
+    /// clone of each idle, non-starting engine plans no step, raises no
+    /// event and finishes nothing, and no terminating instance is done in a
+    /// fleet of two or more.
+    #[cfg(debug_assertions)]
+    fn assert_no_kick_pending(&self) {
+        for (id, l) in self.store.iter() {
+            if !l.engine.step_in_flight() && !l.is_starting(self.now) {
+                let mut engine = l.engine.clone();
+                let plan = engine.poll_step(self.now);
+                debug_assert!(
+                    plan.is_none()
+                        && engine.take_pending_events().is_empty()
+                        && !engine.has_finished(),
+                    "{id} is idle with a step to run, an event or a finished request"
+                );
+            }
+            debug_assert!(
+                self.store.len() < 2 || !termination_done(l),
+                "{id} finished terminating but is still in the fleet"
+            );
         }
-        if llumlet.engine.migrating() {
-            // Wait for in-flight migrations (out of *or into* this
-            // instance) to settle; commits re-check via this function.
-            return;
-        }
-        // Never drop the last instance.
-        if self.store.len() <= 1 {
-            return;
-        }
-        self.store.remove(id);
-        self.index.remove(id);
-        self.pairs.remove(&id);
-        self.pairs.retain(|_, d| *d != id);
-        self.sample_instances();
     }
 
     fn retry_undispatched(&mut self) {
@@ -1376,6 +1394,16 @@ impl ServingSim {
                 !e.has_work() && !e.step_in_flight()
             })
     }
+}
+
+/// Whether a terminating instance is done: fully drained, no step in
+/// flight, and no migration out of *or into* it (a commit or abort re-checks
+/// through [`ServingSim::maybe_finish_termination`]).
+fn termination_done(llumlet: &Llumlet) -> bool {
+    llumlet.terminating
+        && llumlet.is_drained()
+        && !llumlet.engine.step_in_flight()
+        && !llumlet.engine.migrating()
 }
 
 /// Whether [`ServingSim::collect_finished`] has work on this instance:
@@ -1407,7 +1435,7 @@ mod tests {
     use super::*;
     use llumnix_faults::PlannedFault;
     use llumnix_sim::SimRng;
-    use llumnix_workload::{presets, Arrivals};
+    use llumnix_workload::{presets, Arrivals, TraceRequest};
 
     fn tiny_trace(n: usize, rate: f64, seed: u64) -> Trace {
         // Capped so every request fits the 2048-token test instances: no
@@ -2046,9 +2074,8 @@ mod tests {
     fn drained_faulted_sim() -> ServingSim {
         let trace = tiny_trace(120, 5.0, 48);
         let cfg = tiny_config(SchedulerKind::Llumnix, 3).with_faults(churn_plan(48, 900.0));
-        let horizon = cfg.max_sim_time;
         let mut sim = ServingSim::new(cfg, trace);
-        sim.run_until(horizon);
+        sim.run_until(MAX_SIM_TIME);
         assert!(sim.queue.is_empty(), "every event processed");
         assert!(sim.fault_stats.crashes > 0, "plan should fire crashes");
         let out = sim.clone().run();
@@ -2325,5 +2352,149 @@ mod tests {
             .records
             .iter()
             .any(|r| r.priority == RecordPriority::High));
+    }
+
+    /// A trace of normal-priority requests, `(arrival ms, input, output)`.
+    fn trace_of(requests: &[(u64, u32, u32)]) -> Trace {
+        let requests = (0..)
+            .zip(requests)
+            .map(|(id, &(ms, input_len, output_len))| TraceRequest {
+                id,
+                arrival: SimTime::from_millis(ms),
+                input_len,
+                output_len,
+                high_priority: false,
+            })
+            .collect();
+        Trace {
+            name: "inline".into(),
+            requests,
+        }
+    }
+
+    /// A Llumnix run over `n` tiny instances whose one request (200 tokens
+    /// in, 1 800 out) lands on instance 0: every instance holding a request
+    /// is a migration source, and only an empty one is a destination.
+    fn migrating_sim(n: u32) -> ServingSim {
+        let mut cfg = tiny_config(SchedulerKind::Llumnix, n);
+        cfg.migration_thresholds = MigrationThresholds {
+            source_below: 1e9,
+            destination_above: 1_900.0,
+        };
+        ServingSim::new(cfg, trace_of(&[(0, 200, 1_800)]))
+    }
+
+    /// Runs `sim` one event instant at a time until `done` holds.
+    fn step_until(sim: &mut ServingSim, done: impl Fn(&ServingSim) -> bool) {
+        while !done(sim) {
+            let t = sim.queue.peek_time().expect("an event is pending");
+            sim.run_until(t + SimDuration::from_micros(1));
+        }
+    }
+
+    /// Crashes the instance at `rank` 1 µs from now, for good, and runs
+    /// through the crash's instant.
+    fn crash_now(sim: &mut ServingSim, rank: u64) {
+        let at = sim.now + SimDuration::from_micros(1);
+        let kind = FaultKind::Crash {
+            restart_after: None,
+        };
+        sim.activate_faults(FaultPlan::from_faults(vec![PlannedFault {
+            at,
+            target_rank: rank,
+            kind,
+        }]));
+        sim.run_until(at + SimDuration::from_micros(1));
+    }
+
+    fn engine(sim: &ServingSim, id: u32) -> &InstanceEngine {
+        &sim.store.get(InstanceId(id)).expect("live").engine
+    }
+
+    /// `migrating_sim(2)` stepped until instance 0 has drained its request
+    /// for the final copy to instance 1; instance 0 is then idle.
+    fn drained_for_final_copy() -> ServingSim {
+        let mut sim = migrating_sim(2);
+        step_until(&mut sim, |sim| !engine(sim, 0).draining_ids().is_empty());
+        assert_eq!(sim.now, SimTime::from_micros(142_415));
+        assert!(!engine(&sim, 0).step_in_flight());
+        sim
+    }
+
+    /// A destination that crashes during the final copy hands the drained
+    /// request back to its idle source, which resumes it at once rather than
+    /// at the next sample tick.
+    #[test]
+    fn a_destination_crash_in_the_final_copy_resumes_the_source_at_once() {
+        let mut sim = drained_for_final_copy();
+        crash_now(&mut sim, 1);
+        assert_eq!(sim.fault_stats.aborts_destination_failed, 1);
+        assert!(
+            engine(&sim, 0).step_in_flight(),
+            "the source resumes the request"
+        );
+        let out = sim.run();
+        assert_eq!((out.records.len(), out.aborted), (1, 0));
+        let gap = out.records[0].max_token_gap;
+        assert!(gap < SimDuration::from_millis(50), "token gap {gap:?}");
+    }
+
+    /// A source that crashes mid-migration frees the reservation on a
+    /// terminating destination, which is then done and leaves at once.
+    #[test]
+    fn a_source_crash_lets_a_terminating_destination_leave_at_once() {
+        let mut sim = migrating_sim(3);
+        step_until(&mut sim, |sim| sim.coordinator.active_count() == 1);
+        assert_eq!(sim.now, SimTime::from_millis(100));
+        let (_, src, dst) = sim
+            .coordinator
+            .lookup_by_request(RequestId(0))
+            .expect("migrating");
+        assert_eq!((src, dst), (InstanceId(0), InstanceId(1)));
+        sim.store.get_mut(dst).expect("live").terminating = true;
+        crash_now(&mut sim, 0);
+        assert_eq!(sim.fault_stats.aborts_source_failed, 1);
+        assert!(!sim.store.contains(dst), "the done destination is removed");
+        let out = sim.run();
+        assert_eq!((out.records.len(), out.aborted), (1, 0));
+    }
+
+    /// A terminating instance that finishes draining while it is the last
+    /// one leaves when the next instance launches.
+    #[test]
+    fn a_launch_ends_a_lone_termination() {
+        let crash = PlannedFault {
+            at: SimTime::from_millis(1),
+            target_rank: 1,
+            kind: FaultKind::Crash {
+                restart_after: Some(SimDuration::from_secs(2)),
+            },
+        };
+        let cfg = tiny_config(SchedulerKind::InfaasPlusPlus, 2)
+            .with_faults(FaultPlan::from_faults(vec![crash]));
+        let mut sim = ServingSim::new(cfg, trace_of(&[(0, 200, 50), (5_000, 200, 50)]));
+        sim.run_until(SimTime::from_micros(1));
+        assert!(engine(&sim, 0).step_in_flight(), "prefill in flight");
+        sim.store.get_mut(InstanceId(0)).expect("live").terminating = true;
+        let restart = SimTime::from_millis(2_001);
+        sim.run_until(restart);
+        assert!(sim.store.contains(InstanceId(0)), "the last instance stays");
+        assert!(!engine(&sim, 0).has_work());
+        sim.run_until(restart + SimDuration::from_micros(1));
+        assert!(!sim.store.contains(InstanceId(0)), "removed at the launch");
+        let out = sim.run();
+        assert_eq!((out.records.len(), out.aborted), (2, 0));
+    }
+
+    /// The sample tick's debug check catches a state change that kicked
+    /// nothing: a request put back into an idle engine's batch.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is idle with a step to run")]
+    fn the_sample_tick_catches_a_missing_kick() {
+        let mut sim = drained_for_final_copy();
+        let source = &mut sim.store.get_mut(InstanceId(0)).expect("live").engine;
+        source.undrain(RequestId(0));
+        sim.assert_no_kick_pending();
     }
 }

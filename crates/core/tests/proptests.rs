@@ -231,8 +231,9 @@ fn fleet_op() -> impl Strategy<Value = FleetOp> {
 }
 
 /// The serving simulator's refresh recipe, replicated over a bare store +
-/// index: time-driven starting transitions, then the dirty set (or the whole
-/// fleet under a time-sensitive queuing rule), each through a fresh report.
+/// index: time-driven starting transitions (deadlines queued at launch), then
+/// the dirty set (or the whole fleet under a time-sensitive queuing rule),
+/// each through a fresh report.
 fn refresh(
     store: &mut InstanceStore,
     index: &mut DispatchIndex,
@@ -263,10 +264,7 @@ fn refresh(
             index.remove(id);
             continue;
         };
-        let report = l.report_fresh(now, headroom);
-        if index.update(&report).became_starting {
-            starting_queue.push((l.starting_until.expect("starting"), id));
-        }
+        index.update(&l.report_fresh(now, headroom));
     }
     index.sync_order(store.order());
 }
@@ -358,12 +356,16 @@ fn run_fleet_equivalence(
                 let id = InstanceId(next_instance);
                 next_instance += 1;
                 let until = (delay_ms > 0).then(|| now + SimDuration::from_millis(delay_ms as u64));
+                if let Some(until) = until {
+                    starting_queue.push((until, id));
+                }
                 store.insert(id, new_llumlet(id.0, now, until));
             }
             FleetOp::LaunchTerminating(delay_ms) => {
                 let id = InstanceId(next_instance);
                 next_instance += 1;
                 let until = now + SimDuration::from_millis(delay_ms as u64);
+                starting_queue.push((until, id));
                 let mut l = new_llumlet(id.0, now, Some(until));
                 l.terminating = true;
                 store.insert(id, l);
